@@ -258,6 +258,8 @@ def _cmd_lemma3(args) -> tuple[dict, dict, list[str]]:
             rep = configurations.reducible_cubic_sequence(cfg)
         except configurations.DegeneratePositionError as exc:
             raise InputError(f"degenerate configuration: {exc}") from exc
+        except configurations.InvalidConfigurationError as exc:
+            raise InputError(f"invalid configuration: {exc}") from exc
         cl = rep.classification
         if not cl.is_valid:
             results = {
@@ -280,6 +282,8 @@ def _cmd_lemma3(args) -> tuple[dict, dict, list[str]]:
 
     if args.case is None:
         raise InputError("lemma3 needs --case (or --config FILE)")
+    if args.samples < 1:
+        raise InputError(f"--samples must be at least 1, got {args.samples}")
     inputs = {"case": args.case, "samples": args.samples, "seed": args.seed}
     rng = random.Random(args.seed)
     per_sample = []

@@ -24,7 +24,9 @@ from typing import Optional
 
 from .geometry import (
     DegeneratePositionError,
+    J_STANDARD,
     Triple,
+    _hull_cycle,
     chart_direction,
     chart_rep,
     circle_sort,
@@ -200,10 +202,8 @@ def _require_consecutive_sweep(cfg: dict[int, Triple]) -> None:
 def _hull_split(cfg: dict[int, Triple], labels=(2, 3, 4, 5, 6)):
     """Counterclockwise hull cycle (canonical rotation, smallest label first)
     and sorted interior labels."""
-    from .geometry import _hull_cycle  # exact, small-n
-
-    pts = {k: chart_rep(cfg[k], (0, 0, 1)) for k in labels}
-    hull, interior = _hull_cycle(pts, (0, 0, 1))
+    pts = {k: chart_rep(cfg[k], J_STANDARD) for k in labels}
+    hull, interior = _hull_cycle(pts, J_STANDARD)
     n = len(hull)
     canon = min(tuple(hull[i:] + hull[:i]) for i in range(n))
     return canon, tuple(sorted(interior))
@@ -219,10 +219,10 @@ def _interiors_disjoint(t1, t2, cfg) -> bool:
             a, b = cfg[ta[i]], cfg[ta[(i + 1) % 3]]
             c = cfg[ta[(i + 2) % 3]]
             l = line_through(a, b)
-            s_own = sign(dot(l, chart_rep(c, (0, 0, 1))))
+            s_own = sign(dot(l, chart_rep(c, J_STANDARD)))
             if s_own == 0:
                 raise DegeneratePositionError("degenerate principal triangle")
-            sides = [sign(dot(l, chart_rep(cfg[v], (0, 0, 1)))) for v in tb]
+            sides = [sign(dot(l, chart_rep(cfg[v], J_STANDARD))) for v in tb]
             if all(s * s_own <= 0 for s in sides):
                 return True
     return False
@@ -251,9 +251,9 @@ def _case2_region(cfg: dict[int, Triple]) -> str:
     T2 shares the [56]-side with T4."""
     l34 = line_through(cfg[3], cfg[4])
     l56 = line_through(cfg[5], cfg[6])
-    p2 = chart_rep(cfg[2], (0, 0, 1))
-    toward5 = sign(dot(l34, p2)) == sign(dot(l34, chart_rep(cfg[5], (0, 0, 1))))
-    toward4 = sign(dot(l56, p2)) == sign(dot(l56, chart_rep(cfg[4], (0, 0, 1))))
+    p2 = chart_rep(cfg[2], J_STANDARD)
+    toward5 = sign(dot(l34, p2)) == sign(dot(l34, chart_rep(cfg[5], J_STANDARD)))
+    toward4 = sign(dot(l56, p2)) == sign(dot(l56, chart_rep(cfg[4], J_STANDARD)))
     if toward5 and toward4:
         return "T4"
     if toward5:

@@ -10,12 +10,14 @@ device used for line directions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import gcd, isqrt
 from typing import Sequence
 
 from .geometry import (
     DegeneratePositionError,
     Triple,
+    _raw_cross,
     circle_sort,
     cross,
     det3,
@@ -75,35 +77,28 @@ def polar_line(q: Conic, p: Triple) -> Triple:
 
 def conic_through_5(pts: Sequence[Triple]) -> Conic:
     """The unique conic through five points; degenerate input positions
-    (fewer than five independent conditions) raise."""
+    (fewer than five independent conditions) raise.
+
+    Exact shared-minor cofactor expansion: the coefficients are the signed
+    5x5 minors of the 5x6 system, built bottom-up so that each smaller minor
+    is computed once and shared by every cofactor that uses it.
+    """
     if len(pts) != 5:
         raise ValueError("need exactly 5 points")
-    rows = []
-    for p in pts:
-        x, y, z = p
-        rows.append((x * x, x * y, y * y, x * z, y * z, z * z))
-    coeffs = []
-    for k in range(6):
-        cols = [c for c in range(6) if c != k]
-        sub = [[rows[r][c] for c in cols] for r in range(5)]
-        coeffs.append((-1) ** k * _det5(sub))
+    rows = [(x * x, x * y, y * y, x * z, y * z, z * z) for x, y, z in pts]
+    # minors[cols]: determinant of the last len(cols) rows on the sorted
+    # columns cols, expanded along its top row over the level below
+    minors = {(c,): rows[4][c] for c in range(6)}
+    for k in range(2, 6):
+        top = rows[5 - k]
+        minors = {cols: sum((-1) ** i * top[c] * minors[cols[:i] + cols[i + 1:]]
+                            for i, c in enumerate(cols))
+                  for cols in combinations(range(6), k)}
+    coeffs = [(-1) ** k * minors[tuple(c for c in range(6) if c != k)]
+              for k in range(6)]
     if all(c == 0 for c in coeffs):
         raise DegeneratePositionError("five points do not determine a unique conic")
     return _canon6(coeffs)
-
-
-def _det5(m) -> int:
-    # Laplace expansion along the first row; n is tiny, clarity wins.
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    total = 0
-    for c in range(n):
-        if m[0][c] == 0:
-            continue
-        minor = [[m[r][cc] for cc in range(n) if cc != c] for r in range(1, n)]
-        total += (-1) ** c * m[0][c] * _det5(minor)
-    return total
 
 
 def other_point_on_line(l: Triple, avoid: Triple) -> Triple:
@@ -185,14 +180,6 @@ def _two_points_off(v: Triple) -> tuple[Triple, Triple]:
     k = next(i for i in range(3) if v[i] != 0)
     basis = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     return tuple(basis[i] for i in range(3) if i != k)  # type: ignore[return-value]
-
-
-def _raw_cross(u, v):
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
 
 
 # ---------------------------------------------------------------------------

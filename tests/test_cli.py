@@ -196,6 +196,26 @@ def test_lemma3_config_file(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_lemma3_collinear_config_exits_2(tmp_path, capsys):
+    # points 1, 2, 3 on one line: the pencil at 1 cannot order 2..6
+    pts = {1: (0, 0), 2: (1, 1), 3: (3, 3), 4: (5, -2), 5: (-4, 7), 6: (2, 9)}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(
+        [{"label": k, "point": [x, y, 1]} for k, (x, y) in pts.items()]))
+    assert main(["--json", "lemma3", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("deepnest: error: invalid configuration:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_lemma3_rejects_samples_below_1(capsys, samples):
+    assert main(["--json", "lemma3", "--case", "2", "--samples", samples]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""   # no vacuous MATCHES report
+    assert captured.err.startswith("deepnest: error: --samples must be at least 1")
+
+
 def test_audit_subcommand(tmp_path, capsys):
     path = tmp_path / "trace.json"
     path.write_text(json.dumps(CUBIC_TRACE))

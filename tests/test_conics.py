@@ -19,6 +19,7 @@ from deepnest.geometry import (
 )
 from deepnest.conics import (
     IrrationalFactorizationError,
+    _pair_conic,
     conic_eval,
     conic_line_second_point,
     conic_pencil_events,
@@ -59,10 +60,94 @@ def test_conic_through_5_vanishes_on_inputs():
         assert any(conic_eval(q, rand_point(rng)) != 0 for _ in range(5))
 
 
+def reference_conic_through_5(pts):
+    """Null vector of the 5x6 system by Fraction Gauss-Jordan elimination,
+    scaled to coprime integers with first nonzero entry positive; None when
+    the rank is below 5."""
+    m = [[Fraction(v) for v in (x * x, x * y, y * y, x * z, y * z, z * z)]
+         for x, y, z in pts]
+    pivots = []
+    for col in range(6):
+        r = len(pivots)
+        piv = next((i for i in range(r, 5) if m[i][col] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        m[r] = [v / m[r][col] for v in m[r]]
+        for i in range(5):
+            if i != r and m[i][col] != 0:
+                m[i] = [a - m[i][col] * b for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+    if len(pivots) < 5:
+        return None
+    free = next(c for c in range(6) if c not in pivots)
+    vec = [Fraction(0)] * 6
+    vec[free] = Fraction(1)
+    for r, col in enumerate(pivots):
+        vec[col] = -m[r][free]
+    den = math.lcm(*(v.denominator for v in vec))
+    ints = [int(v * den) for v in vec]
+    g = math.gcd(*ints)
+    ints = [v // g for v in ints]
+    if next(v for v in ints if v != 0) < 0:
+        ints = [-v for v in ints]
+    return tuple(ints)
+
+
+def oracle_point(rng):
+    kind = rng.randrange(6)
+    if kind == 0:   # at infinity
+        while True:
+            x, y = rng.randint(-9, 9), rng.randint(-9, 9)
+            if (x, y) != (0, 0):
+                return normalize(x, y, 0)
+    span = 10**6 if kind == 1 else 30
+    return point(Fraction(rng.randint(-span, span), rng.randint(1, 7)),
+                 Fraction(rng.randint(-span, span), rng.randint(1, 7)))
+
+
+def test_conic_through_5_matches_elimination_oracle():
+    rng = random.Random(1968)
+    raised = 0
+    for n in range(300):
+        pts = [oracle_point(rng) for _ in range(5)]
+        if n % 10 == 0:     # a repeated point
+            pts[4] = pts[rng.randrange(4)]
+        elif n % 10 == 1:   # a third point on the line through two others
+            a, b = pts[0], pts[1]
+            pts[2] = normalize(*(3 * u - 2 * v for u, v in zip(a, b)))
+        rng.shuffle(pts)
+        want = reference_conic_through_5(pts)
+        if want is None:
+            raised += 1
+            with pytest.raises(DegeneratePositionError):
+                conic_through_5(pts)
+        else:
+            assert conic_through_5(pts) == want, pts
+    assert 30 <= raised < 100   # both outcomes exercised
+
+
 def test_conic_through_5_degenerate_input():
     pts = [point(0, 0), point(1, 0), point(2, 0), point(3, 0), point(0, 1)]
     with pytest.raises(DegeneratePositionError):
         conic_through_5(pts)  # four collinear points leave the conic non-unique
+    pts = [point(0, 0), point(1, 5), point(2, -3), point(0, 0), point(7, 1)]
+    with pytest.raises(DegeneratePositionError):
+        conic_through_5(pts)  # a repeated point gives only four conditions
+
+
+@pytest.mark.parametrize("pts", [
+    [point(0, 0), point(1, 0), point(5, 0), point(0, 1), point(3, 7)],
+    [point(1, 1), point(2, 3), normalize(1, 2, 0), point(-4, 6),
+     point(Fraction(1, 3), -2)],
+    [point(-7, 2), point(10**6, 3), point(2 * 10**6 + 7, 4), normalize(1, -1, 0),
+     point(5, 5)],
+])
+def test_conic_through_5_three_collinear_is_line_pair(pts):
+    p1, p2, p3, p4, p5 = pts
+    assert incident(line_through(p1, p2), p3)
+    assert conic_through_5(pts) == _pair_conic(line_through(p1, p2),
+                                               line_through(p4, p5))
 
 
 def test_factor_line_pair_roundtrip():
