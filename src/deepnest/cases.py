@@ -36,7 +36,7 @@ PROHIBITED always certifies the full parity class.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cache
 from typing import Iterable, Optional
 
 from .orientations import (
@@ -62,14 +62,24 @@ SCENARIO_KINDS = (WITH_O1_JUMPS, NO_JUMPS_EVEN_GAMMA, NO_JUMPS_ODD_GAMMA,
 
 # the no-jump median chain can break alternation at the one-sided component
 # at most 3 times, an odd number of them (a pencil sweep has odd total
-# parity); these are the resulting imbalance magnitudes by chain parity
-_NO_JUMP_N_EVEN = frozenset({0, 2, 4})
-_NO_JUMP_N_ODD = frozenset({1, 3})
+# parity)
 _CHAIN_JUMP_BUDGET = 3
 
 TOTAL_EMPTIES = 26
 DEGREE = 9
 _RHS = rm_rhs(DEGREE, TOTAL_EMPTIES + 3)  # 28 ovals + one-sided = 29
+
+
+@cache
+def _no_jump_magnitudes(beta: int) -> frozenset[int]:
+    """Imbalance magnitudes of a no-jump median chain of beta ovals."""
+    return chain_imbalance_magnitudes(beta, _CHAIN_JUMP_BUDGET, "odd")
+
+
+# the longest chain of each parity realizes every magnitude a shorter chain
+# of that parity does, so these serve when beta's size is left open
+_NO_JUMP_N_EVEN = _no_jump_magnitudes(TOTAL_EMPTIES)
+_NO_JUMP_N_ODD = _no_jump_magnitudes(TOTAL_EMPTIES - 1)
 
 
 class InfeasibleOrientationError(ValueError):
@@ -115,6 +125,12 @@ class Scenario:
         if self.kind not in SCENARIO_KINDS:
             raise ValueError(f"unknown scenario {self.kind!r}")
         b, g = self.beta, self.gamma
+        for size in (b, g):
+            if size is not None and size not in range(TOTAL_EMPTIES + 1):
+                raise ValueError(
+                    "beta and gamma must lie in 0..%d" % TOTAL_EMPTIES)
+        if self.parity not in (None, 0, 1):
+            raise ValueError("parity must be None, 0 or 1")
         if b is not None and g is not None and b + g != TOTAL_EMPTIES:
             raise ValueError("beta + gamma must be %d" % TOTAL_EMPTIES)
         if self.kind == BETA_ZERO and b not in (None, 0):
@@ -151,8 +167,7 @@ class Scenario:
             return parity is None or n % 2 == parity
         # no-jump kinds: n is a median-chain imbalance magnitude
         if self.beta is not None:
-            return n in chain_imbalance_magnitudes(
-                self.beta, _CHAIN_JUMP_BUDGET, "odd")
+            return n in _no_jump_magnitudes(self.beta)
         if parity == 0:
             return n in _NO_JUMP_N_EVEN
         return n in _NO_JUMP_N_ODD
@@ -205,7 +220,17 @@ def rm_case_residual(case: SignCase, mode: str = "uniform") -> int:
 def solve_scenario(scenario: Scenario, mode: str = "uniform") -> list[SignCase]:
     """All sign cases of the scenario satisfying the signed-pair identity,
     in deterministic order.  n is solved for exactly: the identity is linear
-    in n with nonzero slope for every sign pattern."""
+    in n with nonzero slope for every sign pattern.
+
+    Results are cached per (scenario, mode); each call returns a fresh
+    list, so a caller that changes it cannot reach the cached value."""
+    return list(_solve_scenario(scenario, mode))
+
+
+@cache
+def _solve_scenario(scenario: Scenario, mode: str) -> tuple[SignCase, ...]:
+    # Scenario validation bounds the keys to about a thousand, so the cache
+    # needs no size limit
     out: list[SignCase] = []
     eps4_values: tuple[Optional[int], ...] = (
         (1, -1) if scenario.has_eps4() else (None,))
@@ -226,12 +251,12 @@ def solve_scenario(scenario: Scenario, mode: str = "uniform") -> list[SignCase]:
                         SignCase(scenario.kind, e1, e2, e3, 1, e4), mode)
                     slope = at1 - at0
                     assert slope != 0
-                    n = Fraction(-at0, slope)
-                    if n.denominator != 1 or not scenario.admits_n(int(n)):
+                    n, rem = divmod(-at0, slope)
+                    if rem or not scenario.admits_n(n):
                         continue
-                    out.append(SignCase(scenario.kind, e1, e2, e3, int(n), e4))
+                    out.append(SignCase(scenario.kind, e1, e2, e3, n, e4))
     out.sort(key=SignCase.sort_key)
-    return out
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

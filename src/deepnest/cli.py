@@ -36,6 +36,12 @@ def _mode(arg: str) -> str:
     return _MODES[arg]
 
 
+def _degree(args) -> int:
+    if args.degree < 1:
+        raise InputError(f"--degree must be at least 1, got {args.degree}")
+    return args.degree
+
+
 def _case_dict(c: cases.SignCase) -> dict[str, Any]:
     out: dict[str, Any] = {"scenario": c.scenario, "eps1": c.eps1,
                            "eps2": c.eps2, "eps3": c.eps3, "n": c.n}
@@ -71,8 +77,9 @@ def _stats_dict(st: orientations.OrientationStats) -> dict[str, Any]:
 
 def _cmd_parse(args) -> tuple[dict, dict, list[str]]:
     inputs = {"scheme": args.scheme, "degree": args.degree}
+    degree = _degree(args)
     if "_" in args.scheme:
-        signed = orientations.parse_signed(args.scheme, args.degree)
+        signed = orientations.parse_signed(args.scheme, degree)
         results: dict[str, Any] = {
             "kind": "signed",
             "canonical": orientations.print_signed(signed),
@@ -80,7 +87,7 @@ def _cmd_parse(args) -> tuple[dict, dict, list[str]]:
             "components": signed.component_count(),
         }
         return inputs, results, ["OK"]
-    s = schemes.parse_scheme(args.scheme, args.degree)
+    s = schemes.parse_scheme(args.scheme, degree)
     results = {
         "kind": "real",
         "canonical": schemes.print_scheme(s),
@@ -106,11 +113,14 @@ def _cmd_parse(args) -> tuple[dict, dict, list[str]]:
 def _cmd_check_rm(args) -> tuple[dict, dict, list[str]]:
     inputs = {"scheme": args.scheme, "degree": args.degree,
               "mode": args.mode}
-    s = orientations.parse_signed(args.scheme, args.degree)
+    s = orientations.parse_signed(args.scheme, _degree(args))
+    try:
+        rhs = orientations.rm_rhs(s.degree, s.component_count())
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     st = orientations.compute_stats(s, _mode(args.mode))
     residual = orientations.check_rokhlin_mishachev(s, _mode(args.mode),
                                                     stats=st)
-    rhs = orientations.rm_rhs(s.degree, s.component_count())
     results = {"stats": _stats_dict(st), "lhs": residual + rhs, "rhs": rhs,
                "residual": residual}
     return inputs, results, ["CONSISTENT" if residual == 0 else "INCONSISTENT"]
@@ -118,7 +128,7 @@ def _cmd_check_rm(args) -> tuple[dict, dict, list[str]]:
 
 def _cmd_check_orevkov(args) -> tuple[dict, dict, list[str]]:
     inputs = {"scheme": args.scheme, "degree": args.degree}
-    s = orientations.parse_signed(args.scheme, args.degree)
+    s = orientations.parse_signed(args.scheme, _degree(args))
     st = orientations.compute_stats(s, "uniform")
     try:
         r1, r2 = orientations.check_orevkov(s, stats=st)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 
 from deepnest.cases import (
@@ -9,9 +11,14 @@ from deepnest.cases import (
     InfeasibleOrientationError,
     NO_JUMPS_EVEN_GAMMA,
     NO_JUMPS_ODD_GAMMA,
+    SCENARIO_KINDS,
     Scenario,
     SignCase,
+    TOTAL_EMPTIES,
     WITH_O1_JUMPS,
+    _NO_JUMP_N_EVEN,
+    _NO_JUMP_N_ODD,
+    _solve_scenario,
     beta_zero_contradiction,
     deep_nest_scheme,
     emit_complex_scheme,
@@ -25,6 +32,7 @@ from deepnest.cases import (
     theorem2_report,
 )
 from deepnest.orientations import (
+    chain_imbalance_magnitudes,
     check_orevkov,
     check_rokhlin_mishachev,
     print_signed,
@@ -96,6 +104,63 @@ def test_scenario_validation():
         Scenario("imaginary-case")
     sc = make_scenario(NO_JUMPS_ODD_GAMMA, beta=3)
     assert (sc.beta, sc.gamma) == (3, 23)
+
+
+@pytest.mark.parametrize("fields", [
+    {"parity": 7}, {"parity": -1},
+    {"beta": -1}, {"beta": 27}, {"beta": 1000},
+    {"gamma": -3}, {"gamma": 27},
+])
+def test_scenario_rejects_sizes_and_parities_out_of_domain(fields):
+    with pytest.raises(ValueError):
+        Scenario(WITH_O1_JUMPS, **fields)
+
+
+def all_scenarios():
+    sizes = (None, *range(TOTAL_EMPTIES + 1))
+    for kind, beta, gamma, parity in product(SCENARIO_KINDS, sizes, sizes,
+                                             (None, 0, 1)):
+        try:
+            yield Scenario(kind, beta, gamma, parity)
+        except ValueError:
+            continue
+
+
+def zero_residual_cases(kind, mode):
+    """Every sign pattern of the kind with every n in 0..26, kept when the
+    signed-pair identity holds, in solver order."""
+    eps3_values = (None,) if kind == BETA_ZERO else (1, -1)
+    eps4_values = (1, -1) if kind == NO_JUMPS_ODD_GAMMA else (None,)
+    cases = [SignCase(kind, e1, e2, e3, n, e4)
+             for e1, e2, e3, e4 in product((1, -1), (1, -1), eps3_values,
+                                           eps4_values)
+             for n in range(TOTAL_EMPTIES + 1)]
+    return sorted((c for c in cases if rm_case_residual(c, mode) == 0),
+                  key=SignCase.sort_key)
+
+
+def test_solver_matches_brute_force_over_whole_domain():
+    keys = [(scn, mode) for scn in all_scenarios()
+            for mode in ("uniform", "literal")]
+    scans = {(kind, mode): zero_residual_cases(kind, mode)
+             for kind in SCENARIO_KINDS for mode in ("uniform", "literal")}
+    for scn, mode in keys:
+        expected = [c for c in scans[scn.kind, mode] if scn.admits_n(c.n)]
+        first = solve_scenario(scn, mode)
+        assert first == expected, (scn, mode)
+        first.append(None)   # a caller's list is its own
+        assert solve_scenario(scn, mode) == expected, (scn, mode)
+    # every key of the finite domain is cached, and nothing else is
+    assert _solve_scenario.cache_info().currsize == len(keys)
+
+
+def test_no_jump_domains_are_derived_from_the_chain():
+    assert _NO_JUMP_N_EVEN == {0, 2, 4}
+    assert _NO_JUMP_N_ODD == {1, 3}
+    # the open-size domains cover every concrete chain of the same parity
+    for beta in range(TOTAL_EMPTIES + 1):
+        domain = _NO_JUMP_N_ODD if beta % 2 else _NO_JUMP_N_EVEN
+        assert chain_imbalance_magnitudes(beta, 3, "odd") <= domain
 
 
 def test_admits_n_budgets():

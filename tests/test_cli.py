@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 
+import hypothesis as hyp
+import hypothesis.strategies as hys
 import pytest
 
 from deepnest.cli import main
@@ -267,3 +271,65 @@ def test_bad_usage_exits_2(capsys):
     assert main(["solve", "--scenario", "with-o1-jumps", "--beta", "5",
                  "--gamma", "5"]) == 2  # sizes must total 26
     capsys.readouterr()
+
+
+def assert_input_error(capsys, argv):
+    assert main(["--json", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""   # no report
+    assert captured.err.startswith("deepnest: error:")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--scenario", "no-jumps-even-gamma", "--beta", "-4"],
+    ["--scenario", "with-o1-jumps", "--beta", "1000"],
+    ["--scenario", "no-jumps-odd-gamma", "--gamma", "-3"],
+])
+def test_solve_rejects_sizes_out_of_range(capsys, argv):
+    assert_input_error(capsys, ["solve", *argv])
+
+
+def test_check_rm_rejects_even_degree(capsys):
+    assert_input_error(
+        capsys, ["check-rm", "--degree", "8", "--scheme", "<1_+<3_+ + 2_->>"])
+
+
+@pytest.mark.parametrize("degree, scheme", [
+    # schemes that parse at the given degree: J only in odd degree
+    ("0", "<1_+<2_+ + 2_->>"),
+    ("-3", "<J + 1_+<2_+ + 2_->>"),
+])
+@pytest.mark.parametrize("command", ["parse", "check-rm", "check-orevkov"])
+def test_degree_below_1_exits_2(capsys, command, degree, scheme):
+    assert_input_error(capsys, [command, "--scheme", scheme,
+                                "--degree", degree])
+
+
+SIZES = hys.one_of(hys.none(), hys.integers(-60, 60))
+
+
+@hyp.settings(max_examples=200, deadline=None)
+@hyp.given(hys.sampled_from(["with-o1-jumps", "no-jumps-even-gamma",
+                             "no-jumps-odd-gamma", "beta-zero", "no-such"]),
+           SIZES, SIZES, hys.sampled_from(["paper", "uniform"]))
+def test_solve_argv_fuzz(kind, beta, gamma, mode):
+    argv = ["--json", "solve", "--scenario", kind, "--mode", mode]
+    for flag, value in (("--beta", beta), ("--gamma", gamma)):
+        if value is not None:
+            argv += [flag, str(value)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:   # argparse rejects the unknown kind
+            code = exc.code
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
+    if code != 0:
+        return
+    scenario = json.loads(out.getvalue())["results"]["scenario"]
+    sizes = (scenario["beta"], scenario["gamma"])
+    if sizes != (None, None) or beta is not None or gamma is not None:
+        assert all(v in range(27) for v in sizes)
+        assert sum(sizes) == 26
