@@ -98,7 +98,8 @@ def parse_trace(data: Any) -> AuxCurveTrace:
         _require(isinstance(oval, (str, int)) and not isinstance(oval, bool),
                  f"visit {i}: oval must be a label")
         role = v.get("role")
-        _require(role in REGION, f"visit {i}: role must be median or inner")
+        _require(isinstance(role, str) and role in REGION,
+                 f"visit {i}: role must be median or inner")
         node = v.get("node", False)
         _require(isinstance(node, bool), f"visit {i}: node must be a boolean")
         visits.append(Visit(str(oval), role, node))
@@ -117,8 +118,10 @@ def parse_trace(data: Any) -> AuxCurveTrace:
                  f"arc {i}: jCrossings must be a nonnegative integer")
         arcs.append(Arc(c))
 
+    raw_extras = data.get("extras", [])
+    _require(isinstance(raw_extras, list), "extras must be a list")
     extras = []
-    for i, e in enumerate(data.get("extras", [])):
+    for i, e in enumerate(raw_extras):
         _require(isinstance(e, dict), f"extra {i} must be an object")
         _require(set(e) <= {"count", "tag"}, f"unknown keys in extra {i}")
         count = e.get("count")

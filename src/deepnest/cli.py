@@ -7,8 +7,17 @@ Every subcommand assembles one report object:
 With --json the report is printed as stable JSON (timing is null so output
 is byte-for-byte reproducible); otherwise a human-readable summary is
 printed.  Exit status 0 covers every mathematical outcome, including
-PROHIBITED and VIOLATION verdicts; nonzero status is reserved for
-malformed input.
+PROHIBITED and VIOLATION verdicts.
+
+Malformed input takes one path.  Every library error class derives from
+ValueError, so main() turns any ValueError or OSError into one
+"deepnest: error: ..." line on stderr and exit status 2 (argparse usage
+errors exit 2 too).  A handler catches an error only to turn it into a
+verdict (parse reports INADMISSIBLE) or to prefix it with what only the
+command line knows (--known, a --config point or configuration).  Both
+scheme parsers reject a nest deeper than degree // 2: a line through the
+innermost oval meets each oval of the nest twice, so by Bezout no curve of
+that degree has a deeper one.
 """
 
 from __future__ import annotations
@@ -28,17 +37,13 @@ SCHEMA = "deepnest-report/1"
 _MODES = {"paper": "literal", "uniform": "uniform"}
 
 
-class InputError(Exception):
-    pass
-
-
 def _mode(arg: str) -> str:
     return _MODES[arg]
 
 
 def _degree(args) -> int:
     if args.degree < 1:
-        raise InputError(f"--degree must be at least 1, got {args.degree}")
+        raise ValueError(f"--degree must be at least 1, got {args.degree}")
     return args.degree
 
 
@@ -114,10 +119,7 @@ def _cmd_check_rm(args) -> tuple[dict, dict, list[str]]:
     inputs = {"scheme": args.scheme, "degree": args.degree,
               "mode": args.mode}
     s = orientations.parse_signed(args.scheme, _degree(args))
-    try:
-        rhs = orientations.rm_rhs(s.degree, s.component_count())
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    rhs = orientations.rm_rhs(s.degree, s.component_count())
     st = orientations.compute_stats(s, _mode(args.mode))
     residual = orientations.check_rokhlin_mishachev(s, _mode(args.mode),
                                                     stats=st)
@@ -130,10 +132,7 @@ def _cmd_check_orevkov(args) -> tuple[dict, dict, list[str]]:
     inputs = {"scheme": args.scheme, "degree": args.degree}
     s = orientations.parse_signed(args.scheme, _degree(args))
     st = orientations.compute_stats(s, "uniform")
-    try:
-        r1, r2 = orientations.check_orevkov(s, stats=st)
-    except orientations.OrientationParityError as exc:
-        raise InputError(str(exc)) from exc
+    r1, r2 = orientations.check_orevkov(s, stats=st)
     results = {"stats": _stats_dict(st), "residuals": [r1, r2]}
     ok = r1 == 0 and r2 == 0
     return inputs, results, ["CONSISTENT" if ok else "INCONSISTENT"]
@@ -142,10 +141,7 @@ def _cmd_check_orevkov(args) -> tuple[dict, dict, list[str]]:
 def _cmd_solve(args) -> tuple[dict, dict, list[str]]:
     inputs = {"scenario": args.scenario, "mode": args.mode,
               "beta": args.beta, "gamma": args.gamma}
-    try:
-        scn = cases.make_scenario(args.scenario, args.beta, args.gamma)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    scn = cases.make_scenario(args.scenario, args.beta, args.gamma)
     sols = cases.solve_scenario(scn, _mode(args.mode))
     survivors = cases.orevkov_filter(sols)
     results = {
@@ -166,7 +162,7 @@ def _parse_known(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(tok) for tok in text.split(",") if tok.strip())
     except ValueError as exc:
-        raise InputError(f"--known must be a comma list of integers: {exc}")
+        raise ValueError(f"--known must be a comma list of integers: {exc}")
 
 
 def _cmd_prohibit(args) -> tuple[dict, dict, list[str]]:
@@ -174,10 +170,7 @@ def _cmd_prohibit(args) -> tuple[dict, dict, list[str]]:
     inputs = {"scheme": args.scheme, "known": list(known),
               "mode": args.mode}
     s = schemes.parse_scheme(args.scheme, cases.DEGREE)
-    try:
-        rep = cases.prohibit(s, known, _mode(args.mode))
-    except (schemes.InadmissibleSchemeError, ValueError) as exc:
-        raise InputError(str(exc)) from exc
+    rep = cases.prohibit(s, known, _mode(args.mode))
     results = {
         "scheme": rep.scheme, "beta": rep.beta, "gamma": rep.gamma,
         "scenarios": [
@@ -210,10 +203,7 @@ def _cmd_theorem1(args) -> tuple[dict, dict, list[str]]:
 
 def _cmd_theorem2(args) -> tuple[dict, dict, list[str]]:
     inputs = {"beta": args.beta, "gamma": args.gamma}
-    try:
-        row = cases.theorem2_report(args.beta, args.gamma)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    row = cases.theorem2_report(args.beta, args.gamma)
     results = {
         "beta": row.beta, "gamma": row.gamma,
         "schemes": [_feasible_dict(f) for f in row.schemes],
@@ -227,32 +217,29 @@ def _cmd_theorem2(args) -> tuple[dict, dict, list[str]]:
 
 
 def _load_config(path: str) -> dict[int, tuple[int, int, int]]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read configuration: {exc}") from exc
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
     if not isinstance(data, list) or len(data) != 6:
-        raise InputError("configuration must be an array of 6 labeled points")
+        raise ValueError("configuration must be an array of 6 labeled points")
     cfg: dict[int, tuple[int, int, int]] = {}
     for entry in data:
         if (not isinstance(entry, dict)
                 or set(entry) != {"label", "point"}
                 or not isinstance(entry.get("label"), int)):
-            raise InputError("each entry must be {label, point}")
+            raise ValueError("each entry must be {label, point}")
         label = entry["label"]
         pt = entry["point"]
         if (not isinstance(pt, list) or len(pt) != 3
                 or not all(isinstance(v, int) for v in pt)):
-            raise InputError(f"point {label} must be 3 integers")
+            raise ValueError(f"point {label} must be 3 integers")
         if label in cfg:
-            raise InputError(f"duplicate label {label}")
+            raise ValueError(f"duplicate label {label}")
         try:
             cfg[label] = normalize(*pt)
         except ValueError as exc:
-            raise InputError(f"point {label}: {exc}") from exc
+            raise ValueError(f"point {label}: {exc}") from exc
     if set(cfg) != {1, 2, 3, 4, 5, 6}:
-        raise InputError("labels must be 1..6")
+        raise ValueError("labels must be 1..6")
     return cfg
 
 
@@ -266,10 +253,8 @@ def _cmd_lemma3(args) -> tuple[dict, dict, list[str]]:
         cfg = _load_config(args.config)
         try:
             rep = configurations.reducible_cubic_sequence(cfg)
-        except configurations.DegeneratePositionError as exc:
-            raise InputError(f"degenerate configuration: {exc}") from exc
-        except configurations.InvalidConfigurationError as exc:
-            raise InputError(f"invalid configuration: {exc}") from exc
+        except ValueError as exc:
+            raise ValueError(f"invalid configuration: {exc}") from exc
         cl = rep.classification
         if not cl.is_valid:
             results = {
@@ -291,9 +276,9 @@ def _cmd_lemma3(args) -> tuple[dict, dict, list[str]]:
                                  else "MISMATCH"]
 
     if args.case is None:
-        raise InputError("lemma3 needs --case (or --config FILE)")
+        raise ValueError("lemma3 needs --case (or --config FILE)")
     if args.samples < 1:
-        raise InputError(f"--samples must be at least 1, got {args.samples}")
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     inputs = {"case": args.case, "samples": args.samples, "seed": args.seed}
     rng = random.Random(args.seed)
     per_sample = []
@@ -319,10 +304,7 @@ def _cmd_lemma3(args) -> tuple[dict, dict, list[str]]:
 
 def _cmd_audit(args) -> tuple[dict, dict, list[str]]:
     inputs = {"trace": args.trace}
-    try:
-        trace = bezout.load_trace(args.trace)
-    except (OSError, bezout.InvalidTraceError) as exc:
-        raise InputError(str(exc)) from exc
+    trace = bezout.load_trace(args.trace)
     rep = bezout.audit(trace)
     results = {
         "degree": trace.degree,
@@ -435,11 +417,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     started = time.perf_counter()
     try:
         inputs, results, verdicts = _HANDLERS[args.command](args)
-    except InputError as exc:
-        print(f"deepnest: error: {exc}", file=sys.stderr)
-        return 2
-    except (schemes.SchemeSyntaxError,
-            orientations.OrientationParityError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"deepnest: error: {exc}", file=sys.stderr)
         return 2
     elapsed = time.perf_counter() - started

@@ -97,6 +97,7 @@ def parse_signed(text: str, degree: int) -> SignedScheme:
         tokens.append((m.group(1), m.start(1)))
         pos = m.end()
     tokens.reverse()  # pop() from the front
+    max_depth = degree // 2  # Bezout with a line: 2 * depth <= degree
 
     def take() -> tuple[str, int]:
         if not tokens:
@@ -122,6 +123,9 @@ def parse_signed(text: str, degree: int) -> SignedScheme:
             elif tok.endswith("_+") or tok.endswith("_-"):
                 count = int(tok[:-2])
                 sign = 1 if tok.endswith("+") else -1
+                if depth >= max_depth and (count or peek() == "<"):
+                    raise SchemeSyntaxError(
+                        f"nest deeper than degree // 2 = {max_depth}", at)
                 if peek() == "<":
                     take()
                     j2, empties, inner = body(depth + 1)

@@ -67,9 +67,11 @@ class RealScheme:
 # parsing
 
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, degree: int):
         self.text = text
         self.i = 0
+        # Bezout with a line through the innermost oval: 2 * depth <= degree
+        self.max_depth = degree // 2
 
     def error(self, msg: str):
         raise SchemeSyntaxError(msg, self.i)
@@ -125,7 +127,11 @@ class _Parser:
             nxt = self.i + 1
             if nxt < len(self.text) and self.text[nxt].isdigit():
                 self.error("counts may not have leading zeros")
+        start = self.i
         count = self.number()
+        if depth >= self.max_depth and (count or self.peek() == "<"):
+            raise SchemeSyntaxError(
+                f"nest deeper than degree // 2 = {self.max_depth}", start)
         if self.peek() == "<":
             self.i += 1
             saw_j, groups = self.body(depth + 1)
@@ -159,7 +165,7 @@ def _canonical_children(groups: list[OvalGroup]) -> tuple[OvalGroup, ...]:
 
 
 def parse_scheme(text: str, degree: int) -> RealScheme:
-    p = _Parser(text)
+    p = _Parser(text, degree)
     p.expect("<")
     saw_j, groups = p.body(0)
     p.expect(">")

@@ -142,6 +142,20 @@ def test_validation_rejects_malformed_traces():
         assert fragment in str(exc.value), data
 
 
+def test_validation_rejects_wrongly_typed_fields():
+    visit = [{"oval": "a", "role": "inner"}]
+    for data, fragment in [
+        ({"degree": 2, "visits": [{"oval": "a", "role": ["inner"]}],
+          "arcs": [{}]}, "role"),
+        ({"degree": 2, "visits": visit, "arcs": [{}], "extras": 5}, "extras"),
+        ({"degree": 2, "visits": visit, "arcs": [{}], "extras": None},
+         "extras"),
+    ]:
+        with pytest.raises(InvalidTraceError) as exc:
+            parse_trace(data)
+        assert fragment in str(exc.value), data
+
+
 def test_load_trace_rejects_bad_json(tmp_path):
     p = tmp_path / "trace.json"
     p.write_text("{not json", encoding="utf-8")

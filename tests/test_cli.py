@@ -333,3 +333,137 @@ def test_solve_argv_fuzz(kind, beta, gamma, mode):
     if sizes != (None, None) or beta is not None or gamma is not None:
         assert all(v in range(27) for v in sizes)
         assert sum(sizes) == 26
+
+
+def test_check_rm_paper_mode_needs_a_two_oval_nest(capsys):
+    assert_input_error(capsys, ["check-rm", "--mode", "paper", "--scheme",
+                                "<J + 1_+<2_+> + 1_-<3_+>>"])
+
+
+def nest(depth: int, oval: str) -> str:
+    return "<J + " + f"{oval}<" * depth + oval + ">" * depth + ">"
+
+
+@pytest.mark.parametrize("scheme", [nest(1500, "1"), nest(1500, "1_+")],
+                         ids=["unsigned", "signed"])
+@pytest.mark.parametrize("command",
+                         ["parse", "check-rm", "check-orevkov", "prohibit"])
+def test_deep_nest_exits_2(capsys, command, scheme):
+    assert_input_error(capsys, [command, "--scheme", scheme])
+
+
+def test_parse_depth_beyond_half_the_degree_exits_2(capsys):
+    code, rep = run_json(capsys, "parse", "--scheme", nest(3, "1"))
+    assert code == 0
+    assert rep["verdicts"] == ["INADMISSIBLE"]   # depth 4 fits degree 9
+    assert_input_error(capsys, ["parse", "--scheme", nest(4, "1")])
+    code, rep = run_json(capsys, "parse", "--degree", "11",
+                         "--scheme", nest(4, "1"))
+    assert code == 0
+
+
+def run_quietly(argv):
+    """(exit code, stdout, stderr) of one main() call; any other exception
+    escapes to the caller."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:   # argparse usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_contract(argv):
+    code, out, err = run_quietly(["--json", *argv])
+    assert code in (0, 2), (argv, err)
+    assert "Traceback" not in err
+    if code == 0:
+        assert json.loads(out)["schema"] == "deepnest-report/1"
+    else:
+        assert out == "" and err
+
+
+SCHEME_TEXT = hys.one_of(
+    hys.lists(hys.sampled_from(["<", ">", "J", " + ", "+", " ", "0", "1", "3",
+                                "12", "26", "1_+", "3_-", "0_+", "2_", "x"]),
+              max_size=16).map("".join),
+    hys.builds(nest, hys.integers(0, 1500),
+               hys.sampled_from(["1", "2", "1_+", "1_-", "0_+"])),
+    hys.sampled_from(["<J + 1<4 + 1<22>>>", "<J + 1<12 + 1<14>>>",
+                      "<J + 1_-<3_+ + 9_- + 1_-<10_+ + 4_->>>",
+                      "<J + 1_+<8_+ + 4_- + 1_+<5_+ + 9_->>>",
+                      "<J + 14_+ + 14_->", "<1_+<3_+ + 2_->>"]),
+)
+
+
+@hyp.settings(max_examples=100, deadline=None)
+@hyp.given(hys.sampled_from(["parse", "check-rm", "check-orevkov",
+                             "prohibit"]),
+           SCHEME_TEXT, hys.one_of(hys.none(), hys.integers(-2, 12)),
+           hys.sampled_from(["paper", "uniform"]),
+           hys.sampled_from(["1,3,25", "", "5", "1,,3", "x", "-7,99"]))
+def test_scheme_argv_fuzz(command, scheme, degree, mode, known):
+    argv = [command, "--scheme", scheme]
+    if command == "prohibit":
+        argv += ["--mode", mode, "--known", known]
+    elif degree is not None:
+        argv += ["--degree", str(degree)]
+    if command == "check-rm":
+        argv += ["--mode", mode]
+    assert_contract(argv)
+
+
+@hyp.settings(max_examples=60, deadline=None)
+@hyp.given(hys.integers(-60, 60), SIZES)
+def test_theorem2_argv_fuzz(beta, gamma):
+    argv = ["theorem2", "--beta", str(beta)]
+    if gamma is not None:
+        argv += ["--gamma", str(gamma)]
+    assert_contract(argv)
+
+
+JSON_KEYS = hys.sampled_from(["label", "point", "degree", "visits", "arcs",
+                              "extras", "oval", "role", "node", "jCrossings",
+                              "count", "tag", ""])
+JSON_VALUES = hys.recursive(
+    hys.none() | hys.booleans() | hys.integers(-3, 9)
+    | hys.sampled_from([0.5, "1", "inner", "median", "x", ""]),
+    lambda inner: hys.lists(inner, max_size=7)
+    | hys.dictionaries(JSON_KEYS, inner, max_size=4),
+    max_leaves=8)
+SMALL = hys.integers(-3, 3)
+CONFIGS = hys.builds(
+    lambda labels, points: [{"label": label, "point": point}
+                            for label, point in zip(labels, points)],
+    hys.permutations(range(1, 7)),
+    hys.lists(hys.lists(SMALL, min_size=3, max_size=3), min_size=6,
+              max_size=6))
+VISITS = hys.fixed_dictionaries(
+    {"oval": hys.sampled_from(["1", "2", 3]),
+     "role": hys.sampled_from(["inner", "median", "outer"]) | JSON_VALUES,
+     "node": hys.booleans()})
+EXTRAS = hys.fixed_dictionaries(
+    {"count": hys.integers(-1, 3), "tag": hys.sampled_from(["", "a"])})
+TRACES = hys.builds(
+    lambda degree, steps, extras: {
+        "degree": degree, "visits": [visit for visit, _ in steps],
+        "arcs": [{"jCrossings": j} for _, j in steps], "extras": extras},
+    hys.integers(-1, 4), hys.lists(hys.tuples(VISITS, hys.integers(-1, 2)),
+                                   max_size=6),
+    hys.lists(EXTRAS, max_size=2) | JSON_VALUES)
+
+
+@hyp.settings(max_examples=100, deadline=None)
+@hyp.given(hys.tuples(hys.just(("lemma3", "--config")), CONFIGS | JSON_VALUES)
+           | hys.tuples(hys.just(("audit", "--trace")), TRACES | JSON_VALUES),
+           hys.sampled_from(["json", "json", "text", "missing"]))
+def test_json_file_argv_fuzz(tmp_path_factory, command_data, form):
+    command, data = command_data
+    path = tmp_path_factory.getbasetemp() / "fuzz-input.json"
+    if form == "missing":
+        path = path.with_name("no-such-file.json")
+    else:
+        path.write_text(json.dumps(data) if form == "json" else repr(data),
+                        encoding="utf-8")
+    assert_contract([*command, str(path)])

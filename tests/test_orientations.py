@@ -19,6 +19,7 @@ from deepnest.orientations import (
     print_signed,
     rm_rhs,
 )
+from deepnest.schemes import SchemeSyntaxError
 
 # orientation assignments that pass both identity checks (residual 0 / (0, 0))
 BALANCED = [
@@ -96,6 +97,19 @@ def test_parse_signed_rejects_malformed():
             parse_signed(text, 9)
     # member order is not significant, so J may come late
     assert print_signed(parse_signed("<3_+ + J>", 9)) == "<J + 3_+ + 0_->"
+
+
+def test_parse_signed_bounds_nest_depth():
+    """Depth 4 is the deepest nest of degree 9; the parser rejects depth 5
+    before recursing, however deep the nest goes."""
+    s = parse_signed("<J + 1_+<1_-<1_+<1_-<0>>>>>", 9)
+    assert s.oval_count() == 4
+    assert print_signed(s) == "<J + 1_+<1_-<1_+<0_+ + 1_->>>>"
+    for depth in (5, 1500):
+        text = "<J + " + "1_+<" * depth + "2_-" + ">" * depth + ">"
+        with pytest.raises(SchemeSyntaxError) as exc:
+            parse_signed(text, 9)
+        assert exc.value.position == len("<J + ") + 4 * len("1_+<")
 
 
 # --- sign chains -----------------------------------------------------------

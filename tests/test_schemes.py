@@ -45,6 +45,24 @@ def test_parse_errors_carry_positions():
             parse_scheme(text, degree)
 
 
+@pytest.mark.parametrize("degree", [2, 5, 8, 9])
+def test_nest_depth_is_bounded_by_half_the_degree(degree):
+    """A line through the innermost oval of a depth-d nest meets the curve
+    in at least 2d points, so the parser rejects d > degree // 2 before
+    recursing any deeper."""
+    j = "J + " if degree % 2 else ""
+    d = degree // 2
+    deepest = "<" + j + "1<" * (d - 1) + "1" + ">" * (d - 1) + ">"
+    assert parse_scheme(deepest, degree).oval_count() == d
+    # k<0> at the deepest level is k empty ovals, not one level deeper
+    assert parse_scheme(deepest.replace("<1>", "<1<0>>"), degree) == \
+        parse_scheme(deepest, degree)
+    too_deep = "<" + j + "1<" * d + "1" + ">" * d + ">"
+    with pytest.raises(SchemeSyntaxError) as exc:
+        parse_scheme(too_deep, degree)
+    assert exc.value.position == too_deep.rindex("1<1>") + 2
+
+
 def test_is_m_curve():
     assert genus_bound(9) == 28
     assert is_m_curve(parse_scheme("<J + 28>", 9))
