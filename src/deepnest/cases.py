@@ -172,12 +172,6 @@ class Scenario:
             return n in _NO_JUMP_N_EVEN
         return n in _NO_JUMP_N_ODD
 
-    def has_eps4(self) -> bool:
-        return self.kind == NO_JUMPS_ODD_GAMMA
-
-    def has_eps3(self) -> bool:
-        return self.kind != BETA_ZERO
-
 
 def make_scenario(kind: str, beta: Optional[int] = None,
                   gamma: Optional[int] = None) -> Scenario:
@@ -193,16 +187,9 @@ def make_scenario(kind: str, beta: Optional[int] = None,
 # ---------------------------------------------------------------------------
 # the linear identity per sign case
 
-def _signs(case: SignCase) -> tuple[int, int, int, int, int]:
-    e1, e2 = case.eps1, case.eps2
-    e3 = case.eps3 if case.eps3 is not None else 1
-    e4 = case.eps4 if case.eps4 is not None else 0
-    return e1, e2, e3, e4, case.n
-
-
 def rm_lhs(case: SignCase, mode: str = "uniform") -> int:
     """Left-hand side of the signed-pair identity for the case's census."""
-    e1, e2, _, _, _ = _signs(case)
+    e1, e2 = case.eps1, case.eps2
     m_imb, i_imb = case.imbalances()
     if mode == "uniform":
         pair_diff = -e1 * e2 - e1 * (m_imb + i_imb) - e2 * i_imb
@@ -232,10 +219,8 @@ def _solve_scenario(scenario: Scenario, mode: str) -> tuple[SignCase, ...]:
     # Scenario validation bounds the keys to about a thousand, so the cache
     # needs no size limit
     out: list[SignCase] = []
-    eps4_values: tuple[Optional[int], ...] = (
-        (1, -1) if scenario.has_eps4() else (None,))
-    eps3_values: tuple[Optional[int], ...] = (
-        (1, -1) if scenario.has_eps3() else (None,))
+    eps3_values = (1, -1) if scenario.kind != BETA_ZERO else (None,)
+    eps4_values = (1, -1) if scenario.kind == NO_JUMPS_ODD_GAMMA else (None,)
     for e1 in (1, -1):
         for e2 in (1, -1):
             for e3 in eps3_values:
@@ -268,7 +253,7 @@ def orevkov_case_residuals(case: SignCase) -> tuple[int, int]:
     Only sign imbalances enter, so the result is independent of the
     concrete beta.  Raises OrientationParityError when the empty-oval
     imbalance is odd (no concrete scheme could realize the census)."""
-    e1, e2, _, _, _ = _signs(case)
+    e1, e2 = case.eps1, case.eps2
     m_imb, i_imb = case.imbalances()
     lam = m_imb + i_imb
     if lam % 2:
@@ -364,12 +349,10 @@ class ProhibitReport:
     feasible: tuple[FeasibleScheme, ...]
 
 
-def deep_nest_scheme(beta: int, gamma: Optional[int] = None,
-                     alpha: int = 0) -> RealScheme:
+def deep_nest_scheme(beta: int, gamma: Optional[int] = None) -> RealScheme:
     if gamma is None:
         gamma = TOTAL_EMPTIES - beta
-    prefix = f"{alpha} + " if alpha else ""
-    return parse_scheme(f"<J + {prefix}1<{beta} + 1<{gamma}>>>", DEGREE)
+    return parse_scheme(f"<J + 1<{beta} + 1<{gamma}>>>", DEGREE)
 
 
 def prohibit(scheme: RealScheme, known: Iterable[int] = (),

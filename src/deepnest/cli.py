@@ -216,21 +216,29 @@ def _cmd_theorem2(args) -> tuple[dict, dict, list[str]]:
                              else "RESIDUAL_FAILURE"]
 
 
+def _is_int(v) -> bool:
+    # JSON true and false load as bool, a subclass of int
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _load_config(path: str) -> dict[int, tuple[int, int, int]]:
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError as exc:
+            raise ValueError("configuration nests too deeply to read") from exc
     if not isinstance(data, list) or len(data) != 6:
         raise ValueError("configuration must be an array of 6 labeled points")
     cfg: dict[int, tuple[int, int, int]] = {}
     for entry in data:
         if (not isinstance(entry, dict)
                 or set(entry) != {"label", "point"}
-                or not isinstance(entry.get("label"), int)):
+                or not _is_int(entry["label"])):
             raise ValueError("each entry must be {label, point}")
         label = entry["label"]
         pt = entry["point"]
         if (not isinstance(pt, list) or len(pt) != 3
-                or not all(isinstance(v, int) for v in pt)):
+                or not all(_is_int(v) for v in pt)):
             raise ValueError(f"point {label} must be 3 integers")
         if label in cfg:
             raise ValueError(f"duplicate label {label}")

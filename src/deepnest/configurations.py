@@ -24,7 +24,6 @@ from typing import Optional
 
 from .geometry import (
     DegeneratePositionError,
-    J_STANDARD,
     Triple,
     _hull_cycle,
     chart_direction,
@@ -53,7 +52,7 @@ class InvalidConfigurationError(ValueError):
 # the three valid base configurations (exact rational coordinates)
 
 def _cfg(pairs) -> dict[int, Triple]:
-    return {k: point(Fraction(x), Fraction(y)) for k, (x, y) in pairs.items()}
+    return {k: point(x, y) for k, (x, y) in pairs.items()}
 
 
 BASE_CONFIGURATIONS: dict[int, dict[int, Triple]] = {
@@ -202,8 +201,8 @@ def _require_consecutive_sweep(cfg: dict[int, Triple]) -> None:
 def _hull_split(cfg: dict[int, Triple], labels=(2, 3, 4, 5, 6)):
     """Counterclockwise hull cycle (canonical rotation, smallest label first)
     and sorted interior labels."""
-    pts = {k: chart_rep(cfg[k], J_STANDARD) for k in labels}
-    hull, interior = _hull_cycle(pts, J_STANDARD)
+    pts = {k: chart_rep(cfg[k]) for k in labels}
+    hull, interior = _hull_cycle(pts)
     n = len(hull)
     canon = min(tuple(hull[i:] + hull[:i]) for i in range(n))
     return canon, tuple(sorted(interior))
@@ -219,10 +218,10 @@ def _interiors_disjoint(t1, t2, cfg) -> bool:
             a, b = cfg[ta[i]], cfg[ta[(i + 1) % 3]]
             c = cfg[ta[(i + 2) % 3]]
             l = line_through(a, b)
-            s_own = sign(dot(l, chart_rep(c, J_STANDARD)))
+            s_own = sign(dot(l, chart_rep(c)))
             if s_own == 0:
                 raise DegeneratePositionError("degenerate principal triangle")
-            sides = [sign(dot(l, chart_rep(cfg[v], J_STANDARD))) for v in tb]
+            sides = [sign(dot(l, chart_rep(cfg[v]))) for v in tb]
             if all(s * s_own <= 0 for s in sides):
                 return True
     return False
@@ -251,9 +250,9 @@ def _case2_region(cfg: dict[int, Triple]) -> str:
     T2 shares the [56]-side with T4."""
     l34 = line_through(cfg[3], cfg[4])
     l56 = line_through(cfg[5], cfg[6])
-    p2 = chart_rep(cfg[2], J_STANDARD)
-    toward5 = sign(dot(l34, p2)) == sign(dot(l34, chart_rep(cfg[5], J_STANDARD)))
-    toward4 = sign(dot(l56, p2)) == sign(dot(l56, chart_rep(cfg[4], J_STANDARD)))
+    p2 = chart_rep(cfg[2])
+    toward5 = sign(dot(l34, p2)) == sign(dot(l34, chart_rep(cfg[5])))
+    toward4 = sign(dot(l56, p2)) == sign(dot(l56, chart_rep(cfg[4])))
     if toward5 and toward4:
         return "T4"
     if toward5:
@@ -442,29 +441,27 @@ def _orient_events(order: list[str], case: int) -> list[str]:
 # ---------------------------------------------------------------------------
 # samplers: perturbations of stored templates
 
-def perturb_configuration(cfg: dict[int, Triple], rng,
-                          denominator: int = 2000, magnitude: int = 7):
+def perturb_configuration(cfg: dict[int, Triple], rng):
+    """Move each point by at most 7/2000 in each affine coordinate."""
     out = {}
     for k, p in cfg.items():
-        x = Fraction(p[0], p[2]) + Fraction(rng.randint(-magnitude, magnitude),
-                                            denominator)
-        y = Fraction(p[1], p[2]) + Fraction(rng.randint(-magnitude, magnitude),
-                                            denominator)
+        x = Fraction(p[0], p[2]) + Fraction(rng.randint(-7, 7), 2000)
+        y = Fraction(p[1], p[2]) + Fraction(rng.randint(-7, 7), 2000)
         out[k] = point(x, y)
     return out
 
 
-def sample_configuration(kind: str, rng, max_tries: int = 400):
+def sample_configuration(kind: str, rng):
     """A fresh configuration of the requested kind: "case1".."case3" or an
-    excluded-pattern key from EXCLUDED_PATTERNS.  Perturbs a stored template
-    until the classification round-trips."""
+    excluded-pattern key from EXCLUSION_TEMPLATES.  Perturbs a stored template,
+    at most 400 times, until the classification round-trips."""
     if kind in ("case1", "case2", "case3"):
         template = BASE_CONFIGURATIONS[int(kind[-1])]
     elif kind in EXCLUSION_TEMPLATES:
         template = EXCLUSION_TEMPLATES[kind]
     else:
         raise KeyError(f"unknown configuration kind {kind!r}")
-    for _ in range(max_tries):
+    for _ in range(400):
         cfg = perturb_configuration(template, rng)
         try:
             if configuration_kind(classify_configuration(cfg)) == kind:
@@ -494,14 +491,7 @@ def configuration_kind(cl: Classification) -> str:
 # Excluded-pattern templates (found by search, then frozen) and the witnesses
 # their samples must produce.  Keys follow configuration_kind(); coordinates
 # are affine rationals, stored canonically relabeled.
-def _templates(raw) -> dict[str, dict[int, Triple]]:
-    out = {}
-    for key, pts in raw.items():
-        out[key] = {k: point(Fraction(x), Fraction(y)) for k, (x, y) in pts.items()}
-    return out
-
-
-EXCLUSION_TEMPLATES: dict[str, dict[int, Triple]] = _templates({
+_EXCLUSION_COORDINATES = {
     "convex-23654": {1: ("-10/7", "20/7"), 2: ("8", "4"), 3: ("59/7", "57/7"),
                      4: ("-40/7", "-52/7"), 5: ("-22/7", "-19/7"), 6: ("8/7", "12/7")},
     "convex-23564": {1: ("-51/7", "-29/7"), 2: ("45/7", "-12/7"), 3: ("60/7", "12/7"),
@@ -552,7 +542,9 @@ EXCLUSION_TEMPLATES: dict[str, dict[int, Triple]] = _templates({
                         4: ("-3", "-24/7"), 5: ("18/7", "-31/7"), 6: ("7", "-12/7")},
     "triangle-263-T6": {1: ("-13/7", "17/7"), 2: ("-8/7", "-60/7"), 3: ("-5/7", "-8/7"),
                         4: ("-3/7", "-12/7"), 5: ("5/7", "-24/7"), 6: ("8", "5/7")},
-})
+}
+EXCLUSION_TEMPLATES: dict[str, dict[int, Triple]] = {
+    key: _cfg(pts) for key, pts in _EXCLUSION_COORDINATES.items()}
 
 EXPECTED_WITNESSES: dict[str, tuple[str, ...]] = {
     "convex-23654": ("234|345=[34]",),

@@ -225,7 +225,7 @@ def conic_pencil_events(base: Sequence[Triple], extras=()):
     """Events met by the pencil of conics through four general-position points.
 
     `base` gives the four base points (positions 1..4 for labels); `extras`
-    is a sequence of points or (label, point) pairs.  Returns the events in
+    is a sequence of (label, point) pairs.  Returns the events in
     cyclic order of the pencil parameter: the three singular members, labeled
     like "12|34" by base positions, and one "through-point" event per extra.
     """
@@ -256,11 +256,7 @@ def conic_pencil_events(base: Sequence[Triple], extras=()):
     lam, mu = param_through(vtx)
     events.append(PencilEvent("singular", "14|23", (lam, mu),
                               pencil_member(ga, gb, lam, mu)))
-    for idx, item in enumerate(extras, start=1):
-        if isinstance(item, tuple) and len(item) == 2 and isinstance(item[0], str):
-            label, p = item
-        else:
-            label, p = f"point {idx}", item
+    for label, p in extras:
         lam, mu = param_through(p)
         events.append(PencilEvent("through-point", label, (lam, mu),
                                   pencil_member(ga, gb, lam, mu)))

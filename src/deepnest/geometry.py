@@ -6,6 +6,11 @@ no tolerances anywhere.  Directions mod pi are compared on the circle via
 the double-angle embedding (dx, dy) -> (dx^2 - dy^2, 2 dx dy), which is
 injective on lines through the origin and turns "rotating pencil" questions
 into ordinary circular-order questions.
+
+The curve's one-sided branch J is modelled as the line z = 0, the line at
+infinity of the affine chart: every pencil, principal-segment and convex-
+position argument is projective, so this choice of coordinates loses
+nothing.  Points handed to the chart predicates must lie off J.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from typing import Sequence
 
 Triple = tuple[int, int, int]
 
-J_STANDARD: Triple = (0, 0, 1)
+J_STANDARD: Triple = (0, 0, 1)  # the line J: z = 0
 
 
 class DegeneratePositionError(ValueError):
@@ -96,40 +101,27 @@ def orient(p: Triple, q: Triple, r: Triple) -> int:
 
 
 # ---------------------------------------------------------------------------
-# charts: a distinguished line J plays "line at infinity"
+# the chart: J is the line z = 0, playing "line at infinity"
 
-def chart_rep(p: Triple, j: Triple) -> Triple:
-    """Representative of p scaled so <j, p> > 0 (p must be off j)."""
-    s = dot(j, p)
-    if s == 0:
+def chart_rep(p: Triple) -> Triple:
+    """Representative of p scaled so z > 0 (p must be off J)."""
+    if p[2] == 0:
         raise DegeneratePositionError("point lies on the distinguished line")
-    return p if s > 0 else (-p[0], -p[1], -p[2])
+    return p if p[2] > 0 else (-p[0], -p[1], -p[2])
 
 
-def chart_orient(p: Triple, q: Triple, r: Triple, j: Triple = J_STANDARD) -> int:
-    """Affine orientation in the chart complementing j (+1 = counterclockwise)."""
-    return sign(det3(chart_rep(p, j), chart_rep(q, j), chart_rep(r, j)))
+def chart_orient(p: Triple, q: Triple, r: Triple) -> int:
+    """Affine orientation in the chart complementing J (+1 = counterclockwise)."""
+    return sign(det3(chart_rep(p), chart_rep(q), chart_rep(r)))
 
 
-def _chart_basis(j: Triple) -> tuple[Triple, Triple]:
-    # Two coordinate axes completing j to a basis of the dual/space pairing:
-    # pick the two standard basis vectors e_i with largest-index nonzero of j excluded.
-    k = max(range(3), key=lambda i: abs(j[i]))
-    rows = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    del rows[k]
-    return rows[0], rows[1]
-
-
-def chart_direction(frm: Triple, to: Triple, j: Triple = J_STANDARD) -> tuple[int, int]:
-    """Direction (2-vector, exact) from `frm` to `to` in the chart complementing j."""
-    a = chart_rep(frm, j)
-    b = chart_rep(to, j)
-    # Affine difference: b/<j,b> - a/<j,a>, cleared of denominators (positive factor).
-    wa, wb = dot(j, a), dot(j, b)
-    d = tuple(b[i] * wa - a[i] * wb for i in range(3))
-    u, v = _chart_basis(j)
-    dx = d[0] * u[0] + d[1] * u[1] + d[2] * u[2]
-    dy = d[0] * v[0] + d[1] * v[1] + d[2] * v[2]
+def chart_direction(frm: Triple, to: Triple) -> tuple[int, int]:
+    """Direction (2-vector, exact) from `frm` to `to` in the chart complementing J."""
+    a = chart_rep(frm)
+    b = chart_rep(to)
+    # Affine difference b/z_b - a/z_a, cleared of denominators (positive factor).
+    dx = b[0] * a[2] - a[0] * b[2]
+    dy = b[1] * a[2] - a[1] * b[2]
     if dx == 0 and dy == 0:
         raise ValueError("coincident points have no direction")
     g = gcd(abs(dx), abs(dy))
@@ -193,24 +185,21 @@ def inside_ccw_arc(a: tuple[int, int], b: tuple[int, int], m: tuple[int, int]) -
 
 @dataclass(frozen=True)
 class PrincipalSegment:
-    """The two arcs of line XY, split by X and Y, relative to the line j.
+    """The two arcs of line XY, split by X and Y, relative to J.
 
-    The `even` arc avoids j entirely (0 crossings); the `odd` arc (written
-    [XY]' in reports) meets j in exactly one point.
+    The `even` arc avoids J entirely (0 crossings); the `odd` arc (written
+    [XY]' in reports) meets J in exactly one point.
     """
 
     x: Triple
     y: Triple
-    j: Triple
-    j_point: Triple  # where line XY meets j
+    j_point: Triple  # where line XY meets J
 
     def classify(self, p: Triple) -> str:
         """'even', 'odd', or 'endpoint' for a point p on line XY."""
         if not incident(line_through(self.x, self.y), p):
             raise ValueError("point not on the segment's line")
-        lx = chart_rep(self.x, self.j)
-        ly = chart_rep(self.y, self.j)
-        lam, mu = _decompose(p, lx, ly)
+        lam, mu = _decompose(p, chart_rep(self.x), chart_rep(self.y))
         if lam == 0 or mu == 0:
             return "endpoint"
         return "even" if lam * mu > 0 else "odd"
@@ -228,12 +217,10 @@ def _decompose(p: Triple, a: Triple, b: Triple) -> tuple[int, int]:
     raise ValueError("points do not span a line")
 
 
-def principal_segment(x: Triple, y: Triple, j: Triple = J_STANDARD) -> PrincipalSegment:
-    if dot(j, x) == 0 or dot(j, y) == 0:
+def principal_segment(x: Triple, y: Triple) -> PrincipalSegment:
+    if x[2] == 0 or y[2] == 0:
         raise DegeneratePositionError("endpoint on the distinguished line")
-    l = line_through(x, y)
-    w = meet(l, j)
-    return PrincipalSegment(x=x, y=y, j=j, j_point=w)
+    return PrincipalSegment(x=x, y=y, j_point=meet(line_through(x, y), J_STANDARD))
 
 
 # ---------------------------------------------------------------------------
@@ -245,28 +232,28 @@ class NotConvex:
     triangle: tuple  # labels of three points surrounding it
 
 
-def in_triangle(p: Triple, a: Triple, b: Triple, c: Triple, j: Triple = J_STANDARD) -> bool:
-    """Strict interior test in the chart complementing j."""
-    s1 = chart_orient(a, b, p, j)
-    s2 = chart_orient(b, c, p, j)
-    s3 = chart_orient(c, a, p, j)
+def in_triangle(p: Triple, a: Triple, b: Triple, c: Triple) -> bool:
+    """Strict interior test in the chart complementing J."""
+    s1 = chart_orient(a, b, p)
+    s2 = chart_orient(b, c, p)
+    s3 = chart_orient(c, a, p)
     return s1 == s2 == s3 and s1 != 0
 
 
-def convex_position(labeled: dict, j: Triple = J_STANDARD):
+def convex_position(labeled: dict):
     """Positive (counterclockwise) cyclic order of labels, or NotConvex.
 
-    `labeled` maps label -> point; all points must avoid j and be distinct.
+    `labeled` maps label -> point; all points must avoid J and be distinct.
     """
     labs = list(labeled)
     if len(labs) < 3:
         raise ValueError("need at least 3 points")
-    pts = {k: chart_rep(labeled[k], j) for k in labs}
-    hull, interior = _hull_cycle(pts, j)
+    pts = {k: chart_rep(labeled[k]) for k in labs}
+    hull, interior = _hull_cycle(pts)
     if interior:
         w = interior[0]
         for t in _triangles(hull):
-            if in_triangle(labeled[w], labeled[t[0]], labeled[t[1]], labeled[t[2]], j):
+            if in_triangle(labeled[w], labeled[t[0]], labeled[t[1]], labeled[t[2]]):
                 return NotConvex(witness=w, triangle=t)
         return NotConvex(witness=w, triangle=tuple(hull[:3]))
     return hull
@@ -280,13 +267,13 @@ def _triangles(labels: Sequence):
                 yield (labels[i], labels[k], labels[m])
 
 
-def _hull_cycle(pts: dict, j: Triple):
+def _hull_cycle(pts: dict):
     """Counterclockwise hull label cycle + interior labels (exact, small n)."""
     labs = list(pts)
     for a in range(len(labs)):
         for b in range(a + 1, len(labs)):
             for c in range(b + 1, len(labs)):
-                if chart_orient(pts[labs[a]], pts[labs[b]], pts[labs[c]], j) == 0:
+                if chart_orient(pts[labs[a]], pts[labs[b]], pts[labs[c]]) == 0:
                     raise DegeneratePositionError(
                         f"collinear triple {labs[a]},{labs[b]},{labs[c]}")
     hull = []
@@ -295,40 +282,23 @@ def _hull_cycle(pts: dict, j: Triple):
         others = [o for o in labs if o != k]
         inside = False
         for t in _triangles(others):
-            if in_triangle(pts[k], pts[t[0]], pts[t[1]], pts[t[2]], j):
+            if in_triangle(pts[k], pts[t[0]], pts[t[1]], pts[t[2]]):
                 inside = True
                 break
         (interior if inside else hull).append(k)
     if len(hull) < 3:
         raise DegeneratePositionError("degenerate hull")
     # order hull counterclockwise around its own centroid (exact)
-    center = _chart_centroid({k: pts[k] for k in hull}, j)
-    ordered = circle_sort(hull, key=lambda k: chart_direction(center, pts[k], j))
+    center = _chart_centroid([pts[k] for k in hull])
+    ordered = circle_sort(hull, key=lambda k: chart_direction(center, pts[k]))
     return ordered, interior
 
 
-def _chart_centroid(reps: dict, j: Triple) -> Triple:
-    """Exact centroid (in the j-chart) of canonical points, as a triple."""
-    u, v = _chart_basis(j)
-    xs = []
-    ys = []
-    for p in reps.values():
-        w = dot(j, p)
-        xs.append(Fraction(dot(u, p), w))
-        ys.append(Fraction(dot(v, p), w))
-    cx = sum(xs) / len(xs)
-    cy = sum(ys) / len(ys)
-    # rebuild a triple: c = cx*u + cy*v + ? ; solve on the affine patch <j,c>=1
-    den = (cx.denominator * cy.denominator) // gcd(cx.denominator, cy.denominator)
-    ix, iy = int(cx * den), int(cy * den)
-    # coordinates in the (u, v, j)-frame, then convert back via the dual basis
-    m = _frame_matrix(j)
-    c = (
-        ix * m[0][0] + iy * m[0][1] + den * m[0][2],
-        ix * m[1][0] + iy * m[1][1] + den * m[1][2],
-        ix * m[2][0] + iy * m[2][1] + den * m[2][2],
-    )
-    return normalize(*c)
+def _chart_centroid(reps: list) -> Triple:
+    """Exact affine centroid of points off J, as a canonical triple."""
+    cx = sum(Fraction(p[0], p[2]) for p in reps) / len(reps)
+    cy = sum(Fraction(p[1], p[2]) for p in reps) / len(reps)
+    return point(cx, cy)
 
 
 def _raw_cross(u: Sequence[int], v: Sequence[int]) -> Triple:
@@ -339,73 +309,51 @@ def _raw_cross(u: Sequence[int], v: Sequence[int]) -> Triple:
     )
 
 
-def _frame_matrix(j: Triple):
-    """Inverse (up to positive scale) of the matrix with rows (u, v, j):
-    its columns map chart coordinates back to homogeneous triples."""
-    u, v = _chart_basis(j)
-    rows = (u, v, j)
-    d = det3(*rows)
-    cols = [_raw_cross(rows[(r + 1) % 3], rows[(r + 2) % 3]) for r in range(3)]
-    s = sign(d)
-    return [[cols[c][k] * s for c in range(3)] for k in range(3)]
-
-
 # ---------------------------------------------------------------------------
 # rotating line pencils and J-jumps
 
-def line_pencil_sweep(base: Triple, targets: dict, direction: str = "+",
-                      j: Triple = J_STANDARD):
-    """Cyclic order in which a line rotating about `base` meets the targets,
-    with a flag per consecutive step: True iff the swept sector's segment of
-    the two targets' line is the one crossing j (a J-jump).
+def line_pencil_sweep(base: Triple, targets: dict):
+    """Counterclockwise cyclic order in which a line rotating about `base`
+    meets the targets, with a flag per consecutive step: True iff the swept
+    sector's segment of the two targets' line is the one crossing J (a J-jump).
 
-    Returns (order, flags): order is the label cycle (counterclockwise for
-    direction '+'), flags[i] covers the step order[i] -> order[(i+1) % n].
+    Returns (order, flags): flags[i] covers the step order[i] -> order[(i+1) % n].
     """
-    if direction not in ("+", "-"):
-        raise ValueError("direction must be '+' or '-'")
     labs = list(targets)
     if len(labs) < 2:
         raise ValueError("need at least 2 targets")
-    if dot(j, base) == 0:
+    if base[2] == 0:
         raise DegeneratePositionError("pencil base on the distinguished line")
     keyed = []
     for k in labs:
         if targets[k] == base:
             raise ValueError("target equals base")
-        keyed.append((k, double_angle(chart_direction(base, targets[k], j))))
+        keyed.append((k, double_angle(chart_direction(base, targets[k]))))
     try:
         ordered = circle_sort(keyed, key=lambda it: it[1])
     except DegeneratePositionError:
         raise DegeneratePositionError("two targets collinear with the base")
     order = [k for k, _ in ordered]
-    if direction == "-":
-        order = order[::-1]
-    flags = []
     n = len(order)
-    for i in range(n):
-        x, y = order[i], order[(i + 1) % n]
-        flags.append(step_is_j_jump(base, targets[x], targets[y], direction, j))
+    flags = [step_is_j_jump(base, targets[order[i]], targets[order[(i + 1) % n]])
+             for i in range(n)]
     return order, flags
 
 
-def step_is_j_jump(base: Triple, px: Triple, py: Triple, direction: str = "+",
-                   j: Triple = J_STANDARD) -> bool:
-    """Does the pencil at `base`, rotating from the line through px to the line
-    through py (consecutively), sweep the segment of line(px,py) that meets j?
+def step_is_j_jump(base: Triple, px: Triple, py: Triple) -> bool:
+    """Does the pencil at `base`, rotating counterclockwise from the line
+    through px to the line through py (consecutively), sweep the segment of
+    line(px,py) that meets J?
 
     Exact criterion: the swept sector covers exactly one of the two segments;
-    it covers the j-crossing one iff the direction of line(px,py) lies in the
+    it covers the J-crossing one iff the direction of line(px,py) lies in the
     swept arc of directions.
     """
-    a = double_angle(chart_direction(base, px, j))
-    b = double_angle(chart_direction(base, py, j))
-    m = double_angle(chart_direction(px, py, j))
-    if direction == "+":
-        return inside_ccw_arc(a, b, m)
-    return inside_ccw_arc(b, a, m)
+    a = double_angle(chart_direction(base, px))
+    b = double_angle(chart_direction(base, py))
+    m = double_angle(chart_direction(px, py))
+    return inside_ccw_arc(a, b, m)
 
 
-def sweep_cycle(base: Triple, targets: dict, j: Triple = J_STANDARD) -> list:
-    order, _ = line_pencil_sweep(base, targets, "+", j)
-    return order
+def sweep_cycle(base: Triple, targets: dict) -> list:
+    return line_pencil_sweep(base, targets)[0]

@@ -16,7 +16,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from deepnest.bezout import audit, parse_trace, recount_by_region_walk
+from deepnest.bezout import audit, parse_trace
 from deepnest.cases import (
     Scenario,
     WITH_O1_JUMPS,
@@ -55,6 +55,7 @@ from deepnest.orientations import (
     rm_rhs,
 )
 from deepnest.schemes import parse_scheme, print_scheme
+from region_walk import recount_by_region_walk
 
 
 @contextmanager

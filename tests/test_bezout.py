@@ -13,8 +13,8 @@ from deepnest.bezout import (
     audit,
     load_trace,
     parse_trace,
-    recount_by_region_walk,
 )
+from region_walk import recount_by_region_walk
 
 CUBIC = {
     "degree": 3,

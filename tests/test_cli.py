@@ -352,6 +352,31 @@ def test_deep_nest_exits_2(capsys, command, scheme):
     assert_input_error(capsys, [command, "--scheme", scheme])
 
 
+@pytest.mark.parametrize("command", [("lemma3", "--config"),
+                                     ("audit", "--trace")])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert_input_error(capsys, [*command, str(path)])
+
+
+README_POINTS = [[2, -1, -10], [3, -3, -10], [1, 0, 1], [1, 0, -1],
+                 [0, 1, 1], [0, 1, -1]]
+
+
+@pytest.mark.parametrize("label, point4", [(True, [1, 0, -1]),
+                                           (1, [True, 0, -1])],
+                         ids=["label", "coordinate"])
+def test_lemma3_config_rejects_json_booleans(tmp_path, capsys, label, point4):
+    entries = [{"label": k, "point": p}
+               for k, p in enumerate(README_POINTS, start=1)]
+    entries[0]["label"] = label
+    entries[3]["point"] = point4
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps(entries))
+    assert_input_error(capsys, ["lemma3", "--config", str(path)])
+
+
 def test_parse_depth_beyond_half_the_degree_exits_2(capsys):
     code, rep = run_json(capsys, "parse", "--scheme", nest(3, "1"))
     assert code == 0

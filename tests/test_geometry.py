@@ -78,10 +78,10 @@ def test_meet_on_both_lines(ax, ay, bx, by, cx, cy, dx, dy):
 
 def test_chart_rep_positive_side():
     p = normalize(3, -4, -2)
-    r = chart_rep(p, J_STANDARD)
+    r = chart_rep(p)
     assert r[2] > 0
     with pytest.raises(DegeneratePositionError):
-        chart_rep(normalize(1, 1, 0), J_STANDARD)
+        chart_rep(normalize(1, 1, 0))
 
 
 def test_circle_sort_matches_float_angles():
@@ -93,7 +93,7 @@ def test_circle_sort_matches_float_angles():
             q = rand_point(rng)
             if q == base:
                 continue
-            d = chart_direction(base, q, J_STANDARD)
+            d = chart_direction(base, q)
             pts[f"p{len(pts)}"] = (q, double_angle(d))
         try:
             ordered = circle_sort(list(pts.items()), key=lambda kv: kv[1][1])
@@ -164,7 +164,7 @@ def test_convex_position_vs_float_hull():
             for k, p in pts.items():
                 if k in (cycle[i], cycle[(i + 1) % len(cycle)]):
                     continue
-                assert chart_orient(a, b, p, J_STANDARD) > 0
+                assert chart_orient(a, b, p) > 0
     assert hits > 100
 
 
