@@ -47,7 +47,6 @@ from .orientations import (
     chain_imbalance_magnitudes,
     check_orevkov,
     check_rokhlin_mishachev,
-    compute_stats,
     print_signed,
     rm_rhs,
 )

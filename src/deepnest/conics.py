@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import gcd, isqrt
+from math import gcd
 from typing import Sequence
 
 from .geometry import (
@@ -22,17 +22,12 @@ from .geometry import (
     cross,
     det3,
     double_angle,
-    incident,
     line_through,
     normalize,
     sign,
 )
 
 Conic = tuple[int, int, int, int, int, int]
-
-
-class IrrationalFactorizationError(ValueError):
-    """A degenerate conic whose two lines are conjugate over a quadratic field."""
 
 
 def _canon6(v: Sequence[int]) -> Conic:
@@ -99,87 +94,6 @@ def conic_through_5(pts: Sequence[Triple]) -> Conic:
     if all(c == 0 for c in coeffs):
         raise DegeneratePositionError("five points do not determine a unique conic")
     return _canon6(coeffs)
-
-
-def other_point_on_line(l: Triple, avoid: Triple) -> Triple:
-    for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-        v = _raw_cross(l, e)
-        if all(c == 0 for c in v):
-            continue
-        cand = normalize(*v)
-        if cand != avoid:
-            return cand
-    raise ValueError("could not find a second point on the line")
-
-
-def conic_line_second_point(q: Conic, l: Triple, p: Triple) -> Triple:
-    """Second intersection of the conic with a line through p on the conic."""
-    if conic_eval(q, p) != 0:
-        raise ValueError("base point is not on the conic")
-    if not incident(l, p):
-        raise ValueError("line does not pass through the point")
-    r = other_point_on_line(l, p)
-    m = conic_matrix2(q)
-    s = sum(p[i] * m[i][k] * r[k] for i in range(3) for k in range(3))
-    q2r = 2 * conic_eval(q, r)
-    if q2r == 0:
-        return r
-    v = tuple(q2r * p[i] - 2 * s * r[i] for i in range(3))
-    if all(c == 0 for c in v):
-        # the line is tangent at p
-        return p
-    return normalize(*v)
-
-
-def factor_line_pair(q: Conic) -> tuple[Triple, Triple]:
-    """Split a rank-<=2 conic into its two lines (equal for a double line).
-
-    Raises IrrationalFactorizationError when the two lines are irrational.
-    """
-    if conic_det2(q) != 0:
-        raise ValueError("conic is nondegenerate")
-    m = conic_matrix2(q)
-    # adjugate rows of a rank-2 symmetric matrix are all proportional to the
-    # singular point (vertex) of the line pair
-    adj = [_raw_cross(m[(i + 1) % 3], m[(i + 2) % 3]) for i in range(3)]
-    vertex = next((row for row in adj if any(row)), None)
-    if vertex is None:
-        # rank 1: double line; recover the line from any nonzero row of 2M
-        row = next(r for r in m if any(r))
-        ln = normalize(*row)
-        return ln, ln
-    v = normalize(*vertex)
-    # restrict the form to a line avoiding the vertex and split the binary form
-    a_pt, b_pt = _two_points_off(v)
-    qa, qb = conic_eval(q, a_pt), conic_eval(q, b_pt)
-    mm = conic_matrix2(q)
-    qab = sum(a_pt[i] * mm[i][k] * b_pt[k] for i in range(3) for k in range(3))
-    # form on span: qa s^2 + qab s t + qb t^2 over points s*a + t*b
-    disc = qab * qab - 4 * qa * qb
-    if disc < 0:
-        raise IrrationalFactorizationError("complex-conjugate line pair")
-    r = isqrt(disc)
-    if r * r != disc:
-        raise IrrationalFactorizationError("lines live in a quadratic extension")
-    roots = []
-    if qa != 0:
-        roots = [(-qab + r, 2 * qa), (-qab - r, 2 * qa)]
-    else:
-        # s * (qab t ... ) handle linear case: form = t (qab s + qb t)
-        roots = [(1, 0), (-qb, qab)] if qab != 0 else [(1, 0), (1, 0)]
-    lines = []
-    for (s, t) in roots:
-        pt = tuple(s * a_pt[i] + t * b_pt[i] for i in range(3))
-        lines.append(line_through(v, normalize(*pt)))
-    return lines[0], lines[1]
-
-
-def _two_points_off(v: Triple) -> tuple[Triple, Triple]:
-    # two basis points whose span misses v: the span of {e_i, e_j} is the
-    # coordinate line x_k = 0, which avoids v exactly when v_k != 0
-    k = next(i for i in range(3) if v[i] != 0)
-    basis = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    return tuple(basis[i] for i in range(3) if i != k)  # type: ignore[return-value]
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +199,6 @@ class CremonaMap:
         if det3(b1, b2, b3) == 0:
             raise DegeneratePositionError("base points are collinear")
         self.base = (normalize(*b1), normalize(*b2), normalize(*b3))
-        # columns of B send the standard frame to the base frame
-        self._b = tuple(zip(*self.base))  # row-major: b[r][c] = base[c][r]
         d = det3(*self.base)
         s = sign(d)
         rows = self.base
@@ -309,88 +221,6 @@ class CremonaMap:
             raise DegeneratePositionError("base point has no well-defined image")
         img = (y[1] * y[2], y[0] * y[2], y[0] * y[1])
         return self._from_frame(img)
-
-    def line(self, l: Triple):
-        """Image of a line: ("line", triple) or ("conic", 6-tuple); a line
-        through two base points contracts to ("point", triple)."""
-        l_std = self._line_to_frame(l)
-        zeros = [i for i in range(3) if l_std[i] == 0]
-        if len(zeros) == 2:
-            # line through two base points: contracted to the third
-            keep = next(i for i in range(3) if l_std[i] != 0)
-            return ("point", self.base[keep])
-        kind, data = self._curve_image(_line_poly(l_std))
-        return self._image_back(kind, data)
-
-    def conic(self, q: Conic):
-        """Image of a conic; supported when it passes through at least two
-        base points (image degree <= 2)."""
-        kind, data = self._curve_image(_conic_poly(self._conic_to_frame(q)))
-        return self._image_back(kind, data)
-
-    # -- internals ---------------------------------------------------------
-
-    def _line_to_frame(self, l: Triple) -> Triple:
-        # C_std(y) = C(B y): line transforms by B^T
-        return tuple(sum(self.base[c][k] * l[k] for k in range(3)) for c in range(3))
-
-    def _conic_to_frame(self, q: Conic) -> Conic:
-        m = conic_matrix2(q)
-        b = self.base  # rows are base vectors => (B^T M B)_{cd} = b_c . M . b_d
-        mm = [[sum(b[c][i] * m[i][k] * b[d][k] for i in range(3) for k in range(3))
-               for d in range(3)] for c in range(3)]
-        return (mm[0][0], 2 * mm[0][1], mm[1][1], 2 * mm[0][2], 2 * mm[1][2], mm[2][2])
-
-    def _curve_image(self, poly: dict):
-        subst = {}
-        for (i, j, k), c in poly.items():
-            key = (j + k, i + k, i + j)
-            subst[key] = subst.get(key, 0) + c
-        subst = {e: c for e, c in subst.items() if c != 0}
-        for axis in range(3):
-            while all(e[axis] > 0 for e in subst):
-                subst = {(e[0] - (axis == 0), e[1] - (axis == 1), e[2] - (axis == 2)): c
-                         for e, c in subst.items()}
-        deg = max(sum(e) for e in subst)
-        if deg == 0:
-            raise DegeneratePositionError("curve is supported on the base lines")
-        if deg == 1:
-            return "line", _poly_line(subst)
-        if deg == 2:
-            return "conic", _poly_conic(subst)
-        raise ValueError(f"image has degree {deg}; only degree <= 2 is supported")
-
-    def _image_back(self, kind: str, data):
-        if kind == "line":
-            l_std = data
-            l = tuple(sum(self._t[c][k] * l_std[c] for c in range(3)) for k in range(3))
-            return ("line", normalize(*l))
-        m2 = conic_matrix2(data)
-        t = self._t
-        mm = [[sum(t[a][i] * m2[a][b] * t[b][k] for a in range(3) for b in range(3))
-               for k in range(3)] for i in range(3)]
-        q = _canon6((mm[0][0], 2 * mm[0][1], mm[1][1],
-                     2 * mm[0][2], 2 * mm[1][2], mm[2][2]))
-        return ("conic", q)
-
-
-def _line_poly(l) -> dict:
-    return {e: c for e, c in zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), l) if c != 0}
-
-
-def _conic_poly(q) -> dict:
-    exps = ((2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2))
-    return {e: c for e, c in zip(exps, q) if c != 0}
-
-
-def _poly_line(poly: dict) -> Triple:
-    v = [poly.get((1, 0, 0), 0), poly.get((0, 1, 0), 0), poly.get((0, 0, 1), 0)]
-    return normalize(*v)
-
-
-def _poly_conic(poly: dict) -> Conic:
-    exps = ((2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2))
-    return _canon6([poly.get(e, 0) for e in exps])
 
 
 def cremona(b1: Triple, b2: Triple, b3: Triple) -> CremonaMap:

@@ -8,21 +8,18 @@ injective on lines through the origin and turns "rotating pencil" questions
 into ordinary circular-order questions.
 
 The curve's one-sided branch J is modelled as the line z = 0, the line at
-infinity of the affine chart: every pencil, principal-segment and convex-
-position argument is projective, so this choice of coordinates loses
-nothing.  Points handed to the chart predicates must lie off J.
+infinity of the affine chart: every pencil, hull and J-jump argument is
+projective, so this choice of coordinates loses nothing.  Points handed to
+the chart predicates must lie off J.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
 Triple = tuple[int, int, int]
-
-J_STANDARD: Triple = (0, 0, 1)  # the line J: z = 0
 
 
 class DegeneratePositionError(ValueError):
@@ -66,16 +63,6 @@ def line_through(p: Triple, q: Triple) -> Triple:
     return cross(p, q)
 
 
-def meet(l1: Triple, l2: Triple) -> Triple:
-    if l1 == l2:
-        raise ValueError("lines coincide")
-    return cross(l1, l2)
-
-
-def incident(l: Triple, p: Triple) -> bool:
-    return l[0] * p[0] + l[1] * p[1] + l[2] * p[2] == 0
-
-
 def dot(l: Triple, p: Triple) -> int:
     return l[0] * p[0] + l[1] * p[1] + l[2] * p[2]
 
@@ -90,14 +77,6 @@ def det3(a: Sequence[int], b: Sequence[int], c: Sequence[int]) -> int:
 
 def sign(v) -> int:
     return (v > 0) - (v < 0)
-
-
-def orient(p: Triple, q: Triple, r: Triple) -> int:
-    """Sign of the determinant of the canonical representatives.
-
-    Anchored so that the affine unit triangle (0,0), (1,0), (0,1) is positive.
-    """
-    return sign(det3(normalize(*p), normalize(*q), normalize(*r)))
 
 
 # ---------------------------------------------------------------------------
@@ -180,83 +159,12 @@ def inside_ccw_arc(a: tuple[int, int], b: tuple[int, int], m: tuple[int, int]) -
     return cam > 0 or cmb > 0
 
 
-# ---------------------------------------------------------------------------
-# principal segments
-
-@dataclass(frozen=True)
-class PrincipalSegment:
-    """The two arcs of line XY, split by X and Y, relative to J.
-
-    The `even` arc avoids J entirely (0 crossings); the `odd` arc (written
-    [XY]' in reports) meets J in exactly one point.
-    """
-
-    x: Triple
-    y: Triple
-    j_point: Triple  # where line XY meets J
-
-    def classify(self, p: Triple) -> str:
-        """'even', 'odd', or 'endpoint' for a point p on line XY."""
-        if not incident(line_through(self.x, self.y), p):
-            raise ValueError("point not on the segment's line")
-        lam, mu = _decompose(p, chart_rep(self.x), chart_rep(self.y))
-        if lam == 0 or mu == 0:
-            return "endpoint"
-        return "even" if lam * mu > 0 else "odd"
-
-
-def _decompose(p: Triple, a: Triple, b: Triple) -> tuple[int, int]:
-    """Integers (lam, mu) with p ~ lam*a + mu*b, for p on line ab."""
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        d = a[i] * b[j] - a[j] * b[i]
-        if d != 0:
-            lam = p[i] * b[j] - p[j] * b[i]
-            mu = a[i] * p[j] - a[j] * p[i]
-            # sanity: p ~ lam*a + mu*b up to the common factor d
-            return (lam * sign(d), mu * sign(d))
-    raise ValueError("points do not span a line")
-
-
-def principal_segment(x: Triple, y: Triple) -> PrincipalSegment:
-    if x[2] == 0 or y[2] == 0:
-        raise DegeneratePositionError("endpoint on the distinguished line")
-    return PrincipalSegment(x=x, y=y, j_point=meet(line_through(x, y), J_STANDARD))
-
-
-# ---------------------------------------------------------------------------
-# convex position
-
-@dataclass(frozen=True)
-class NotConvex:
-    witness: object  # label of the interior point
-    triangle: tuple  # labels of three points surrounding it
-
-
 def in_triangle(p: Triple, a: Triple, b: Triple, c: Triple) -> bool:
     """Strict interior test in the chart complementing J."""
     s1 = chart_orient(a, b, p)
     s2 = chart_orient(b, c, p)
     s3 = chart_orient(c, a, p)
     return s1 == s2 == s3 and s1 != 0
-
-
-def convex_position(labeled: dict):
-    """Positive (counterclockwise) cyclic order of labels, or NotConvex.
-
-    `labeled` maps label -> point; all points must avoid J and be distinct.
-    """
-    labs = list(labeled)
-    if len(labs) < 3:
-        raise ValueError("need at least 3 points")
-    pts = {k: chart_rep(labeled[k]) for k in labs}
-    hull, interior = _hull_cycle(pts)
-    if interior:
-        w = interior[0]
-        for t in _triangles(hull):
-            if in_triangle(labeled[w], labeled[t[0]], labeled[t[1]], labeled[t[2]]):
-                return NotConvex(witness=w, triangle=t)
-        return NotConvex(witness=w, triangle=tuple(hull[:3]))
-    return hull
 
 
 def _triangles(labels: Sequence):
@@ -354,6 +262,3 @@ def step_is_j_jump(base: Triple, px: Triple, py: Triple) -> bool:
     m = double_angle(chart_direction(px, py))
     return inside_ccw_arc(a, b, m)
 
-
-def sweep_cycle(base: Triple, targets: dict) -> list:
-    return line_pencil_sweep(base, targets)[0]

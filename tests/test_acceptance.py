@@ -10,7 +10,6 @@ sibling module tests for the per-component oracles.
 from __future__ import annotations
 
 import itertools
-import json
 import random
 import time
 from contextlib import contextmanager
@@ -51,7 +50,6 @@ from deepnest.orientations import (
     check_orevkov,
     check_rokhlin_mishachev,
     parse_signed,
-    print_signed,
     rm_rhs,
 )
 from deepnest.schemes import parse_scheme, print_scheme

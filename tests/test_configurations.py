@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from deepnest import configurations
 from deepnest.configurations import (
     BASE_CONFIGURATIONS,
     EXCLUSION_TEMPLATES,
@@ -21,6 +22,7 @@ from deepnest.configurations import (
     sigma_shift,
     verify_witness,
 )
+from deepnest.geometry import point
 
 
 def test_base_configurations_classify_canonically():
@@ -73,6 +75,26 @@ def test_sampler_produces_requested_kind():
         for _ in range(5):
             cfg = sample_configuration(kind, rng)
             assert configuration_kind(classify_configuration(cfg)) == kind
+
+
+def test_every_template_classifies_as_its_own_kind():
+    templates = {**{f"case{k}": cfg for k, cfg in BASE_CONFIGURATIONS.items()},
+                 **EXCLUSION_TEMPLATES}
+    assert len(templates) == 28
+    for kind, cfg in templates.items():
+        assert configuration_kind(classify_configuration(cfg)) == kind
+
+
+@pytest.mark.parametrize("perturbed", [
+    {k: point(k, 2 * k) for k in range(1, 7)},  # collinear: degenerate
+    BASE_CONFIGURATIONS[2],                     # valid, but the wrong kind
+])
+def test_sampler_falls_back_to_the_template(monkeypatch, perturbed):
+    monkeypatch.setattr(configurations, "perturb_configuration",
+                        lambda cfg, rng: dict(perturbed))
+    cfg = sample_configuration("case1", random.Random(0))
+    assert cfg == BASE_CONFIGURATIONS[1]
+    assert cfg is not BASE_CONFIGURATIONS[1]
 
 
 def test_excluded_orderings_yield_witnessed_contradictions():

@@ -12,25 +12,20 @@ import hypothesis.strategies as hys
 
 from deepnest.geometry import (
     DegeneratePositionError,
-    J_STANDARD,
-    NotConvex,
+    _hull_cycle,
     chart_direction,
     chart_orient,
     chart_rep,
     circle_sort,
-    convex_position,
+    det3,
+    dot,
     double_angle,
     in_triangle,
-    incident,
     inside_ccw_arc,
     line_pencil_sweep,
     line_through,
-    meet,
     normalize,
-    orient,
     point,
-    principal_segment,
-    sweep_cycle,
 )
 
 coord = hys.integers(min_value=-40, max_value=40)
@@ -50,30 +45,14 @@ def test_normalize_canonical():
         normalize(0, 0, 0)
 
 
-def test_orient_unit_triangle():
-    assert orient(point(0, 0), point(1, 0), point(0, 1)) == 1
-    assert orient(point(0, 0), point(0, 1), point(1, 0)) == -1
-    assert orient(point(0, 0), point(1, 1), point(2, 2)) == 0
-
-
 @hyp.given(coord, coord, coord, coord, coord, coord)
 def test_line_through_incident(ax, ay, bx, by, cx, cy):
     a, b = point(ax, ay), point(bx, by)
     hyp.assume(a != b)
     l = line_through(a, b)
-    assert incident(l, a) and incident(l, b)
+    assert dot(l, a) == 0 and dot(l, b) == 0
     c = point(cx, cy)
-    assert incident(l, c) == (orient(a, b, c) == 0)
-
-
-@hyp.given(coord, coord, coord, coord, coord, coord, coord, coord)
-def test_meet_on_both_lines(ax, ay, bx, by, cx, cy, dx, dy):
-    a, b, c, d = point(ax, ay), point(bx, by), point(cx, cy), point(dx, dy)
-    hyp.assume(a != b and c != d)
-    l1, l2 = line_through(a, b), line_through(c, d)
-    hyp.assume(l1 != l2)
-    p = meet(l1, l2)
-    assert incident(l1, p) and incident(l2, p)
+    assert (dot(l, c) == 0) == (det3(a, b, c) == 0)
 
 
 def test_chart_rep_positive_side():
@@ -120,28 +99,14 @@ def test_inside_ccw_arc_quarter_turns():
     assert not inside_ccw_arc(e, n, n)   # endpoint is not inside
 
 
-def test_principal_segment_classification():
-    """The finite segment between two points in the standard chart is the
-    even side; the far side crosses the distinguished line."""
-    seg = principal_segment(point(0, 0), point(4, 0))
-    assert seg.classify(point(1, 0)) == "even"
-    assert seg.classify(point(-3, 0)) == "odd"
-    assert seg.classify(point(7, 0)) == "odd"
-    assert seg.classify(point(0, 0)) == "endpoint"
-    with pytest.raises(ValueError):
-        seg.classify(point(2, 2))
-
-
 def test_convex_position_hull_and_interior():
     square = {1: point(0, 0), 2: point(4, 0), 3: point(4, 4), 4: point(0, 4)}
-    cycle = convex_position(square)
-    # counterclockwise cycle up to rotation
-    k = cycle.index(1)
-    assert cycle[k:] + cycle[:k] == [1, 2, 3, 4]
-    result = convex_position({**square, 5: point(1, 2)})
-    assert isinstance(result, NotConvex)
-    assert result.witness == 5
-    assert in_triangle(point(1, 2), *(square[t] for t in result.triangle))
+    for pts, interior in ((square, []), ({**square, 5: point(1, 2)}, [5])):
+        cycle, inner = _hull_cycle(pts)
+        # counterclockwise cycle up to rotation
+        k = cycle.index(1)
+        assert cycle[k:] + cycle[:k] == [1, 2, 3, 4]
+        assert inner == interior
 
 
 def test_convex_position_vs_float_hull():
@@ -150,14 +115,11 @@ def test_convex_position_vs_float_hull():
     for _ in range(200):
         pts = {i: rand_point(rng, span=30) for i in range(1, 7)}
         try:
-            cycle = convex_position(pts)
+            cycle, interior = _hull_cycle(pts)
         except DegeneratePositionError:
             continue
         hits += 1
-        if isinstance(cycle, NotConvex):
-            tri = [pts[t] for t in cycle.triangle]
-            assert in_triangle(pts[cycle.witness], *tri)
-            continue
+        assert sorted(cycle + interior) == sorted(pts)
         # every point strictly left of every hull edge in the chart
         for i in range(len(cycle)):
             a, b = pts[cycle[i]], pts[cycle[(i + 1) % len(cycle)]]
@@ -190,7 +152,6 @@ def test_pencil_sweep_is_cyclic_and_antipode_free():
             continue
         assert sorted(order) == sorted(targets)
         assert len(flags) == len(order)
-        assert sweep_cycle(base, targets) == order
 
 
 def test_sweep_jump_parity_is_odd():

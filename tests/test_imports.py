@@ -1,0 +1,48 @@
+"""No module imports a name it never uses.
+
+An AST scan of every module in src/deepnest (except the package
+__init__.py, whose imports are re-exports) and in tests/.  A deletion
+elsewhere must not leave its imports behind.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(
+    [p for p in (ROOT / "src" / "deepnest").glob("*.py") if p.name != "__init__.py"]
+    + list((ROOT / "tests").glob("*.py")))
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"line {line}: {name}" for name, line in bound.items()
+            if name not in used]
+
+
+def test_scan_sees_every_module():
+    names = {p.name for p in MODULES}
+    assert {"geometry.py", "conics.py", "cli.py", "test_imports.py"} <= names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_scan_flags_an_unused_import():
+    assert unused_imports("import json\nfrom os import path, sep\nprint(sep)\n") == [
+        "line 1: json", "line 2: path"]
