@@ -5,7 +5,10 @@ in consecutive order under the rotating line pencil at point 1.  Such a
 configuration either belongs to one of three valid classes (up to the cyclic
 relabeling sigma: 2->3->4->5->6->2) or is excluded, in which case two of the
 five principal triangles 234, 345, 456, 562, 623 have disjoint interiors and
-the pair is reported as an exact witness.
+the pair is reported as an exact witness.  The pencil order, the hull, the
+sub-region and the witness are each decided by signs of 3x3 determinants of
+chart points, so the classifier reads them all from one table of the
+configuration's 20 orientation signs.
 
 The event sequence of a valid configuration lists, in pencil order, the five
 reducible members of the cubic pencil through the six points (labeled "12".."16"
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional
 
 from .geometry import (
@@ -27,14 +31,11 @@ from .geometry import (
     Triple,
     _hull_cycle,
     chart_direction,
-    chart_rep,
+    chart_orient,
     circle_sort,
-    dot,
     double_angle,
-    inside_ccw_arc,
-    line_through,
+    orientation_table,
     point,
-    sign,
 )
 from .conics import (
     conic_pencil_events,
@@ -162,13 +163,29 @@ class Classification:
 # ---------------------------------------------------------------------------
 # label bookkeeping
 
+# _SIGMA[k][x] is the label x under sigma^k: 2..6 shift cyclically, 1 is fixed
+_SIGMA = tuple((0, 1) + tuple((x + k) % 5 + 2 for x in range(5))
+               for k in range(5))
+
+
 def sigma_shift(cfg: dict[int, Triple], k: int) -> dict[int, Triple]:
     """Relabel by sigma^k: the point labeled x becomes labeled x+k (cyclically
     in 2..6); point 1 is fixed."""
-    out = {1: cfg[1]}
-    for x in (2, 3, 4, 5, 6):
-        out[((x - 2 + k) % 5) + 2] = cfg[x]
-    return out
+    m = _SIGMA[k % 5]
+    return {m[x]: cfg[x] for x in (1, 2, 3, 4, 5, 6)}
+
+
+def _shift_signs(signs: dict, k: int) -> dict:
+    """The orientation table of sigma_shift(cfg, k), from the table of cfg."""
+    m = _SIGMA[k]
+    return {(m[a], m[b], m[c]): s for (a, b, c), s in signs.items()}
+
+
+def _shift_cycle(cycle: tuple, k: int) -> tuple:
+    """A label cycle relabeled by sigma^k, from its smallest label."""
+    out = [_SIGMA[k][x] for x in cycle]
+    i = out.index(min(out))
+    return tuple(out[i:] + out[:i])
 
 
 def _check_input(cfg: dict[int, Triple]) -> None:
@@ -178,112 +195,98 @@ def _check_input(cfg: dict[int, Triple]) -> None:
         raise InvalidConfigurationError("points must be distinct")
 
 
-def _sweep_order(cfg: dict[int, Triple]) -> list[int]:
-    keyed = []
-    for lab in (2, 3, 4, 5, 6):
-        keyed.append((lab, double_angle(chart_direction(cfg[1], cfg[lab]))))
-    try:
-        ordered = circle_sort(keyed, key=lambda it: it[1])
-    except DegeneratePositionError as e:
-        raise InvalidConfigurationError(f"degenerate pencil at point 1: {e}")
-    return [lab for lab, _ in ordered]
-
-
-def _require_consecutive_sweep(cfg: dict[int, Triple]) -> None:
-    order = _sweep_order(cfg)
-    i = order.index(2)
-    rotated = order[i:] + order[:i]
-    if rotated != [2, 3, 4, 5, 6]:
-        raise InvalidConfigurationError(
-            f"labels 2..6 are not consecutive under the pencil at 1: {order}")
-
-
-def _hull_split(cfg: dict[int, Triple], labels=(2, 3, 4, 5, 6)):
-    """Counterclockwise hull cycle (canonical rotation, smallest label first)
-    and sorted interior labels."""
-    pts = {k: chart_rep(cfg[k]) for k in labels}
-    hull, interior = _hull_cycle(pts)
-    n = len(hull)
-    canon = min(tuple(hull[i:] + hull[:i]) for i in range(n))
-    return canon, tuple(sorted(interior))
+def _pencil_order(signs: dict) -> list[int]:
+    """Labels 2..6 in counterclockwise order of their lines through point 1,
+    starting at 2.  The lines to a, b, c turn counterclockwise in that cyclic
+    order iff [1ab][1bc][1ca] < 0."""
+    for a, b in combinations((2, 3, 4, 5, 6), 2):
+        if signs[1, a, b] == 0:
+            raise InvalidConfigurationError(
+                "degenerate pencil at point 1: equal circular positions")
+    # the rank of x counts the labels y that come between 2 and x
+    rank = dict.fromkeys((3, 4, 5, 6), 0)
+    for y, x in combinations((3, 4, 5, 6), 2):
+        if signs[1, 2, y] * signs[1, y, x] * signs[1, x, 2] < 0:
+            rank[x] += 1
+        else:
+            rank[y] += 1
+    return [2] + sorted(rank, key=rank.get)
 
 
 # ---------------------------------------------------------------------------
 # exact triangle-pair witnesses
 
-def _interiors_disjoint(t1, t2, cfg) -> bool:
-    # separating-axis search over the six edge lines (exact)
+def _interiors_disjoint(t1, t2, orient) -> bool:
+    """Separating-axis search over the six edge lines: some edge line of one
+    triangle has the other triangle's vertices on the side away from its own
+    third vertex (or on the line).  `orient((a, b, c))` is the chart
+    orientation of the labelled points."""
     for ta, tb in ((t1, t2), (t2, t1)):
         for i in range(3):
-            a, b = cfg[ta[i]], cfg[ta[(i + 1) % 3]]
-            c = cfg[ta[(i + 2) % 3]]
-            l = line_through(a, b)
-            s_own = sign(dot(l, chart_rep(c)))
+            a, b, c = ta[i], ta[(i + 1) % 3], ta[(i + 2) % 3]
+            s_own = orient((a, b, c))
             if s_own == 0:
                 raise DegeneratePositionError("degenerate principal triangle")
-            sides = [sign(dot(l, chart_rep(cfg[v]))) for v in tb]
-            if all(s * s_own <= 0 for s in sides):
+            for v in tb:
+                if v != a and v != b and orient((a, b, v)) == s_own:
+                    break
+            else:
                 return True
     return False
 
 
-def find_witness(cfg: dict[int, Triple]) -> Optional[Witness]:
-    """First interior-disjoint pair of principal triangles, in canonical order."""
+def find_witness(cfg: dict[int, Triple],
+                 signs: Optional[dict] = None) -> Optional[Witness]:
+    """First interior-disjoint pair of principal triangles, in canonical order,
+    read from the orientation table of `cfg` (`signs`, computed when not
+    given)."""
+    if signs is None:
+        signs = orientation_table(cfg)
     for t1, t2 in _WITNESS_PAIRS:
-        if _interiors_disjoint(t1, t2, cfg):
+        if _interiors_disjoint(t1, t2, signs.__getitem__):
             shared = tuple(sorted(set(t1) & set(t2)))
             return Witness(triangles=(t1, t2), shared=shared)
     return None
 
 
 def verify_witness(cfg: dict[int, Triple], w: Witness) -> bool:
-    return _interiors_disjoint(w.triangles[0], w.triangles[1], cfg)
+    """Recheck a witness from the points themselves, not from a sign table."""
+    return _interiors_disjoint(
+        w.triangles[0], w.triangles[1],
+        lambda t: chart_orient(cfg[t[0]], cfg[t[1]], cfg[t[2]]))
 
 
 # ---------------------------------------------------------------------------
 # sub-region labels
 
-def _case2_region(cfg: dict[int, Triple]) -> str:
+# (is 2 on 5's side of [34], is 2 on 4's side of [56]) -> quadrant
+_CASE2_QUADRANTS = {(True, True): "T4", (True, False): "T3",
+                    (False, True): "T2", (False, False): "T1"}
+
+
+def _case2_region(signs: dict) -> str:
     """Quadrant of point 2 inside the family-A quadrangle (3,5,4,6), cut by
     the diagonals [34] and [56].  T4 (between the rays toward 5 and toward 4)
     is the valid region; T1 is opposite T4; T3 shares the [34]-side with T4;
     T2 shares the [56]-side with T4."""
-    l34 = line_through(cfg[3], cfg[4])
-    l56 = line_through(cfg[5], cfg[6])
-    p2 = chart_rep(cfg[2])
-    toward5 = sign(dot(l34, p2)) == sign(dot(l34, chart_rep(cfg[5])))
-    toward4 = sign(dot(l56, p2)) == sign(dot(l56, chart_rep(cfg[4])))
-    if toward5 and toward4:
-        return "T4"
-    if toward5:
-        return "T3"
-    if toward4:
-        return "T2"
-    return "T1"
+    return _CASE2_QUADRANTS[signs[3, 4, 2] == signs[3, 4, 5],
+                            signs[5, 6, 2] == signs[5, 6, 4]]
 
 
+# Point 4 lies inside the counterclockwise triangle 2, 6, 3, so its cevian
+# rays run counterclockwise 2, 3', 6, 2', 3, 6' (v' points away from v), and
+# the sides ([4v5] for v = 2, 6, 3) of point 5 name its sector.
 _CASE3_SECTORS = {
-    ("6", "2'"): "T1", ("2'", "3"): "T2", ("3", "6'"): "T3",
-    ("6'", "2"): "T4", ("2", "3'"): "T5", ("3'", "6"): "T6",
+    (+1, +1, -1): "T1", (-1, +1, -1): "T2", (-1, +1, +1): "T3",
+    (-1, -1, +1): "T4", (+1, -1, +1): "T5", (+1, -1, -1): "T6",
 }
 
 
-def _case3_region(cfg: dict[int, Triple]) -> str:
+def _case3_region(signs: dict) -> str:
     """Sector of point 5 among the six regions around 4 cut by the cevians
     from 2, 6, 3 through 4, numbered counterclockwise starting at the ray
     toward 6.  T3 (between the rays toward 3 and away from 6) is valid."""
-    rays = []
-    for v in (2, 6, 3):
-        d = chart_direction(cfg[4], cfg[v])
-        rays.append((str(v), d))
-        rays.append((str(v) + "'", (-d[0], -d[1])))
-    order = circle_sort(rays, key=lambda it: it[1])
-    d5 = chart_direction(cfg[4], cfg[5])
-    for i in range(6):
-        a, b = order[i], order[(i + 1) % 6]
-        if inside_ccw_arc(a[1], b[1], d5):
-            return _CASE3_SECTORS[(a[0], b[0])]
-    raise DegeneratePositionError("point 5 lies on a cevian through 4")
+    return _CASE3_SECTORS[signs[4, 2, 5], signs[4, 6, 5], signs[4, 3, 5]]
 
 
 # ---------------------------------------------------------------------------
@@ -296,55 +299,55 @@ CASE3_TRIANGLE = (2, 6, 3)
 
 def classify_configuration(cfg: dict[int, Triple]) -> Classification:
     _check_input(cfg)
-    _require_consecutive_sweep(cfg)
-    hull, interior = _hull_split(cfg)
+    signs = orientation_table(cfg)
+    order = _pencil_order(signs)
+    if order != [2, 3, 4, 5, 6]:
+        raise InvalidConfigurationError(
+            f"labels 2..6 are not consecutive under the pencil at 1: {order}")
+    hull, interior = _hull_cycle(signs, (2, 3, 4, 5, 6))
 
     if len(interior) == 0:
         if hull == CASE1_PATTERN:
             return Classification("case", case=1, relabel_shift=0,
                                   pattern=hull, interior=())
-        return _contradiction(cfg, hull, ())
+        return _contradiction(cfg, signs, hull, ())
 
     if len(interior) == 1:
         k = (2 - interior[0]) % 5
-        c = sigma_shift(cfg, k)
-        quad, _ = _hull_split(c, labels=(3, 4, 5, 6))
+        c, sc = sigma_shift(cfg, k), _shift_signs(signs, k)
+        quad = _shift_cycle(hull, k)
         if quad == CASE2_QUADRANGLE:
-            region = _case2_region(c)
+            region = _case2_region(sc)
             if region == "T4":
                 return Classification(
                     "case", case=2, relabel_shift=k, pattern=quad,
                     interior=(2,), region="T4",
                     notes=("region label T4 follows the figure geometry; "
                            "a text reference to T2 is a known slip",))
-            return _contradiction(c, quad, (2,), relabel=k, region=region)
-        return _contradiction(c, quad, (2,), relabel=k)
+            return _contradiction(c, sc, quad, (2,), relabel=k, region=region)
+        return _contradiction(c, sc, quad, (2,), relabel=k)
 
     # two interior points
-    pair = None
-    for l in (2, 3, 4, 5, 6):
-        nxt = ((l - 2 + 1) % 5) + 2
-        if set(interior) == {l, nxt}:
-            pair = l
-            break
-    if pair is None:
-        return _contradiction(cfg, hull, interior,
+    pairs = [l for l in (2, 3, 4, 5, 6) if set(interior) == {l, _SIGMA[1][l]}]
+    if not pairs:
+        return _contradiction(cfg, signs, hull, interior,
                               note="interior labels not pencil-consecutive")
-    k = (4 - pair) % 5
-    c = sigma_shift(cfg, k)
-    tri, _ = _hull_split(c, labels=(2, 3, 6))
+    k = (4 - pairs[0]) % 5
+    c, sc = sigma_shift(cfg, k), _shift_signs(signs, k)
+    tri = _shift_cycle(hull, k)
     if tri == CASE3_TRIANGLE:
-        region = _case3_region(c)
+        region = _case3_region(sc)
         if region == "T3":
             return Classification("case", case=3, relabel_shift=k,
                                   pattern=tri, interior=(4, 5), region="T3")
-        return _contradiction(c, tri, (4, 5), relabel=k, region=region)
-    return _contradiction(c, tri, (4, 5), relabel=k,
+        return _contradiction(c, sc, tri, (4, 5), relabel=k, region=region)
+    return _contradiction(c, sc, tri, (4, 5), relabel=k,
                           note="outer triangle orientation reversed")
 
 
-def _contradiction(cfg, pattern, interior, relabel=0, region=None, note=None):
-    w = find_witness(cfg)
+def _contradiction(cfg, signs, pattern, interior, relabel=0, region=None,
+                   note=None):
+    w = find_witness(cfg, signs)
     notes = (note,) if note else ()
     if w is None:
         # every excluded pattern carries a witness; reaching this means the
@@ -461,7 +464,7 @@ def sample_configuration(kind: str, rng):
     elif kind in EXCLUSION_TEMPLATES:
         template = EXCLUSION_TEMPLATES[kind]
     else:
-        raise KeyError(f"unknown configuration kind {kind!r}")
+        raise InvalidConfigurationError(f"unknown configuration kind {kind!r}")
     cfg = perturb_configuration(template, rng)
     try:
         if configuration_kind(classify_configuration(cfg)) == kind:

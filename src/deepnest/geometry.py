@@ -10,12 +10,15 @@ into ordinary circular-order questions.
 The curve's one-sided branch J is modelled as the line z = 0, the line at
 infinity of the affine chart: every pencil, hull and J-jump argument is
 projective, so this choice of coordinates loses nothing.  Points handed to
-the chart predicates must lie off J.
+the chart predicates must lie off J.  A hull, and every decision of the
+six-point classification, is read from one table of chart orientations that
+computes each triple's determinant once (`orientation_table`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 from typing import Sequence
 
@@ -159,54 +162,42 @@ def inside_ccw_arc(a: tuple[int, int], b: tuple[int, int], m: tuple[int, int]) -
     return cam > 0 or cmb > 0
 
 
-def in_triangle(p: Triple, a: Triple, b: Triple, c: Triple) -> bool:
-    """Strict interior test in the chart complementing J."""
-    s1 = chart_orient(a, b, p)
-    s2 = chart_orient(b, c, p)
-    s3 = chart_orient(c, a, p)
-    return s1 == s2 == s3 and s1 != 0
+def orientation_table(pts: dict) -> dict:
+    """Chart orientation of every ordered triple of distinct labels of `pts`
+    (label -> point off J): one det3 per unordered triple, one chart_rep
+    per point."""
+    reps = {k: chart_rep(p) for k, p in pts.items()}
+    signs = {}
+    for a, b, c in combinations(reps, 3):
+        s = sign(det3(reps[a], reps[b], reps[c]))
+        signs[a, b, c] = signs[b, c, a] = signs[c, a, b] = s
+        signs[b, a, c] = signs[a, c, b] = signs[c, b, a] = -s
+    return signs
 
 
-def _triangles(labels: Sequence):
-    n = len(labels)
-    for i in range(n):
-        for k in range(i + 1, n):
-            for m in range(k + 1, n):
-                yield (labels[i], labels[k], labels[m])
-
-
-def _hull_cycle(pts: dict):
-    """Counterclockwise hull label cycle + interior labels (exact, small n)."""
-    labs = list(pts)
-    for a in range(len(labs)):
-        for b in range(a + 1, len(labs)):
-            for c in range(b + 1, len(labs)):
-                if chart_orient(pts[labs[a]], pts[labs[b]], pts[labs[c]]) == 0:
-                    raise DegeneratePositionError(
-                        f"collinear triple {labs[a]},{labs[b]},{labs[c]}")
-    hull = []
-    interior = []
-    for k in labs:
-        others = [o for o in labs if o != k]
-        inside = False
-        for t in _triangles(others):
-            if in_triangle(pts[k], pts[t[0]], pts[t[1]], pts[t[2]]):
-                inside = True
+def _hull_cycle(signs: dict, labels: Sequence):
+    """Counterclockwise hull cycle of the points `labels`, starting at its
+    smallest label, and their sorted interior labels, read from an
+    orientation table: [ab] is a hull edge iff no other point lies to the
+    right of a -> b."""
+    for t in combinations(labels, 3):
+        if signs[t] == 0:
+            raise DegeneratePositionError("collinear triple {},{},{}".format(*t))
+    succ = {}
+    for a in labels:
+        for b in labels:
+            if b == a:
+                continue
+            for c in labels:
+                if c != a and c != b and signs[a, b, c] < 0:
+                    break
+            else:
+                succ[a] = b
                 break
-        (interior if inside else hull).append(k)
-    if len(hull) < 3:
-        raise DegeneratePositionError("degenerate hull")
-    # order hull counterclockwise around its own centroid (exact)
-    center = _chart_centroid([pts[k] for k in hull])
-    ordered = circle_sort(hull, key=lambda k: chart_direction(center, pts[k]))
-    return ordered, interior
-
-
-def _chart_centroid(reps: list) -> Triple:
-    """Exact affine centroid of points off J, as a canonical triple."""
-    cx = sum(Fraction(p[0], p[2]) for p in reps) / len(reps)
-    cy = sum(Fraction(p[1], p[2]) for p in reps) / len(reps)
-    return point(cx, cy)
+    cycle = [min(succ)]
+    while succ[cycle[-1]] != cycle[0]:
+        cycle.append(succ[cycle[-1]])
+    return tuple(cycle), tuple(sorted(set(labels) - set(succ)))
 
 
 def _raw_cross(u: Sequence[int], v: Sequence[int]) -> Triple:

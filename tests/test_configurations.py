@@ -11,6 +11,7 @@ from deepnest.configurations import (
     BASE_CONFIGURATIONS,
     EXCLUSION_TEMPLATES,
     EXPECTED_WITNESSES,
+    InvalidConfigurationError,
     REFERENCE_SEQUENCES,
     classify_configuration,
     configuration_kind,
@@ -139,5 +140,5 @@ def test_cyclic_equal():
 
 
 def test_sampler_rejects_unknown_kind():
-    with pytest.raises(KeyError):
+    with pytest.raises(InvalidConfigurationError):
         sample_configuration("case9", random.Random(0))

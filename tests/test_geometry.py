@@ -20,11 +20,11 @@ from deepnest.geometry import (
     det3,
     dot,
     double_angle,
-    in_triangle,
     inside_ccw_arc,
     line_pencil_sweep,
     line_through,
     normalize,
+    orientation_table,
     point,
 )
 
@@ -101,11 +101,10 @@ def test_inside_ccw_arc_quarter_turns():
 
 def test_convex_position_hull_and_interior():
     square = {1: point(0, 0), 2: point(4, 0), 3: point(4, 4), 4: point(0, 4)}
-    for pts, interior in ((square, []), ({**square, 5: point(1, 2)}, [5])):
-        cycle, inner = _hull_cycle(pts)
-        # counterclockwise cycle up to rotation
-        k = cycle.index(1)
-        assert cycle[k:] + cycle[:k] == [1, 2, 3, 4]
+    for pts, interior in ((square, ()), ({**square, 5: point(1, 2)}, (5,))):
+        cycle, inner = _hull_cycle(orientation_table(pts), list(pts))
+        # counterclockwise cycle, starting at the smallest label
+        assert cycle == (1, 2, 3, 4)
         assert inner == interior
 
 
@@ -115,10 +114,11 @@ def test_convex_position_vs_float_hull():
     for _ in range(200):
         pts = {i: rand_point(rng, span=30) for i in range(1, 7)}
         try:
-            cycle, interior = _hull_cycle(pts)
+            cycle, interior = _hull_cycle(orientation_table(pts), list(pts))
         except DegeneratePositionError:
             continue
         hits += 1
+        assert cycle[0] == min(cycle)
         assert sorted(cycle + interior) == sorted(pts)
         # every point strictly left of every hull edge in the chart
         for i in range(len(cycle)):
@@ -128,13 +128,6 @@ def test_convex_position_vs_float_hull():
                     continue
                 assert chart_orient(a, b, p) > 0
     assert hits > 100
-
-
-def test_in_triangle():
-    a, b, c = point(0, 0), point(6, 0), point(0, 6)
-    assert in_triangle(point(1, 1), a, b, c)
-    assert not in_triangle(point(5, 5), a, b, c)
-    assert not in_triangle(point(3, 0), a, b, c)  # boundary is not inside
 
 
 def test_pencil_sweep_is_cyclic_and_antipode_free():
