@@ -235,13 +235,9 @@ def _interiors_disjoint(t1, t2, orient) -> bool:
     return False
 
 
-def find_witness(cfg: dict[int, Triple],
-                 signs: Optional[dict] = None) -> Optional[Witness]:
+def find_witness(signs: dict) -> Optional[Witness]:
     """First interior-disjoint pair of principal triangles, in canonical order,
-    read from the orientation table of `cfg` (`signs`, computed when not
-    given)."""
-    if signs is None:
-        signs = orientation_table(cfg)
+    read from a configuration's orientation table."""
     for t1, t2 in _WITNESS_PAIRS:
         if _interiors_disjoint(t1, t2, signs.__getitem__):
             shared = tuple(sorted(set(t1) & set(t2)))
@@ -310,11 +306,11 @@ def classify_configuration(cfg: dict[int, Triple]) -> Classification:
         if hull == CASE1_PATTERN:
             return Classification("case", case=1, relabel_shift=0,
                                   pattern=hull, interior=())
-        return _contradiction(cfg, signs, hull, ())
+        return _contradiction(signs, hull, ())
 
     if len(interior) == 1:
         k = (2 - interior[0]) % 5
-        c, sc = sigma_shift(cfg, k), _shift_signs(signs, k)
+        sc = _shift_signs(signs, k)
         quad = _shift_cycle(hull, k)
         if quad == CASE2_QUADRANGLE:
             region = _case2_region(sc)
@@ -324,30 +320,30 @@ def classify_configuration(cfg: dict[int, Triple]) -> Classification:
                     interior=(2,), region="T4",
                     notes=("region label T4 follows the figure geometry; "
                            "a text reference to T2 is a known slip",))
-            return _contradiction(c, sc, quad, (2,), relabel=k, region=region)
-        return _contradiction(c, sc, quad, (2,), relabel=k)
+            return _contradiction(sc, quad, (2,), relabel=k, region=region)
+        return _contradiction(sc, quad, (2,), relabel=k)
 
     # two interior points
     pairs = [l for l in (2, 3, 4, 5, 6) if set(interior) == {l, _SIGMA[1][l]}]
     if not pairs:
-        return _contradiction(cfg, signs, hull, interior,
+        return _contradiction(signs, hull, interior,
                               note="interior labels not pencil-consecutive")
     k = (4 - pairs[0]) % 5
-    c, sc = sigma_shift(cfg, k), _shift_signs(signs, k)
+    sc = _shift_signs(signs, k)
     tri = _shift_cycle(hull, k)
     if tri == CASE3_TRIANGLE:
         region = _case3_region(sc)
         if region == "T3":
             return Classification("case", case=3, relabel_shift=k,
                                   pattern=tri, interior=(4, 5), region="T3")
-        return _contradiction(c, sc, tri, (4, 5), relabel=k, region=region)
-    return _contradiction(c, sc, tri, (4, 5), relabel=k,
+        return _contradiction(sc, tri, (4, 5), relabel=k, region=region)
+    return _contradiction(sc, tri, (4, 5), relabel=k,
                           note="outer triangle orientation reversed")
 
 
-def _contradiction(cfg, signs, pattern, interior, relabel=0, region=None,
-                   note=None):
-    w = find_witness(cfg, signs)
+def _contradiction(signs, pattern, interior, relabel=0, region=None,
+                  note=None):
+    w = find_witness(signs)
     notes = (note,) if note else ()
     if w is None:
         # every excluded pattern carries a witness; reaching this means the

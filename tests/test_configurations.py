@@ -23,7 +23,7 @@ from deepnest.configurations import (
     sigma_shift,
     verify_witness,
 )
-from deepnest.geometry import point
+from deepnest.geometry import orientation_table, point
 
 
 def test_base_configurations_classify_canonically():
@@ -116,7 +116,7 @@ def test_excluded_orderings_yield_witnessed_contradictions():
 
 def test_witnesses_are_checkable_and_exclusive():
     for case in (1, 2, 3):
-        assert find_witness(BASE_CONFIGURATIONS[case]) is None
+        assert find_witness(orientation_table(BASE_CONFIGURATIONS[case])) is None
     w = classify_configuration(EXCLUSION_TEMPLATES["convex-23465"]).witness
     assert w.kind in ("segment", "vertex", "empty")
     assert not verify_witness(BASE_CONFIGURATIONS[1], w)
