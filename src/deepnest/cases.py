@@ -67,6 +67,9 @@ _CHAIN_JUMP_BUDGET = 3
 TOTAL_EMPTIES = 26
 DEGREE = 9
 _RHS = rm_rhs(DEGREE, TOTAL_EMPTIES + 3)  # 28 ovals + one-sided = 29
+_NOT_M_CURVE = ("prohibition argument applies to schemes with the maximal "
+                "number of components")
+_NO_NEST = "scheme has no depth-3 nest"
 
 
 @cache
@@ -349,6 +352,8 @@ class ProhibitReport:
 
 
 def deep_nest_scheme(beta: int, gamma: Optional[int] = None) -> RealScheme:
+    """The parsed scheme <J + 1<beta + 1<gamma>>>, a convenience for callers
+    who hold beta and want to go through `prohibit`."""
     if gamma is None:
         gamma = TOTAL_EMPTIES - beta
     return parse_scheme(f"<J + 1<{beta} + 1<{gamma}>>>", DEGREE)
@@ -366,16 +371,20 @@ def prohibit(scheme: RealScheme, known: Iterable[int] = (),
     of other sizes in the parity class.
     """
     if not is_m_curve(scheme):
-        raise ValueError("prohibition argument applies to schemes with the "
-                         "maximal number of components")
+        raise ValueError(_NOT_M_CURVE)
     profile = classify_deep_nest(scheme)
     if profile is None:
-        raise ValueError("scheme has no depth-3 nest")
+        raise ValueError(_NO_NEST)
     if profile.alpha != 0:
         raise ValueError("prohibition argument requires all empty ovals "
                          "inside the nest")
-    beta, gamma = profile.beta, profile.gamma
+    return _prohibit(profile.beta, profile.gamma, known, mode)
 
+
+def _prohibit(beta: int, gamma: int, known: Iterable[int],
+              mode: str) -> ProhibitReport:
+    """`prohibit` on the sizes of a validated nest: beta >= 0, gamma >= 1
+    and beta + gamma = 26."""
     results = []
     survivors_all: list[SignCase] = []
     if beta == 0:
@@ -431,7 +440,7 @@ def theorem1_report(known: Iterable[int] = (1, 3, 25)) -> list[TheoremOneRow]:
     known = set(known)
     rows = []
     for beta in range(1, TOTAL_EMPTIES, 2):
-        rep = prohibit(deep_nest_scheme(beta), known)
+        rep = _prohibit(beta, TOTAL_EMPTIES - beta, known, "uniform")
         rows.append(TheoremOneRow(
             beta=beta, gamma=TOTAL_EMPTIES - beta,
             verdict=rep.verdict,
@@ -456,7 +465,13 @@ def theorem2_report(beta: int, gamma: Optional[int] = None) -> TheoremTwoRow:
         raise ValueError("this table covers even beta")
     if gamma is None:
         gamma = TOTAL_EMPTIES - beta
-    rep = prohibit(deep_nest_scheme(beta, gamma))
+    if min(beta, gamma) < 0:
+        raise ValueError("beta and gamma must lie in 0..%d" % TOTAL_EMPTIES)
+    if beta + gamma != TOTAL_EMPTIES:
+        raise ValueError(_NOT_M_CURVE)
+    if gamma == 0:
+        raise ValueError(_NO_NEST)
+    rep = _prohibit(beta, gamma, (), "uniform")
     skipped = []
     for result in rep.results:
         for case in result.survivors:

@@ -160,9 +160,13 @@ def _cmd_solve(args) -> tuple[dict, dict, list[str]]:
 
 def _parse_known(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip())
+        known = tuple(int(tok) for tok in text.split(",") if tok.strip())
     except ValueError as exc:
         raise ValueError(f"--known must be a comma list of integers: {exc}")
+    if any(b not in range(cases.TOTAL_EMPTIES + 1) for b in known):
+        raise ValueError(
+            f"--known entries must lie in 0..{cases.TOTAL_EMPTIES}")
+    return known
 
 
 def _cmd_prohibit(args) -> tuple[dict, dict, list[str]]:

@@ -34,6 +34,7 @@ from .geometry import (
     chart_orient,
     circle_sort,
     double_angle,
+    normalize,
     orientation_table,
     point,
 )
@@ -443,10 +444,9 @@ def _orient_events(order: list[str], case: int) -> list[str]:
 def perturb_configuration(cfg: dict[int, Triple], rng):
     """Move each point by at most 7/2000 in each affine coordinate."""
     out = {}
-    for k, p in cfg.items():
-        x = Fraction(p[0], p[2]) + Fraction(rng.randint(-7, 7), 2000)
-        y = Fraction(p[1], p[2]) + Fraction(rng.randint(-7, 7), 2000)
-        out[k] = point(x, y)
+    for k, (x, y, z) in cfg.items():
+        a, b = rng.randint(-7, 7), rng.randint(-7, 7)
+        out[k] = normalize(2000 * x + a * z, 2000 * y + b * z, 2000 * z)
     return out
 
 

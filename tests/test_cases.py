@@ -15,9 +15,12 @@ from deepnest.cases import (
     Scenario,
     SignCase,
     TOTAL_EMPTIES,
+    TheoremOneRow,
+    TheoremTwoRow,
     WITH_O1_JUMPS,
     _NO_JUMP_N_EVEN,
     _NO_JUMP_N_ODD,
+    _prohibit,
     _solve_scenario,
     beta_zero_contradiction,
     deep_nest_scheme,
@@ -283,6 +286,38 @@ def test_theorem2_rows():
     }
     with pytest.raises(ValueError):
         theorem2_report(3)
+
+
+def theorem1_via_text(known):
+    rows = []
+    for beta in range(1, 26, 2):
+        rep = prohibit(deep_nest_scheme(beta), known)
+        rows.append(TheoremOneRow(
+            beta, 26 - beta, rep.verdict, bool(rep.new),
+            sum(len(r.solutions) for r in rep.results)))
+    return rows
+
+
+@pytest.mark.parametrize("known", [(), (1, 3, 25), (5, 7), tuple(range(27))])
+def test_theorem1_table_matches_the_text_path(known):
+    assert theorem1_report(known) == theorem1_via_text(known)
+
+
+@pytest.mark.parametrize("beta", range(0, 25, 2))
+def test_theorem2_table_matches_the_text_path(beta):
+    rep = prohibit(deep_nest_scheme(beta))
+    skipped = tuple(c for r in rep.results for c in r.survivors
+                    if not any(f.case == c for f in rep.feasible))
+    assert theorem2_report(beta) == TheoremTwoRow(
+        beta, 26 - beta, rep.feasible, skipped)
+
+
+@pytest.mark.parametrize("mode", ["uniform", "literal"])
+def test_size_core_matches_the_text_path(mode):
+    for beta in range(26):
+        text = f"<J + 1<{beta} + 1<{26 - beta}>>>"
+        assert (_prohibit(beta, 26 - beta, (), mode)
+                == prohibit(parse_scheme(text, 9), (), mode))
 
 
 def test_beta_zero_report():

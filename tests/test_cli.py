@@ -279,6 +279,44 @@ def assert_input_error(capsys, argv):
     assert captured.out == ""   # no report
     assert captured.err.startswith("deepnest: error:")
     assert "Traceback" not in captured.err
+    return captured.err
+
+
+NOT_M_CURVE = ("deepnest: error: prohibition argument applies to schemes "
+               "with the maximal number of components\n")
+NO_NEST = "deepnest: error: scheme has no depth-3 nest\n"
+
+
+def test_theorem2_at_beta_zero_is_a_verdict(capsys):
+    code, rep = run_json(capsys, "theorem2", "--beta", "0")
+    assert code == 0
+    assert rep["verdicts"] == ["RESIDUAL_FAILURE"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["theorem2", "--beta", "26"], NO_NEST),            # gamma = 0
+    (["theorem2", "--beta", "12", "--gamma", "13"], NOT_M_CURVE),
+    (["theorem2", "--beta", "28"], None),
+    (["theorem2", "--beta", "-2"], None),
+    (["theorem2", "--beta", "12", "--gamma", "-2"], None),
+    (["prohibit", "--scheme", "<J + 1<26 + 1<0>>>"], NO_NEST),
+    (["prohibit", "--scheme", "<J + 1<12 + 1<13>>>"], NOT_M_CURVE),
+])
+def test_theorem2_and_prohibit_reject_edge_sizes(capsys, argv, message):
+    err = assert_input_error(capsys, argv)
+    if message is not None:
+        assert err == message
+
+
+PROHIBIT_5 = ["prohibit", "--scheme", "<J + 1<5 + 1<21>>>"]
+
+
+@pytest.mark.parametrize("argv", [["theorem1", "--known", "100"],
+                                  ["theorem1", "--known", "1,-1"],
+                                  [*PROHIBIT_5, "--known", "999"],
+                                  [*PROHIBIT_5, "--known", "3,27"]])
+def test_known_rejects_sizes_out_of_range(capsys, argv):
+    assert_input_error(capsys, argv)
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -68,6 +69,25 @@ def test_sequences_survive_relabelling_and_perturbation():
             rep = reducible_cubic_sequence(cfg)
             assert rep.classification.case == case
             assert rep.matches_reference
+
+
+def fraction_perturbation(cfg, rng):
+    """The perturbation in affine coordinates, one Fraction at a time."""
+    out = {}
+    for k, p in cfg.items():
+        x = Fraction(p[0], p[2]) + Fraction(rng.randint(-7, 7), 2000)
+        y = Fraction(p[1], p[2]) + Fraction(rng.randint(-7, 7), 2000)
+        out[k] = point(x, y)
+    return out
+
+
+def test_perturbation_matches_the_fraction_formula():
+    templates = [*BASE_CONFIGURATIONS.values(), *EXCLUSION_TEMPLATES.values()]
+    assert len(templates) == 28
+    for seed in range(60):
+        for cfg in templates:
+            assert (perturb_configuration(cfg, random.Random(seed))
+                    == fraction_perturbation(cfg, random.Random(seed)))
 
 
 def test_sampler_produces_requested_kind():
