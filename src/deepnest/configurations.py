@@ -362,16 +362,14 @@ def _contradiction(signs, pattern, interior, relabel=0, region=None,
 _SINGULAR_LABELS = {"12|34": "12", "13|24": "13", "14|23": "16"}
 
 
-def _position_cycle(cfg: dict[int, Triple], x: int) -> tuple[str, str]:
+def _position_cycle(cfg: dict[int, Triple], x: int,
+                    secants: dict[int, tuple[int, int]]) -> tuple[str, str]:
     """Both readings of the cyclic order of the five points other than `x`
-    on the conic through them, anchored at point 1's secant pencil."""
+    on the conic through them, anchored at point 1's secant pencil.
+    `secants[k]` is the doubled chart direction from point 1 to point k."""
     labels = [i for i in (1, 2, 3, 4, 5, 6) if i != x]
     conic = conic_through_5([cfg[i] for i in labels])
-    items = []
-    for lab in labels:
-        if lab == 1:
-            continue
-        items.append((lab, double_angle(chart_direction(cfg[1], cfg[lab]))))
+    items = [(lab, secants[lab]) for lab in labels if lab != 1]
     tangent = polar_line(conic, cfg[1])
     items.append(("anchor", double_angle((tangent[1], -tangent[0]))))
     order = [lab for lab, _ in circle_sort(items, key=lambda it: it[1])]
@@ -410,10 +408,11 @@ def reducible_cubic_sequence(cfg: dict[int, Triple]) -> SequenceReport:
     )
     order = [_SINGULAR_LABELS.get(ev.label, ev.label) for ev in events]
     order = _orient_events(order, cl.case)
+    secants = {k: double_angle(chart_direction(c[1], c[k])) for k in range(2, 7)}
     out = []
     for lab in order:
         x = int(lab[1])
-        fwd, rev = _position_cycle(c, x)
+        fwd, rev = _position_cycle(c, x, secants)
         out.append((lab, fwd if DIGIT_DIRECTION[(cl.case, x)] > 0 else rev))
     matches = cyclic_equal(out, REFERENCE_SEQUENCES[cl.case])
     return SequenceReport(classification=cl, events=tuple(out),

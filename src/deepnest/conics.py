@@ -10,7 +10,6 @@ device used for line directions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import gcd
 from typing import Sequence
 
@@ -70,28 +69,37 @@ def polar_line(q: Conic, p: Triple) -> Triple:
     return normalize(*v)
 
 
+def _raw_pair(l1: Triple, l2: Triple) -> tuple[int, ...]:
+    """Coefficients of the line pair (l1 . X)(l2 . X), unscaled."""
+    a1, b1, c1 = l1
+    a2, b2, c2 = l2
+    return (a1 * a2, a1 * b2 + b1 * a2, b1 * b2,
+            a1 * c2 + c1 * a2, b1 * c2 + c1 * b2, c1 * c2)
+
+
 def conic_through_5(pts: Sequence[Triple]) -> Conic:
     """The unique conic through five points; degenerate input positions
     (fewer than five independent conditions) raise.
 
-    Exact shared-minor cofactor expansion: the coefficients are the signed
-    5x5 minors of the 5x6 system, built bottom-up so that each smaller minor
-    is computed once and shared by every cofactor that uses it.
+    Bracket form, with [uvw] = det3(u, v, w) and [abX] the line through
+    a and b as a linear form in X:
+
+        Q(X) = [abX][cdX]*[ace][bde] - [acX][bdX]*[abe][cde]
+
+    At a, b, c and d each term has a bracket with a repeated point, and at
+    e the two terms are equal.  Q vanishes identically exactly when two
+    points coincide or four are collinear, which is exactly when the conic
+    is not unique.
     """
     if len(pts) != 5:
         raise ValueError("need exactly 5 points")
-    rows = [(x * x, x * y, y * y, x * z, y * z, z * z) for x, y, z in pts]
-    # minors[cols]: determinant of the last len(cols) rows on the sorted
-    # columns cols, expanded along its top row over the level below
-    minors = {(c,): rows[4][c] for c in range(6)}
-    for k in range(2, 6):
-        top = rows[5 - k]
-        minors = {cols: sum((-1) ** i * top[c] * minors[cols[:i] + cols[i + 1:]]
-                            for i, c in enumerate(cols))
-                  for cols in combinations(range(6), k)}
-    coeffs = [(-1) ** k * minors[tuple(c for c in range(6) if c != k)]
-              for k in range(6)]
-    if all(c == 0 for c in coeffs):
+    a, b, c, d, e = pts
+    s = det3(a, c, e) * det3(b, d, e)
+    t = det3(a, b, e) * det3(c, d, e)
+    p = _raw_pair(_raw_cross(a, b), _raw_cross(c, d))
+    q = _raw_pair(_raw_cross(a, c), _raw_cross(b, d))
+    coeffs = [s * u - t * v for u, v in zip(p, q)]
+    if all(v == 0 for v in coeffs):
         raise DegeneratePositionError("five points do not determine a unique conic")
     return _canon6(coeffs)
 
@@ -108,16 +116,7 @@ class PencilEvent:
 
 
 def _pair_conic(l1: Triple, l2: Triple) -> Conic:
-    a1, b1, c1 = l1
-    a2, b2, c2 = l2
-    return _canon6((
-        a1 * a2,
-        a1 * b2 + b1 * a2,
-        b1 * b2,
-        a1 * c2 + c1 * a2,
-        b1 * c2 + c1 * b2,
-        c1 * c2,
-    ))
+    return _canon6(_raw_pair(l1, l2))
 
 
 def _canon_param(lam: int, mu: int) -> tuple[int, int]:

@@ -27,6 +27,7 @@ from deepnest.conics import (
     cremona,
     polar_line,
 )
+from deepnest.configurations import sample_configuration
 
 
 def rand_point(rng, span=40):
@@ -122,6 +123,13 @@ def test_conic_through_5_matches_elimination_oracle():
         else:
             assert conic_through_5(pts) == want, pts
     assert 30 <= raised < 100   # both outcomes exercised
+    # the sampler's perturbed configurations: coordinates over 2000, and
+    # every five of the six points lie on a unique conic
+    for kind in ("case1", "case2", "case3"):
+        for _ in range(10):
+            cfg = sample_configuration(kind, rng)
+            for pts in combinations(cfg.values(), 5):
+                assert conic_through_5(pts) == reference_conic_through_5(pts)
 
 
 def test_conic_through_5_degenerate_input():
@@ -131,6 +139,21 @@ def test_conic_through_5_degenerate_input():
     pts = [point(0, 0), point(1, 5), point(2, -3), point(0, 0), point(7, 1)]
     with pytest.raises(DegeneratePositionError):
         conic_through_5(pts)  # a repeated point gives only four conditions
+    # every position of a repeated pair
+    general = [point(0, 0), point(1, 5), point(2, -3), point(-4, 1), point(7, 1)]
+    for i, j in combinations(range(5), 2):
+        pts = list(general)
+        pts[j] = pts[i]
+        with pytest.raises(DegeneratePositionError):
+            conic_through_5(pts)
+    # every position of the point off four collinear ones, the line y = 2x + 1
+    # taken with its point at infinity
+    on_line = [point(0, 1), point(1, 3), point(-1, -1), normalize(1, 2, 0)]
+    for k in range(5):
+        pts = list(on_line)
+        pts.insert(k, point(5, -2))
+        with pytest.raises(DegeneratePositionError):
+            conic_through_5(pts)
 
 
 @pytest.mark.parametrize("pts", [
