@@ -70,18 +70,16 @@ _RHS = rm_rhs(DEGREE, TOTAL_EMPTIES + 3)  # 28 ovals + one-sided = 29
 _NOT_M_CURVE = ("prohibition argument applies to schemes with the maximal "
                 "number of components")
 _NO_NEST = "scheme has no depth-3 nest"
+_SIZES = range(TOTAL_EMPTIES + 1)
+_SIZE_RANGE = "beta and gamma must lie in 0..%d" % TOTAL_EMPTIES
+# the parity of gamma, hence of beta, that each no-jump kind fixes
+_KIND_PARITY = {NO_JUMPS_EVEN_GAMMA: 0, NO_JUMPS_ODD_GAMMA: 1}
 
 
 @cache
 def _no_jump_magnitudes(beta: int) -> frozenset[int]:
     """Imbalance magnitudes of a no-jump median chain of beta ovals."""
     return chain_imbalance_magnitudes(beta, _CHAIN_JUMP_BUDGET, "odd")
-
-
-# the longest chain of each parity realizes every magnitude a shorter chain
-# of that parity does, so these serve when beta's size is left open
-_NO_JUMP_N_EVEN = _no_jump_magnitudes(TOTAL_EMPTIES)
-_NO_JUMP_N_ODD = _no_jump_magnitudes(TOTAL_EMPTIES - 1)
 
 
 class InfeasibleOrientationError(ValueError):
@@ -118,72 +116,73 @@ class SignCase:
 
 @dataclass(frozen=True)
 class Scenario:
+    """A scenario kind with beta's size, or only its parity, pinned.
+
+    The parity the kind already fixes is filled in: even for
+    no-jumps-even-gamma and odd for no-jumps-odd-gamma (gamma = 26 - beta
+    has beta's parity), and beta = 0 for beta-zero.  A size or parity that
+    contradicts the kind, or each other, raises ValueError, so equal
+    scenarios compare and hash equal.  with-o1-jumps alone may leave the
+    parity open.  gamma is read from beta, never set."""
     kind: str
     beta: Optional[int] = None
-    gamma: Optional[int] = None
-    parity: Optional[int] = None  # beta's parity when its size is left open
+    parity: Optional[int] = None
 
     def __post_init__(self):
         if self.kind not in SCENARIO_KINDS:
             raise ValueError(f"unknown scenario {self.kind!r}")
-        b, g = self.beta, self.gamma
-        for size in (b, g):
-            if size is not None and size not in range(TOTAL_EMPTIES + 1):
-                raise ValueError(
-                    "beta and gamma must lie in 0..%d" % TOTAL_EMPTIES)
-        if self.parity not in (None, 0, 1):
+        beta, parity = self.beta, self.parity
+        if beta is not None and beta not in _SIZES:
+            raise ValueError(_SIZE_RANGE)
+        if parity not in (None, 0, 1):
             raise ValueError("parity must be None, 0 or 1")
-        if b is not None and g is not None and b + g != TOTAL_EMPTIES:
-            raise ValueError("beta + gamma must be %d" % TOTAL_EMPTIES)
-        if self.kind == BETA_ZERO and b not in (None, 0):
-            raise ValueError("beta-zero scenario requires beta = 0")
-        if self.kind == NO_JUMPS_EVEN_GAMMA and g is not None and g % 2:
-            raise ValueError("gamma must be even here")
-        if self.kind == NO_JUMPS_ODD_GAMMA and g is not None and g % 2 == 0:
-            raise ValueError("gamma must be odd here")
-        if self.parity is not None and b is not None and b % 2 != self.parity:
-            raise ValueError("parity contradicts beta")
-
-    def beta_parity(self) -> Optional[int]:
-        if self.beta is not None:
-            return self.beta % 2
-        if self.gamma is not None:
-            return self.gamma % 2  # beta = 26 - gamma
-        if self.parity is not None:
-            return self.parity
-        if self.kind == NO_JUMPS_EVEN_GAMMA:
-            return 0
-        if self.kind == NO_JUMPS_ODD_GAMMA:
-            return 1
         if self.kind == BETA_ZERO:
-            return 0
-        return None
+            if beta not in (None, 0):
+                raise ValueError("beta-zero scenario requires beta = 0")
+            beta = 0
+        if beta is not None:
+            if parity not in (None, beta % 2):
+                raise ValueError("parity contradicts beta")
+            parity = beta % 2
+        kind_parity = _KIND_PARITY.get(self.kind)
+        if kind_parity is not None:
+            if parity not in (None, kind_parity):
+                raise ValueError("gamma must be %s here"
+                                 % ("odd" if kind_parity else "even"))
+            parity = kind_parity
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "parity", parity)
+
+    @property
+    def gamma(self) -> Optional[int]:
+        return None if self.beta is None else TOTAL_EMPTIES - self.beta
 
     def admits_n(self, n: int) -> bool:
         if self.kind == BETA_ZERO:
             return n == 0
-        parity = self.beta_parity()
         if self.kind == WITH_O1_JUMPS:
-            if n < 1:
-                return False
-            return parity is None or n % 2 == parity
-        # no-jump kinds: n is a median-chain imbalance magnitude
-        if self.beta is not None:
-            return n in _no_jump_magnitudes(self.beta)
-        if parity == 0:
-            return n in _NO_JUMP_N_EVEN
-        return n in _NO_JUMP_N_ODD
+            return n >= 1 and self.parity in (None, n % 2)
+        # no-jump kinds: n is a median-chain imbalance magnitude; the
+        # longest chain of beta's parity realizes every magnitude a shorter
+        # one does, so it serves when beta's size is left open
+        return n in _no_jump_magnitudes(
+            TOTAL_EMPTIES - self.parity if self.beta is None else self.beta)
 
 
 def make_scenario(kind: str, beta: Optional[int] = None,
                   gamma: Optional[int] = None) -> Scenario:
-    if kind == BETA_ZERO and beta is None:
-        beta = 0
-    if beta is not None and gamma is None:
-        gamma = TOTAL_EMPTIES - beta
-    if gamma is not None and beta is None:
-        beta = TOTAL_EMPTIES - gamma
-    return Scenario(kind, beta, gamma)
+    """The scenario with beta's size given as beta, as gamma = 26 - beta or
+    as both, the way the `solve` command takes it."""
+    if gamma is not None:
+        if beta is None:
+            beta = 0 if kind == BETA_ZERO else TOTAL_EMPTIES - gamma
+        # an unknown kind or a beta out of range is Scenario's to report
+        if kind in SCENARIO_KINDS and beta in _SIZES:
+            if gamma not in _SIZES:
+                raise ValueError(_SIZE_RANGE)
+            if beta + gamma != TOTAL_EMPTIES:
+                raise ValueError("beta + gamma must be %d" % TOTAL_EMPTIES)
+    return Scenario(kind, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +217,8 @@ def solve_scenario(scenario: Scenario, mode: str = "uniform") -> list[SignCase]:
 
 @cache
 def _solve_scenario(scenario: Scenario, mode: str) -> tuple[SignCase, ...]:
-    # Scenario validation bounds the keys to about a thousand, so the cache
-    # needs no size limit
+    # Scenario validation bounds the keys to 120, so the cache needs no size
+    # limit
     out: list[SignCase] = []
     eps3_values = (1, -1) if scenario.kind != BETA_ZERO else (None,)
     eps4_values = (1, -1) if scenario.kind == NO_JUMPS_ODD_GAMMA else (None,)
@@ -286,17 +285,15 @@ def orevkov_filter(cases: Iterable[SignCase]) -> list[SignCase]:
 # ---------------------------------------------------------------------------
 # concrete signed schemes
 
-def emit_complex_scheme(case: SignCase, beta: int,
-                        gamma: Optional[int] = None) -> SignedScheme:
+def emit_complex_scheme(case: SignCase, beta: int) -> SignedScheme:
     """Concrete signed scheme carrying the case's census at the given beta.
 
     Raises InfeasibleOrientationError when the census does not fit: a group
     count would be negative, fractional, or the imbalance exceeds what the
     scenario's n-domain allows at this size.
     """
-    if gamma is None:
-        gamma = TOTAL_EMPTIES - beta
-    scenario = make_scenario(case.scenario, beta, gamma)
+    scenario = Scenario(case.scenario, beta)
+    gamma = scenario.gamma
     if not scenario.admits_n(case.n):
         raise InfeasibleOrientationError(
             f"n={case.n} is not admissible at beta={beta}")
@@ -351,12 +348,11 @@ class ProhibitReport:
     feasible: tuple[FeasibleScheme, ...]
 
 
-def deep_nest_scheme(beta: int, gamma: Optional[int] = None) -> RealScheme:
-    """The parsed scheme <J + 1<beta + 1<gamma>>>, a convenience for callers
-    who hold beta and want to go through `prohibit`."""
-    if gamma is None:
-        gamma = TOTAL_EMPTIES - beta
-    return parse_scheme(f"<J + 1<{beta} + 1<{gamma}>>>", DEGREE)
+def deep_nest_scheme(beta: int) -> RealScheme:
+    """The parsed scheme <J + 1<beta + 1<26 - beta>>>, a convenience for
+    callers who hold beta and want to go through `prohibit`."""
+    return parse_scheme(f"<J + 1<{beta} + 1<{TOTAL_EMPTIES - beta}>>>",
+                        DEGREE)
 
 
 def prohibit(scheme: RealScheme, known: Iterable[int] = (),
@@ -388,7 +384,7 @@ def _prohibit(beta: int, gamma: int, known: Iterable[int],
     results = []
     survivors_all: list[SignCase] = []
     if beta == 0:
-        scenarios = [make_scenario(BETA_ZERO)]
+        scenarios = [Scenario(BETA_ZERO)]
     else:
         gamma_kind = (NO_JUMPS_ODD_GAMMA if gamma % 2
                       else NO_JUMPS_EVEN_GAMMA)
@@ -404,7 +400,7 @@ def _prohibit(beta: int, gamma: int, known: Iterable[int],
     feasible: list[FeasibleScheme] = []
     for case in survivors_all:
         try:
-            signed = emit_complex_scheme(case, beta, gamma)
+            signed = emit_complex_scheme(case, beta)
         except InfeasibleOrientationError:
             continue
         rm = check_rokhlin_mishachev(signed, "uniform")
@@ -466,7 +462,7 @@ def theorem2_report(beta: int, gamma: Optional[int] = None) -> TheoremTwoRow:
     if gamma is None:
         gamma = TOTAL_EMPTIES - beta
     if min(beta, gamma) < 0:
-        raise ValueError("beta and gamma must lie in 0..%d" % TOTAL_EMPTIES)
+        raise ValueError(_SIZE_RANGE)
     if beta + gamma != TOTAL_EMPTIES:
         raise ValueError(_NOT_M_CURVE)
     if gamma == 0:

@@ -18,8 +18,7 @@ from deepnest.cases import (
     TheoremOneRow,
     TheoremTwoRow,
     WITH_O1_JUMPS,
-    _NO_JUMP_N_EVEN,
-    _NO_JUMP_N_ODD,
+    _no_jump_magnitudes,
     _prohibit,
     _solve_scenario,
     beta_zero_contradiction,
@@ -98,9 +97,9 @@ def test_case_residuals_vanish_on_solutions():
 
 def test_scenario_validation():
     with pytest.raises(ValueError):
-        Scenario(WITH_O1_JUMPS, beta=3, gamma=20)     # sizes must total 26
+        make_scenario(WITH_O1_JUMPS, beta=3, gamma=20)  # sizes must total 26
     with pytest.raises(ValueError):
-        Scenario(NO_JUMPS_EVEN_GAMMA, beta=3, gamma=23)  # inner count odd
+        make_scenario(NO_JUMPS_EVEN_GAMMA, beta=3, gamma=23)  # inner count odd
     with pytest.raises(ValueError):
         Scenario(WITH_O1_JUMPS, beta=4, parity=1)     # parity contradicts size
     with pytest.raises(ValueError):
@@ -109,24 +108,67 @@ def test_scenario_validation():
     assert (sc.beta, sc.gamma) == (3, 23)
 
 
+@pytest.mark.parametrize("kind, fields", [
+    (NO_JUMPS_EVEN_GAMMA, {"beta": 1}),   # gamma = 25 is odd
+    (NO_JUMPS_ODD_GAMMA, {"beta": 4}),    # gamma = 22 is even
+    (NO_JUMPS_ODD_GAMMA, {"parity": 0}),
+    (BETA_ZERO, {"parity": 1}),
+])
+def test_scenario_rejects_a_parity_its_kind_contradicts(kind, fields):
+    with pytest.raises(ValueError):
+        Scenario(kind, **fields)
+
+
+def test_scenario_fills_in_what_its_kind_fixes():
+    assert Scenario(NO_JUMPS_EVEN_GAMMA) == Scenario(NO_JUMPS_EVEN_GAMMA,
+                                                     parity=0)
+    assert Scenario(NO_JUMPS_ODD_GAMMA).parity == 1
+    assert Scenario(BETA_ZERO) == Scenario(BETA_ZERO, beta=0, parity=0)
+    assert Scenario(BETA_ZERO).gamma == 26
+    assert Scenario(WITH_O1_JUMPS, beta=5).parity == 1
+    assert Scenario(WITH_O1_JUMPS).parity is None
+    assert Scenario(WITH_O1_JUMPS, parity=0).gamma is None
+
+
+def test_make_scenario_reads_gamma_as_beta():
+    sized = make_scenario(NO_JUMPS_EVEN_GAMMA, gamma=24)
+    assert sized == Scenario(NO_JUMPS_EVEN_GAMMA, beta=2)
+    assert hash(sized) == hash(Scenario(NO_JUMPS_EVEN_GAMMA, beta=2))
+    # beta = 2 admits only the n = 2 case, not the open size's n = 4
+    assert {c.n for c in solve_scenario(sized)} == {2}
+
+
 @pytest.mark.parametrize("fields", [
     {"parity": 7}, {"parity": -1},
     {"beta": -1}, {"beta": 27}, {"beta": 1000},
     {"gamma": -3}, {"gamma": 27},
 ])
 def test_scenario_rejects_sizes_and_parities_out_of_domain(fields):
+    build = make_scenario if "gamma" in fields else Scenario
     with pytest.raises(ValueError):
-        Scenario(WITH_O1_JUMPS, **fields)
+        build(WITH_O1_JUMPS, **fields)
 
 
 def all_scenarios():
+    """Every field combination Scenario accepts, equal ones included."""
     sizes = (None, *range(TOTAL_EMPTIES + 1))
-    for kind, beta, gamma, parity in product(SCENARIO_KINDS, sizes, sizes,
-                                             (None, 0, 1)):
+    for kind, beta, parity in product(SCENARIO_KINDS, sizes, (None, 0, 1)):
         try:
-            yield Scenario(kind, beta, gamma, parity)
+            yield Scenario(kind, beta, parity)
         except ValueError:
             continue
+
+
+def test_scenario_domain_has_sixty_values():
+    accepted = list(all_scenarios())
+    assert len(set(accepted)) == 60
+    kind_parity = {NO_JUMPS_EVEN_GAMMA: 0, NO_JUMPS_ODD_GAMMA: 1,
+                   BETA_ZERO: 0}
+    for scn in accepted:   # no value contradicts itself or its kind
+        assert scn.beta is None or scn.parity == scn.beta % 2
+        assert scn.parity == kind_parity.get(scn.kind, scn.parity)
+        assert scn.kind != BETA_ZERO or scn.beta == 0
+        assert scn.gamma == (None if scn.beta is None else 26 - scn.beta)
 
 
 def zero_residual_cases(kind, mode):
@@ -153,16 +195,17 @@ def test_solver_matches_brute_force_over_whole_domain():
         assert first == expected, (scn, mode)
         first.append(None)   # a caller's list is its own
         assert solve_scenario(scn, mode) == expected, (scn, mode)
-    # every key of the finite domain is cached, and nothing else is
-    assert _solve_scenario.cache_info().currsize == len(keys)
+    # every key of the finite domain is cached, and nothing else is: the
+    # 60 scenarios in two modes
+    assert _solve_scenario.cache_info().currsize == len(set(keys)) == 120
 
 
 def test_no_jump_domains_are_derived_from_the_chain():
-    assert _NO_JUMP_N_EVEN == {0, 2, 4}
-    assert _NO_JUMP_N_ODD == {1, 3}
+    assert _no_jump_magnitudes(TOTAL_EMPTIES) == {0, 2, 4}
+    assert _no_jump_magnitudes(TOTAL_EMPTIES - 1) == {1, 3}
     # the open-size domains cover every concrete chain of the same parity
     for beta in range(TOTAL_EMPTIES + 1):
-        domain = _NO_JUMP_N_ODD if beta % 2 else _NO_JUMP_N_EVEN
+        domain = _no_jump_magnitudes(TOTAL_EMPTIES - beta % 2)
         assert chain_imbalance_magnitudes(beta, 3, "odd") <= domain
 
 
@@ -174,11 +217,11 @@ def test_admits_n_budgets():
     no_jump = Scenario(NO_JUMPS_EVEN_GAMMA, parity=0)
     assert no_jump.admits_n(0) and no_jump.admits_n(4)
     assert not no_jump.admits_n(6)    # beyond the three-jump chain budget
-    sized = Scenario(NO_JUMPS_EVEN_GAMMA, beta=2, gamma=24)
+    sized = Scenario(NO_JUMPS_EVEN_GAMMA, beta=2)
     # a two-oval chain with an odd jump budget realizes only imbalance 2
     assert sized.admits_n(2)
     assert not sized.admits_n(0) and not sized.admits_n(4)
-    zero = Scenario(BETA_ZERO, beta=0, gamma=26)
+    zero = Scenario(BETA_ZERO, beta=0)
     assert zero.admits_n(0) and not zero.admits_n(1)
 
 

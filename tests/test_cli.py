@@ -328,6 +328,20 @@ def test_solve_rejects_sizes_out_of_range(capsys, argv):
     assert_input_error(capsys, ["solve", *argv])
 
 
+@pytest.mark.parametrize("kind", ["with-o1-jumps", "no-jumps-even-gamma",
+                                  "no-jumps-odd-gamma", "beta-zero"])
+@pytest.mark.parametrize("mode", ["paper", "uniform"])
+def test_solve_reads_gamma_as_beta(capsys, kind, mode):
+    for gamma in range(27):
+        outcomes = []
+        for flag, size in (("--gamma", gamma), ("--beta", 26 - gamma)):
+            code, out = run(capsys, "--json", "solve", "--scenario", kind,
+                            "--mode", mode, flag, str(size))
+            outcomes.append((code, json.loads(out)["results"] if out
+                             else None))
+        assert outcomes[0] == outcomes[1], (kind, mode, gamma)
+
+
 def test_check_rm_rejects_even_degree(capsys):
     assert_input_error(
         capsys, ["check-rm", "--degree", "8", "--scheme", "<1_+<3_+ + 2_->>"])
