@@ -70,10 +70,14 @@ _RHS = rm_rhs(DEGREE, TOTAL_EMPTIES + 3)  # 28 ovals + one-sided = 29
 _NOT_M_CURVE = ("prohibition argument applies to schemes with the maximal "
                 "number of components")
 _NO_NEST = "scheme has no depth-3 nest"
-_SIZES = range(TOTAL_EMPTIES + 1)
-_SIZE_RANGE = "beta and gamma must lie in 0..%d" % TOTAL_EMPTIES
+_SIZE_RANGE = "beta and gamma must be integers in 0..%d" % TOTAL_EMPTIES
 # the parity of gamma, hence of beta, that each no-jump kind fixes
 _KIND_PARITY = {NO_JUMPS_EVEN_GAMMA: 0, NO_JUMPS_ODD_GAMMA: 1}
+
+
+def _is_size(v) -> bool:
+    """An int in 0..26; a bool, float or str is no size even if equal to one."""
+    return type(v) is int and 0 <= v <= TOTAL_EMPTIES
 
 
 @cache
@@ -132,7 +136,7 @@ class Scenario:
         if self.kind not in SCENARIO_KINDS:
             raise ValueError(f"unknown scenario {self.kind!r}")
         beta, parity = self.beta, self.parity
-        if beta is not None and beta not in _SIZES:
+        if beta is not None and not _is_size(beta):
             raise ValueError(_SIZE_RANGE)
         if parity not in (None, 0, 1):
             raise ValueError("parity must be None, 0 or 1")
@@ -174,14 +178,14 @@ def make_scenario(kind: str, beta: Optional[int] = None,
     """The scenario with beta's size given as beta, as gamma = 26 - beta or
     as both, the way the `solve` command takes it."""
     if gamma is not None:
+        if not _is_size(gamma):
+            raise ValueError(_SIZE_RANGE)
         if beta is None:
             beta = 0 if kind == BETA_ZERO else TOTAL_EMPTIES - gamma
         # an unknown kind or a beta out of range is Scenario's to report
-        if kind in SCENARIO_KINDS and beta in _SIZES:
-            if gamma not in _SIZES:
-                raise ValueError(_SIZE_RANGE)
-            if beta + gamma != TOTAL_EMPTIES:
-                raise ValueError("beta + gamma must be %d" % TOTAL_EMPTIES)
+        if (kind in SCENARIO_KINDS and _is_size(beta)
+                and beta + gamma != TOTAL_EMPTIES):
+            raise ValueError("beta + gamma must be %d" % TOTAL_EMPTIES)
     return Scenario(kind, beta)
 
 
@@ -457,12 +461,12 @@ class TheoremTwoRow:
 def theorem2_report(beta: int, gamma: Optional[int] = None) -> TheoremTwoRow:
     """Candidate signed schemes at an even beta: every parity-generic
     survivor that fits, re-verified through the full census machinery."""
+    if not _is_size(beta) or not (gamma is None or _is_size(gamma)):
+        raise ValueError(_SIZE_RANGE)
     if beta % 2:
         raise ValueError("this table covers even beta")
     if gamma is None:
         gamma = TOTAL_EMPTIES - beta
-    if min(beta, gamma) < 0:
-        raise ValueError(_SIZE_RANGE)
     if beta + gamma != TOTAL_EMPTIES:
         raise ValueError(_NOT_M_CURVE)
     if gamma == 0:

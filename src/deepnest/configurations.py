@@ -13,10 +13,17 @@ configuration's 20 orientation signs.
 The event sequence of a valid configuration lists, in pencil order, the five
 reducible members of the cubic pencil through the six points (labeled "12".."16"
 by their line component) together with the cyclic position order of the
-remaining points on each conic component.  It is computed downstream of a
-quadratic transformation based at points 1, 5, 4: the transformed curve family
-becomes the pencil of conics through four points, whose parameter circle
-supplies the event order.
+remaining points on each conic component.  The event order is computed
+downstream of a quadratic transformation based at points 1, 5, 4: the
+transformed curve family becomes the pencil of conics through four points,
+whose parameter circle supplies it.  The position orders need no conic:
+central projection from point 1 maps the conic missing x onto the line
+pencil at 1, and 1 itself onto its tangent.  So the other four points keep
+their pencil order a0..a3, and 1 falls between a(i-1) and a(i) iff that pair
+separates {1, a(i+1)} on the conic.  Seen from e = a(i+2) (indices mod 4),
+iff [e a(i-1) 1][e a(i) a(i+1)][e a(i-1) a(i+1)][e a(i) 1] < 0: a cross-ratio
+sign read from the orientation table, where each label occurs an even number
+of times, so the chart's choice of sign cancels.
 """
 
 from __future__ import annotations
@@ -30,20 +37,12 @@ from .geometry import (
     DegeneratePositionError,
     Triple,
     _hull_cycle,
-    chart_direction,
     chart_orient,
-    circle_sort,
-    double_angle,
     normalize,
     orientation_table,
     point,
 )
-from .conics import (
-    conic_pencil_events,
-    conic_through_5,
-    cremona,
-    polar_line,
-)
+from .conics import conic_pencil_events, cremona
 
 
 class InvalidConfigurationError(ValueError):
@@ -100,7 +99,7 @@ REFERENCE_SEQUENCES: dict[int, list[tuple[str, str]]] = {
 # as the configuration varies.  What IS invariant per class is the cyclic
 # order of the three singular members, so each configuration's cycle is read
 # in whichever direction reproduces that subcycle.  The per-conic position
-# cycles are read along (+1) or against (-1) the secant sweep at point 1.
+# cycles are read along (+1) or against (-1) the pencil at point 1.
 SINGULAR_CYCLES = {
     1: ("12", "13", "16"),
     2: ("12", "16", "13"),
@@ -362,22 +361,19 @@ def _contradiction(signs, pattern, interior, relabel=0, region=None,
 _SINGULAR_LABELS = {"12|34": "12", "13|24": "13", "14|23": "16"}
 
 
-def _position_cycle(cfg: dict[int, Triple], x: int,
-                    secants: dict[int, tuple[int, int]]) -> tuple[str, str]:
-    """Both readings of the cyclic order of the five points other than `x`
-    on the conic through them, anchored at point 1's secant pencil.
-    `secants[k]` is the doubled chart direction from point 1 to point k."""
-    labels = [i for i in (1, 2, 3, 4, 5, 6) if i != x]
-    conic = conic_through_5([cfg[i] for i in labels])
-    items = [(lab, secants[lab]) for lab in labels if lab != 1]
-    tangent = polar_line(conic, cfg[1])
-    items.append(("anchor", double_angle((tangent[1], -tangent[0]))))
-    order = [lab for lab, _ in circle_sort(items, key=lambda it: it[1])]
-    i = order.index("anchor")
-    cyc = order[i:] + order[:i]
-    fwd = "1" + "".join(str(v) for v in cyc[1:])
-    rev = "1" + "".join(str(v) for v in reversed(cyc[1:]))
-    return fwd, rev
+def _position_cycle(signs: dict, x: int) -> tuple[str, str]:
+    """Both readings, from point 1 along its pencil and against it, of the
+    cyclic order of the five points other than `x` on the conic through
+    them, from the orientation table of a pencil-ordered configuration."""
+    a = [v for v in (2, 3, 4, 5, 6) if v != x]
+    for i in range(3):
+        p, q, r, e = a[i - 1], a[i], a[i + 1], a[(i + 2) % 4]
+        if signs[e, p, 1] * signs[e, q, r] * signs[e, p, r] * signs[e, q, 1] < 0:
+            break
+    else:
+        i = 3
+    cyc = "".join(map(str, a[i:] + a[:i]))
+    return "1" + cyc, "1" + cyc[::-1]
 
 
 @dataclass(frozen=True)
@@ -401,18 +397,15 @@ def reducible_cubic_sequence(cfg: dict[int, Triple]) -> SequenceReport:
         return SequenceReport(classification=cl)
     c = sigma_shift(cfg, cl.relabel_shift)
     qt = cremona(c[1], c[5], c[4])
-    img = {x: qt.point(c[x]) for x in (2, 3, 6)}
-    events = conic_pencil_events(
-        [c[1], img[2], img[3], img[6]],
-        [("14", c[5]), ("15", c[4])],
-    )
+    events = conic_pencil_events([c[1], *(qt.point(c[x]) for x in (2, 3, 6))],
+                                 [("14", c[5]), ("15", c[4])])
     order = [_SINGULAR_LABELS.get(ev.label, ev.label) for ev in events]
     order = _orient_events(order, cl.case)
-    secants = {k: double_angle(chart_direction(c[1], c[k])) for k in range(2, 7)}
+    signs = orientation_table(c)
     out = []
     for lab in order:
         x = int(lab[1])
-        fwd, rev = _position_cycle(c, x, secants)
+        fwd, rev = _position_cycle(signs, x)
         out.append((lab, fwd if DIGIT_DIRECTION[(cl.case, x)] > 0 else rev))
     matches = cyclic_equal(out, REFERENCE_SEQUENCES[cl.case])
     return SequenceReport(classification=cl, events=tuple(out),

@@ -112,7 +112,12 @@ class PencilEvent:
     kind: str              # "singular" | "through-point"
     label: str
     parameter: tuple[int, int]   # canonical (lam : mu) on the parameter circle
-    member: Conic
+    generators: tuple[Conic, Conic]   # the pencil's members 12|34 and 13|24
+
+    @property
+    def member(self) -> Conic:
+        """The pencil member lam * 12|34 + mu * 13|24, built on read."""
+        return pencil_member(*self.generators, *self.parameter)
 
 
 def _pair_conic(l1: Triple, l2: Triple) -> Conic:
@@ -153,26 +158,20 @@ def conic_pencil_events(base: Sequence[Triple], extras=()):
     l12, l34 = line_through(base[0], base[1]), line_through(base[2], base[3])
     l13, l24 = line_through(base[0], base[2]), line_through(base[1], base[3])
     l14, l23 = line_through(base[0], base[3]), line_through(base[1], base[2])
-    ga = _pair_conic(l12, l34)
-    gb = _pair_conic(l13, l24)
+    gens = (_pair_conic(l12, l34), _pair_conic(l13, l24))
 
     def param_through(p: Triple) -> tuple[int, int]:
-        va, vb = conic_eval(ga, p), conic_eval(gb, p)
+        va, vb = (conic_eval(g, p) for g in gens)
         if va == 0 and vb == 0:
             raise DegeneratePositionError("point lies on every pencil member")
         return _canon_param(-vb, va)
 
-    events: list[PencilEvent] = []
-    events.append(PencilEvent("singular", "12|34", _canon_param(1, 0), ga))
-    events.append(PencilEvent("singular", "13|24", _canon_param(0, 1), gb))
-    vtx = cross(l14, l23)
-    lam, mu = param_through(vtx)
-    events.append(PencilEvent("singular", "14|23", (lam, mu),
-                              pencil_member(ga, gb, lam, mu)))
-    for label, p in extras:
-        lam, mu = param_through(p)
-        events.append(PencilEvent("through-point", label, (lam, mu),
-                                  pencil_member(ga, gb, lam, mu)))
+    events = [
+        PencilEvent("singular", "12|34", (1, 0), gens),
+        PencilEvent("singular", "13|24", (0, 1), gens),
+        PencilEvent("singular", "14|23", param_through(cross(l14, l23)), gens),
+    ] + [PencilEvent("through-point", label, param_through(p), gens)
+         for label, p in extras]
     seen = {}
     for ev in events:
         if ev.parameter in seen:

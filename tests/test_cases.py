@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -147,6 +148,19 @@ def test_scenario_rejects_sizes_and_parities_out_of_domain(fields):
     build = make_scenario if "gamma" in fields else Scenario
     with pytest.raises(ValueError):
         build(WITH_O1_JUMPS, **fields)
+
+
+@pytest.mark.parametrize("size", [12.0, True, "12", Fraction(12)])
+def test_sizes_must_be_integers(size):
+    for build, fields in ((Scenario, {"beta": size}),
+                          (make_scenario, {"beta": size}),
+                          (make_scenario, {"gamma": size})):
+        with pytest.raises(ValueError):
+            build(WITH_O1_JUMPS, **fields)
+    with pytest.raises(ValueError):
+        theorem2_report(size)
+    with pytest.raises(ValueError):
+        theorem2_report(12, size)
 
 
 def all_scenarios():

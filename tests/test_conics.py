@@ -25,6 +25,7 @@ from deepnest.conics import (
     conic_pencil_events,
     conic_through_5,
     cremona,
+    pencil_member,
     polar_line,
 )
 from deepnest.configurations import sample_configuration
@@ -266,10 +267,17 @@ def test_pencil_member_through_extra_point():
             events = conic_pencil_events(base, [("p", p)])
         except DegeneratePositionError:
             continue
+        ga = _pair_conic(line_through(base[0], base[1]),
+                         line_through(base[2], base[3]))
+        gb = _pair_conic(line_through(base[0], base[2]),
+                         line_through(base[1], base[3]))
+        for ev in events:
+            # built on read from the generators and the event's parameter
+            assert ev.member == pencil_member(ga, gb, *ev.parameter)
+            assert all(conic_eval(ev.member, b) == 0 for b in base)
         ev = next(e for e in events if e.label == "p")
         assert ev.kind == "through-point"
         assert conic_eval(ev.member, p) == 0
-        assert all(conic_eval(ev.member, b) == 0 for b in base)
 
 
 def test_cremona_is_an_involution():
