@@ -138,7 +138,7 @@ class Scenario:
         beta, parity = self.beta, self.parity
         if beta is not None and not _is_size(beta):
             raise ValueError(_SIZE_RANGE)
-        if parity not in (None, 0, 1):
+        if not (parity is None or type(parity) is int and 0 <= parity <= 1):
             raise ValueError("parity must be None, 0 or 1")
         if self.kind == BETA_ZERO:
             if beta not in (None, 0):

@@ -24,13 +24,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 import time
 from typing import Any, Optional
 
-from . import bezout, cases, configurations, orientations, schemes
-from .geometry import normalize
+# the geometry stack and bezout load in the handlers that use them
+from . import cases, orientations, schemes
 
 SCHEMA = "deepnest-report/1"
 
@@ -226,6 +225,7 @@ def _is_int(v) -> bool:
 
 
 def _load_config(path: str) -> dict[int, tuple[int, int, int]]:
+    from .geometry import normalize
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
@@ -260,6 +260,11 @@ def _sequence_json(events) -> list[list[str]]:
 
 
 def _cmd_lemma3(args) -> tuple[dict, dict, list[str]]:
+    if args.config is None and args.case is None:
+        raise ValueError("lemma3 needs --case (or --config FILE)")
+    if args.config is None and args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
+    from . import configurations
     if args.config is not None:
         inputs = {"config": args.config}
         cfg = _load_config(args.config)
@@ -287,10 +292,7 @@ def _cmd_lemma3(args) -> tuple[dict, dict, list[str]]:
         return inputs, results, ["MATCHES" if rep.matches_reference
                                  else "MISMATCH"]
 
-    if args.case is None:
-        raise ValueError("lemma3 needs --case (or --config FILE)")
-    if args.samples < 1:
-        raise ValueError(f"--samples must be at least 1, got {args.samples}")
+    import random
     inputs = {"case": args.case, "samples": args.samples, "seed": args.seed}
     rng = random.Random(args.seed)
     per_sample = []
@@ -315,6 +317,7 @@ def _cmd_lemma3(args) -> tuple[dict, dict, list[str]]:
 
 
 def _cmd_audit(args) -> tuple[dict, dict, list[str]]:
+    from . import bezout
     inputs = {"trace": args.trace}
     trace = bezout.load_trace(args.trace)
     rep = bezout.audit(trace)

@@ -141,6 +141,7 @@ def test_make_scenario_reads_gamma_as_beta():
 
 @pytest.mark.parametrize("fields", [
     {"parity": 7}, {"parity": -1},
+    {"parity": True}, {"parity": False}, {"parity": 1.0}, {"parity": "1"},
     {"beta": -1}, {"beta": 27}, {"beta": 1000},
     {"gamma": -3}, {"gamma": 27},
 ])

@@ -1,0 +1,138 @@
+"""The package's public names, and the modules each command loads.
+
+`import deepnest` loads no submodule: every exported name imports its
+module on first use.  A command loads the orientation stack (schemes,
+orientations, cases) and only what it runs beyond that: bezout for
+`audit`, the six-point geometry for `lemma3`.  Each check starts a fresh
+interpreter, because this test process has long imported everything.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import pathlib
+import re
+import subprocess
+import sys
+
+import pytest
+
+import deepnest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+
+ORIENTATION = {"deepnest.cli", "deepnest.schemes", "deepnest.orientations",
+               "deepnest.cases"}
+GEOMETRY = {"deepnest.geometry", "deepnest.conics", "deepnest.configurations"}
+
+# imports deepnest, runs `deepnest ARGV` if given, and prints the exit
+# status and the deepnest modules then loaded
+PROBE = """
+import contextlib, io, json, sys
+import deepnest
+code = None
+if sys.argv[1:]:
+    from deepnest.cli import main
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        code = main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules
+                               if m.startswith("deepnest."))]))
+"""
+
+PUBLIC_NAMES = [
+    "AuxCurveTrace", "BASE_CONFIGURATIONS", "BETA_ZERO", "BudgetReport",
+    "Classification", "DeepNestProfile", "InadmissibleSchemeError",
+    "InfeasibleOrientationError", "InvalidTraceError", "NO_JUMPS_EVEN_GAMMA",
+    "NO_JUMPS_ODD_GAMMA", "OrientationParityError", "OrientationStats",
+    "ProhibitReport", "REFERENCE_SEQUENCES", "RealScheme", "SCENARIO_KINDS",
+    "Scenario", "SchemeSyntaxError", "SignCase", "SignedScheme",
+    "WITH_O1_JUMPS", "audit", "beta_zero_contradiction", "bezout", "cases",
+    "chain_imbalance_magnitudes", "chain_imbalance_set", "check_orevkov",
+    "check_rokhlin_mishachev", "classify_configuration", "classify_deep_nest",
+    "compute_stats", "configurations", "conics", "deep_nest_scheme",
+    "emit_complex_scheme", "geometry", "is_m_curve", "load_trace",
+    "make_scenario", "orevkov_filter", "orientations", "parse_scheme",
+    "parse_signed", "parse_trace", "print_scheme", "print_signed", "prohibit",
+    "reducible_cubic_sequence", "rm_rhs", "sample_configuration", "schemes",
+    "solve_scenario", "theorem1_report", "theorem2_report",
+]
+
+
+def fresh(*args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, *args], cwd=GOLDEN, env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def loaded_by(*argv: str) -> tuple[int, set[str]]:
+    done = fresh("-c", PROBE, *argv)
+    assert done.returncode == 0, done.stderr
+    code, modules = json.loads(done.stdout)
+    return code, set(modules)
+
+
+def test_import_loads_no_submodule():
+    assert loaded_by() == (None, set())
+
+
+@pytest.mark.parametrize("argv", [
+    ["parse", "--scheme", "<J + 1<4 + 1<22>>>"],
+    ["check-rm", "--scheme", "<J + 1_-<3_+ + 9_- + 1_-<10_+ + 4_->>>"],
+    ["check-orevkov", "--scheme", "<J + 1_-<3_+ + 9_- + 1_-<10_+ + 4_->>>"],
+    ["solve", "--scenario", "with-o1-jumps"],
+    ["prohibit", "--scheme", "<J + 1<3 + 1<23>>>"],
+    ["theorem1"],
+    ["theorem2", "--beta", "12"],
+], ids=lambda argv: argv[0])
+def test_orientation_commands_load_only_the_orientation_stack(argv):
+    assert loaded_by("--json", *argv) == (0, ORIENTATION)
+
+
+def test_audit_loads_bezout_and_no_geometry():
+    assert loaded_by("--json", "audit", "--trace", "trace.json") == (
+        0, ORIENTATION | {"deepnest.bezout"})
+
+
+def test_lemma3_loads_the_geometry_stack():
+    assert loaded_by("--json", "lemma3", "--case", "1", "--samples", "1") == (
+        0, ORIENTATION | GEOMETRY)
+
+
+def test_lemma3_rejects_missing_case_before_loading_geometry():
+    assert loaded_by("--json", "lemma3") == (2, ORIENTATION)
+
+
+def test_public_names_are_unchanged():
+    assert sorted(deepnest.__all__) == PUBLIC_NAMES
+    assert set(PUBLIC_NAMES) <= set(dir(deepnest))
+
+
+@pytest.mark.parametrize("name", PUBLIC_NAMES)
+def test_each_public_name_resolves_and_stays_bound(name):
+    value = getattr(deepnest, name)
+    # bound in the package namespace, so the next lookup is a dict hit
+    assert vars(deepnest)[name] is value
+
+
+def test_star_import_binds_every_public_name():
+    namespace: dict = {}
+    exec("from deepnest import *", namespace)
+    assert set(PUBLIC_NAMES) <= set(namespace)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(deepnest, "no_such_name")
+    with pytest.raises(ImportError):
+        exec("from deepnest import no_such_name", {})
+
+
+def test_readme_library_snippet_runs_in_a_fresh_interpreter():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    library = readme[readme.index("## Library"):]
+    snippet = re.search(r"```python\n(.*?)```", library, re.S).group(1)
+    done = fresh("-c", snippet)
+    assert done.returncode == 0, done.stderr
