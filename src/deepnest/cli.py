@@ -14,10 +14,11 @@ ValueError, so main() turns any ValueError or OSError into one
 "deepnest: error: ..." line on stderr and exit status 2 (argparse usage
 errors exit 2 too).  A handler catches an error only to turn it into a
 verdict (parse reports INADMISSIBLE) or to prefix it with what only the
-command line knows (--known, a --config point or configuration).  Both
-scheme parsers reject a nest deeper than degree // 2: a line through the
-innermost oval meets each oval of the nest twice, so by Bezout no curve of
-that degree has a deeper one.
+command line knows (--known, a --config point or configuration).  Plain
+and signed schemes share one grammar and one reader (a signed count carries
+a sign suffix).  It rejects a nest deeper than degree // 2, since a line
+through the innermost oval meets each oval of the nest twice (Bezout), and
+reads any shallower nest without recursion, whatever the degree.
 """
 
 from __future__ import annotations

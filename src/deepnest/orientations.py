@@ -1,7 +1,9 @@
 """Signed schemes and orientation bookkeeping.
 
-A signed scheme decorates every oval with +/-: empties are written with a
-sign suffix ("4_+ + 9_-"), containers as "1_-<...>".  From the signed tree we
+A signed scheme decorates every oval with +/-.  It is written in the one
+scheme grammar of `schemes`, read by the same `read_scheme`, with a sign
+suffix on every count: empties as "4_+ + 9_-", containers as "1_-<...>"
+(count 1 only), and a bare "0" for no ovals.  From the signed tree we
 tabulate the census a complex orientation must satisfy:
 
   * oval counts by sign, split into empty and non-empty ovals,
@@ -18,11 +20,10 @@ hand computation can be replayed verbatim next to the uniform one.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Literal, Optional
 
-from .schemes import SchemeSyntaxError
+from .schemes import SchemeSyntaxError, print_items, read_scheme
 
 Mode = Literal["uniform", "literal"]
 
@@ -52,9 +53,8 @@ class SignedScheme:
     ovals: tuple[SignedOval, ...]     # outermost non-empty ovals
 
     def oval_count(self) -> int:
-        def walk(o: SignedOval) -> int:
-            return 1 + o.empties.plus + o.empties.minus + sum(map(walk, o.ovals))
-        return self.empties.plus + self.empties.minus + sum(map(walk, self.ovals))
+        return self.empties.plus + self.empties.minus + sum(
+            1 + o.empties.plus + o.empties.minus for o, _ in _iter_ovals(self))
 
     def component_count(self) -> int:
         return self.oval_count() + (1 if self.pseudoline else 0)
@@ -69,102 +69,50 @@ def _fmt_empties(e: SignedEmpties) -> list[str]:
     return [f"{e.plus}_+", f"{e.minus}_-"]
 
 
-def _fmt_oval(o: SignedOval) -> str:
-    sign = "+" if o.sign > 0 else "-"
-    inner = _fmt_empties(o.empties) + [_fmt_oval(c) for c in o.ovals]
-    return f"1_{sign}<" + (" + ".join(inner) if inner else "0") + ">"
+def _oval_node(o: SignedOval) -> tuple[str, list]:
+    head = "1_+" if o.sign > 0 else "1_-"
+    return head, _fmt_empties(o.empties) + list(o.ovals)
 
 
 def print_signed(s: SignedScheme) -> str:
-    parts = (["J"] if s.pseudoline else [])
-    parts += _fmt_empties(s.empties)
-    parts += [_fmt_oval(o) for o in s.ovals]
-    return "<" + (" + ".join(parts) if parts else "0") + ">"
+    items = (["J"] if s.pseudoline else []) + _fmt_empties(s.empties)
+    return "<" + print_items(items + list(s.ovals), _oval_node) + ">"
 
 
-_TOKEN = re.compile(r"\s*(J|\d+_[+-]|[<>+]|0(?![\d_]))")
+def _signed_item(count: int, sign: Optional[str], body: Optional[list],
+                 at: int):
+    """A signed item: SignedEmpties for empty ovals, SignedOval for a
+    container, None for a bare 0."""
+    if sign is None:
+        if count or body is not None:
+            raise SchemeSyntaxError(
+                "a signed count needs the suffix '_+' or '_-'", at)
+        return None
+    if body is not None:
+        if count != 1:
+            raise SchemeSyntaxError("signed containers must have count 1", at)
+        empties, ovals = _signed_body(body)
+        if ovals or empties.plus or empties.minus:
+            return SignedOval(1 if sign == "+" else -1, empties, ovals)
+        # an oval containing nothing is an empty oval
+    return SignedEmpties(count, 0) if sign == "+" else SignedEmpties(0, count)
+
+
+def _signed_body(items: list) -> tuple[SignedEmpties, tuple[SignedOval, ...]]:
+    plus = minus = 0
+    ovals = []
+    for item in items:
+        if isinstance(item, SignedOval):
+            ovals.append(item)
+        else:
+            plus += item.plus
+            minus += item.minus
+    return SignedEmpties(plus, minus), tuple(ovals)
 
 
 def parse_signed(text: str, degree: int) -> SignedScheme:
-    pos = 0
-    tokens: list[tuple[str, int]] = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise SchemeSyntaxError("unexpected input in signed scheme", pos)
-            break
-        tokens.append((m.group(1), m.start(1)))
-        pos = m.end()
-    tokens.reverse()  # pop() from the front
-    max_depth = degree // 2  # Bezout with a line: 2 * depth <= degree
-
-    def take() -> tuple[str, int]:
-        if not tokens:
-            raise SchemeSyntaxError("unexpected end of signed scheme", len(text))
-        return tokens.pop()
-
-    def peek() -> str:
-        return tokens[-1][0] if tokens else ""
-
-    def body(depth: int):
-        saw_j = False
-        plus = minus = 0
-        ovals: list[SignedOval] = []
-        if peek() == "0":
-            take()
-            return saw_j, SignedEmpties(0, 0), ()
-        while True:
-            tok, at = take()
-            if tok == "J":
-                if depth > 0 or saw_j:
-                    raise SchemeSyntaxError("misplaced one-sided component", at)
-                saw_j = True
-            elif tok.endswith("_+") or tok.endswith("_-"):
-                count = int(tok[:-2])
-                sign = 1 if tok.endswith("+") else -1
-                if depth >= max_depth and (count or peek() == "<"):
-                    raise SchemeSyntaxError(
-                        f"nest deeper than degree // 2 = {max_depth}", at)
-                if peek() == "<":
-                    take()
-                    j2, empties, inner = body(depth + 1)
-                    tok2, at2 = take()
-                    if tok2 != ">":
-                        raise SchemeSyntaxError("expected '>'", at2)
-                    if count != 1:
-                        raise SchemeSyntaxError(
-                            "signed containers must have count 1", at)
-                    if empties == SignedEmpties(0, 0) and not inner:
-                        # an oval containing nothing is an empty oval
-                        if sign > 0:
-                            plus += 1
-                        else:
-                            minus += 1
-                    else:
-                        ovals.append(SignedOval(sign, empties, inner))
-                elif sign > 0:
-                    plus += count
-                else:
-                    minus += count
-            else:
-                raise SchemeSyntaxError(f"unexpected token {tok!r}", at)
-            if peek() == "+":
-                take()
-            else:
-                return saw_j, SignedEmpties(plus, minus), tuple(ovals)
-
-    if take()[0] != "<":
-        raise SchemeSyntaxError("signed scheme must start with '<'", 0)
-    saw_j, empties, ovals = body(0)
-    tok, at = take()
-    if tok != ">":
-        raise SchemeSyntaxError("expected '>'", at)
-    if tokens:
-        raise SchemeSyntaxError("trailing input after scheme", tokens[-1][1])
-    if (degree % 2 == 1) != saw_j:
-        raise SchemeSyntaxError("one-sided component does not match degree", 0)
-    return SignedScheme(degree, saw_j, empties, ovals)
+    saw_j, items = read_scheme(text, degree, _signed_item)
+    return SignedScheme(degree, saw_j, *_signed_body(items))
 
 
 # ---------------------------------------------------------------------------

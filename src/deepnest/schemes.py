@@ -1,20 +1,25 @@
-"""Oval-scheme notation: parsing, canonical printing, deep-nest recognition.
+"""Oval-scheme notation: reading, canonical printing, deep-nest recognition.
 
 A scheme for a plane real curve is written between angle brackets: "J" is the
 one-sided component (odd degrees only), a bare count is that many empty ovals,
 and "k<body>" is k disjoint ovals each containing the body.  Whitespace is
-free; "+" separates items; an empty body is written "0".
+free; "+" separates items; "0" is no ovals, and an empty body is written "0".
+The signed notation of `orientations` is the same grammar with a sign suffix
+on each count ("1_-<4_+>").  `read_scheme` reads both with an explicit stack
+and leaves each notation only the building of its items; nothing here
+recurses on a scheme tree, so only Bezout bounds the nest depth.
 
-Parsing normalizes to a canonical tree: empty-oval counts at one level are
-merged, identical containers are grouped with a multiplicity, and children
-are ordered deterministically, so parse -> print -> parse is the identity on
-trees.
+Plain parsing normalizes to a canonical tree: empty-oval counts at one level
+are merged, identical containers are grouped with a multiplicity, and
+children are ordered by their canonical text, so parse -> print -> parse is
+the identity on trees.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Callable, Optional, Sequence
 
 
 class SchemeSyntaxError(ValueError):
@@ -41,13 +46,21 @@ class OvalGroup:
     count: int
     body: Optional[tuple["OvalGroup", ...]] = None
 
+    def _walk(self):
+        """(group, its depth, how many copies of it there are), every group
+        of the tree once."""
+        stack = [(self, 1, self.count)]
+        while stack:
+            g, depth, copies = stack.pop()
+            yield g, depth, copies
+            for c in g.body or ():
+                stack.append((c, depth + 1, copies * c.count))
+
     def ovals(self) -> int:
-        inner = sum(g.ovals() for g in self.body) if self.body else 0
-        return self.count * (1 + inner)
+        return sum(copies for _, _, copies in self._walk())
 
     def depth(self) -> int:
-        inner = max((g.depth() for g in self.body), default=0) if self.body else 0
-        return 1 + inner
+        return max(depth for _, depth, _ in self._walk())
 
 
 @dataclass(frozen=True)
@@ -64,140 +77,171 @@ class RealScheme:
 
 
 # ---------------------------------------------------------------------------
-# parsing
+# reading
 
-class _Parser:
-    def __init__(self, text: str, degree: int):
-        self.text = text
-        self.i = 0
-        # Bezout with a line through the innermost oval: 2 * depth <= degree
-        self.max_depth = degree // 2
-
-    def error(self, msg: str):
-        raise SchemeSyntaxError(msg, self.i)
-
-    def skip_ws(self):
-        while self.i < len(self.text) and self.text[self.i].isspace():
-            self.i += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.i] if self.i < len(self.text) else ""
-
-    def expect(self, ch: str):
-        if self.peek() != ch:
-            self.error(f"expected {ch!r}")
-        self.i += 1
-
-    def number(self) -> int:
-        self.skip_ws()
-        start = self.i
-        while self.i < len(self.text) and self.text[self.i].isdigit():
-            self.i += 1
-        if self.i == start:
-            self.error("expected a count")
-        return int(self.text[start:self.i])
-
-    def body(self, depth: int) -> tuple[bool, list[OvalGroup]]:
-        """Items until the closing '>'; returns (saw_pseudoline, groups)."""
-        saw_j = False
-        groups: list[OvalGroup] = []
-        while True:
-            item = self.item(depth)
-            if item == "J":
-                if depth > 0:
-                    self.error("the one-sided component cannot lie inside an oval")
-                if saw_j:
-                    self.error("duplicate one-sided component")
-                saw_j = True
-            elif item is not None:
-                groups.append(item)
-            if self.peek() != "+":
-                return saw_j, groups
-            self.i += 1
-
-    def item(self, depth: int):
-        c = self.peek()
-        if c == "J":
-            self.i += 1
-            return "J"
-        if not c.isdigit():
-            self.error("expected an item")
-        if c == "0":
-            nxt = self.i + 1
-            if nxt < len(self.text) and self.text[nxt].isdigit():
-                self.error("counts may not have leading zeros")
-        start = self.i
-        count = self.number()
-        if depth >= self.max_depth and (count or self.peek() == "<"):
-            raise SchemeSyntaxError(
-                f"nest deeper than degree // 2 = {self.max_depth}", start)
-        if self.peek() == "<":
-            self.i += 1
-            saw_j, groups = self.body(depth + 1)
-            assert not saw_j
-            self.expect(">")
-            if count == 0:
-                return None
-            if not groups:
-                return OvalGroup(count)  # "k<0>" is k empty ovals
-            return OvalGroup(count, _canonical_children(groups))
-        if count == 0:
-            return None
-        return OvalGroup(count)
+# a count with its optional sign suffix, or any other single character
+_TOKEN = re.compile(r"\s*(?:(\d+)(?:_([+-]))?|(\S))")
 
 
-def _canonical_children(groups: list[OvalGroup]) -> tuple[OvalGroup, ...]:
-    empties = 0
-    containers: dict[tuple[OvalGroup, ...], int] = {}
-    for g in groups:
-        if g.body is None:
-            empties += g.count
+def read_scheme(text: str, degree: int,
+                node: Callable[..., Any]) -> tuple[bool, list]:
+    """Read a scheme in either notation; return (saw J, top-level items).
+
+    node(count, sign, body, position) builds one item of the notation:
+    sign is "+", "-" or None, and body is None for a bare count, otherwise
+    the items already built for "count<body>".  An item of None holds no
+    oval and is dropped.
+
+    Raises SchemeSyntaxError at the first rule broken, in text order.  A
+    line through the innermost oval of a nest meets each of its ovals
+    twice, so by Bezout a nest is at most degree // 2 deep; the bound is
+    checked at the count that would go deeper.
+    """
+    # (kind, position, digits, sign): kind is "count", "end" or the character
+    tokens = [(m[3], m.start(3), "", None) if m[1] is None
+              else ("count", m.start(1), m[1], m[2])
+              for m in _TOKEN.finditer(text)]
+    tokens.append(("end", len(text), "", None))
+    max_depth = degree // 2
+    kind, at = tokens[0][:2]
+    if kind != "<":
+        raise SchemeSyntaxError("expected '<'", at)
+    saw_j = False
+    items: list = []     # the body being read
+    open_: list = []     # (count, sign, position, enclosing body) per oval
+    i = 1
+    while True:
+        kind, at, digits, sign = tokens[i]
+        i += 1
+        if kind == "J":
+            if open_:
+                raise SchemeSyntaxError(
+                    "the one-sided component cannot lie inside an oval",
+                    at + 1)
+            if saw_j:
+                raise SchemeSyntaxError("duplicate one-sided component",
+                                        at + 1)
+            saw_j = True
+        elif kind == "count":
+            if digits[0] == "0" and len(digits) > 1:
+                raise SchemeSyntaxError("counts may not have leading zeros",
+                                        at)
+            count = int(digits)
+            opens = tokens[i][0] == "<"
+            if len(open_) >= max_depth and (count or opens):
+                raise SchemeSyntaxError(
+                    f"nest deeper than degree // 2 = {max_depth}", at)
+            if opens:
+                open_.append((count, sign, at, items))
+                items = []
+                i += 1
+                continue
+            item = node(count, sign, None, at)
+            if item is not None:
+                items.append(item)
         else:
-            containers[g.body] = containers.get(g.body, 0) + g.count
-    out: list[OvalGroup] = []
-    if empties:
-        out.append(OvalGroup(empties))
-    ordered = sorted(containers.items(),
-                     key=lambda kv: _print_body(list(kv[0])))
-    out.extend(OvalGroup(count, body) for body, count in ordered)
-    return tuple(out)
-
-
-def parse_scheme(text: str, degree: int) -> RealScheme:
-    p = _Parser(text, degree)
-    p.expect("<")
-    saw_j, groups = p.body(0)
-    p.expect(">")
-    p.skip_ws()
-    if p.i != len(text):
-        p.error("trailing input after scheme")
+            raise SchemeSyntaxError("expected an item", at)
+        kind, at = tokens[i][:2]
+        i += 1
+        while kind == ">" and open_:
+            count, sign, start, enclosing = open_.pop()
+            item = node(count, sign, items, start)
+            items = enclosing
+            if item is not None:
+                items.append(item)
+            kind, at = tokens[i][:2]
+            i += 1
+        if kind == ">":
+            break
+        if kind != "+":
+            raise SchemeSyntaxError("expected '>'", at)
+    kind, at = tokens[i][:2]
+    if kind != "end":
+        raise SchemeSyntaxError("trailing input after scheme", at)
     if degree % 2 == 1 and not saw_j:
         raise SchemeSyntaxError("odd-degree scheme must contain J", 0)
     if degree % 2 == 0 and saw_j:
         raise SchemeSyntaxError("even-degree scheme cannot contain J", 0)
+    return saw_j, items
+
+
+def _group(count: int, sign: Optional[str], body: Optional[list], at: int):
+    """A plain item: (canonical text of its body or None, OvalGroup)."""
+    if sign is not None:
+        raise SchemeSyntaxError("a plain scheme count takes no sign", at)
+    if count == 0:
+        return None
+    if not body:  # a bare count, or "k<0>": k empty ovals
+        return None, OvalGroup(count)
+    key, groups = _canonical_children(body)
+    return key, OvalGroup(count, groups)
+
+
+def _canonical_children(items: list) -> tuple[str, tuple[OvalGroup, ...]]:
+    """Merge the empty ovals, group identical containers and order them by
+    their canonical text; return (canonical text, groups)."""
+    empties = 0
+    containers: dict[str, OvalGroup] = {}
+    for key, g in items:
+        if key is None:
+            empties += g.count
+        else:
+            seen = containers.get(key)
+            containers[key] = (g if seen is None else
+                               OvalGroup(seen.count + g.count, seen.body))
+    groups = [OvalGroup(empties)] if empties else []
+    parts = [str(empties)] if empties else []
+    for key in sorted(containers):
+        g = containers[key]
+        groups.append(g)
+        parts.append(f"{g.count}<{key}>")
+    return " + ".join(parts) or "0", tuple(groups)
+
+
+def parse_scheme(text: str, degree: int) -> RealScheme:
+    saw_j, items = read_scheme(text, degree, _group)
     return RealScheme(degree=degree, pseudoline=saw_j,
-                      groups=_canonical_children(groups))
+                      groups=_canonical_children(items)[1])
 
 
 # ---------------------------------------------------------------------------
 # printing
 
+def print_items(items: Sequence, node: Callable[[Any], tuple]) -> str:
+    """Items joined by " + ", "0" for none.  A str item prints as itself;
+    node(item) gives (head, children): head alone when children is None,
+    else "head<children>"."""
+    open_: list = []   # (head, items left, parts printed) per enclosing body
+    head, rest, parts = "", iter(items), []
+    while True:
+        for item in rest:
+            text, children = ((item, None) if isinstance(item, str)
+                              else node(item))
+            if children is not None:
+                open_.append((head, rest, parts))
+                head, rest, parts = text, iter(children), []
+                break
+            parts.append(text)
+        else:
+            text = " + ".join(parts) or "0"
+            if not open_:
+                return text
+            inner = f"{head}<{text}>"
+            head, rest, parts = open_.pop()
+            parts.append(inner)
+
+
+def _group_node(g: OvalGroup) -> tuple[str, Optional[tuple]]:
+    return str(g.count), g.body
+
+
 def _print_group(g: OvalGroup) -> str:
-    if g.body is None:
-        return str(g.count)
-    return f"{g.count}<{_print_body(list(g.body))}>"
-
-
-def _print_body(groups: list[OvalGroup]) -> str:
-    if not groups:
-        return "0"
-    return " + ".join(_print_group(g) for g in groups)
+    return print_items([g], _group_node)
 
 
 def print_scheme(s: RealScheme) -> str:
-    parts = (["J"] if s.pseudoline else []) + [_print_group(g) for g in s.groups]
-    return "<" + (" + ".join(parts) if parts else "0") + ">"
+    items = (["J"] if s.pseudoline else []) + list(s.groups)
+    return "<" + print_items(items, _group_node) + ">"
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,9 @@ import hypothesis.strategies as hys
 import pytest
 
 from deepnest.cli import main
+from deepnest.orientations import compute_stats, parse_signed, print_signed
+from deepnest.schemes import (InadmissibleSchemeError, classify_deep_nest,
+                              parse_scheme, print_scheme)
 
 CUBIC_TRACE = {
     "degree": 3,
@@ -392,8 +395,9 @@ def test_check_rm_paper_mode_needs_a_two_oval_nest(capsys):
                                 "<J + 1_+<2_+> + 1_-<3_+>>"])
 
 
-def nest(depth: int, oval: str) -> str:
-    return "<J + " + f"{oval}<" * depth + oval + ">" * depth + ">"
+def nest(depth: int, oval: str, innermost: str = "") -> str:
+    return ("<J + " + f"{oval}<" * depth + (innermost or oval)
+            + ">" * depth + ">")
 
 
 @pytest.mark.parametrize("scheme", [nest(1500, "1"), nest(1500, "1_+")],
@@ -402,6 +406,45 @@ def nest(depth: int, oval: str) -> str:
                          ["parse", "check-rm", "check-orevkov", "prohibit"])
 def test_deep_nest_exits_2(capsys, command, scheme):
     assert_input_error(capsys, [command, "--scheme", scheme])
+
+
+# 1501 nested ovals; the innermost 2_- keeps the empty-oval imbalance even
+DEEP_NESTS = [("parse", nest(1500, "1"), 1501),
+              ("parse", nest(1500, "1_+"), 1501),
+              ("check-rm", nest(1500, "1_+"), 1501),
+              ("check-orevkov", nest(1500, "1_+", "2_-"), 1502)]
+
+
+@pytest.mark.parametrize("command, scheme, ovals", DEEP_NESTS,
+                         ids=["parse-unsigned", "parse-signed", "check-rm",
+                              "check-orevkov"])
+def test_deep_nest_fits_a_degree_twice_its_depth(capsys, command, scheme,
+                                                 ovals):
+    code, rep = run_json(capsys, command, "--degree", "3003",
+                         "--scheme", scheme)
+    assert code == 0
+    res = rep["results"]
+    st = res.get("stats")
+    assert (res["ovals"] if st is None
+            else st["allPlus"] + st["allMinus"]) == ovals
+    err = assert_input_error(capsys, [command, "--degree", "2999",
+                                      "--scheme", scheme])
+    assert "nest deeper than degree // 2 = 1499" in err
+
+
+def test_deep_nest_library_round_trip():
+    text = nest(1500, "1")
+    s = parse_scheme(text, 3003)
+    assert print_scheme(s) == text
+    assert s.groups[0].depth() == 1501 and s.oval_count() == 1501
+    with pytest.raises(InadmissibleSchemeError) as exc:
+        classify_deep_nest(s)
+    assert exc.value.oval == "1<" * 1497 + "1" + ">" * 1497  # depth 4 down
+    signed = parse_signed(nest(1500, "1_+"), 3003)
+    assert print_signed(signed) == nest(1499, "1_+", "1_+<1_+ + 0_->")
+    st = compute_stats(signed)
+    assert (st.all_plus, st.empty_plus) == (1501, 1)
+    assert (st.pair_plus, st.pair_minus) == (0, 1501 * 1500 // 2)
 
 
 @pytest.mark.parametrize("command", [("lemma3", "--config"),

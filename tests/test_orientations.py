@@ -92,11 +92,15 @@ def test_orevkov_rejects_odd_empty_imbalance():
 
 def test_parse_signed_rejects_malformed():
     for text in ["<J + 3_?>", "<J + 3>", "<J + 2_+<1_->>",
-                 "<J + 1_+<2_+", "1_+"]:
+                 "<J + 1_+<2_+", "1_+", "<J + 07_+>", "<J + 1_-<00_+>>"]:
         with pytest.raises(ValueError):
             parse_signed(text, 9)
-    # member order is not significant, so J may come late
-    assert print_signed(parse_signed("<3_+ + J>", 9)) == "<J + 3_+ + 0_->"
+    # member order is not significant, so J may come late; a bare 0 is no
+    # ovals, as in plain notation
+    for text, canonical in [("<3_+ + J>", "<J + 3_+ + 0_->"),
+                            ("<0 + 3_+ + J>", "<J + 3_+ + 0_->"),
+                            ("<J + 3_+ + 1_-<0 + 0>>", "<J + 3_+ + 1_->")]:
+        assert print_signed(parse_signed(text, 9)) == canonical
 
 
 def test_parse_signed_bounds_nest_depth():

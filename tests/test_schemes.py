@@ -8,6 +8,7 @@ import pytest
 import hypothesis as hyp
 import hypothesis.strategies as hys
 
+from deepnest.orientations import parse_signed
 from deepnest.schemes import (
     DeepNestProfile,
     InadmissibleSchemeError,
@@ -45,22 +46,27 @@ def test_parse_errors_carry_positions():
             parse_scheme(text, degree)
 
 
-@pytest.mark.parametrize("degree", [2, 5, 8, 9])
-def test_nest_depth_is_bounded_by_half_the_degree(degree):
+@pytest.mark.parametrize("degree, parse, oval", [
+    *(pytest.param(d, parse_scheme, "1", id=str(d)) for d in (2, 5, 8, 9)),
+    *(pytest.param(d, parse_signed, "1_+", id=f"signed-{d}")
+      for d in (2, 5, 8, 9))])
+def test_nest_depth_is_bounded_by_half_the_degree(degree, parse, oval):
     """A line through the innermost oval of a depth-d nest meets the curve
-    in at least 2d points, so the parser rejects d > degree // 2 before
-    recursing any deeper."""
+    in at least 2d points, so the reader rejects d > degree // 2 at the
+    count that goes deeper, in either notation."""
     j = "J + " if degree % 2 else ""
     d = degree // 2
-    deepest = "<" + j + "1<" * (d - 1) + "1" + ">" * (d - 1) + ">"
-    assert parse_scheme(deepest, degree).oval_count() == d
+    deepest = "<" + j + f"{oval}<" * (d - 1) + oval + ">" * (d - 1) + ">"
+    assert parse(deepest, degree).oval_count() == d
     # k<0> at the deepest level is k empty ovals, not one level deeper
-    assert parse_scheme(deepest.replace("<1>", "<1<0>>"), degree) == \
-        parse_scheme(deepest, degree)
-    too_deep = "<" + j + "1<" * d + "1" + ">" * d + ">"
+    innermost = f"<{oval}>"
+    assert parse(deepest.replace(innermost, f"<{oval}<0>>"), degree) == \
+        parse(deepest, degree)
+    too_deep = "<" + j + f"{oval}<" * d + oval + ">" * d + ">"
     with pytest.raises(SchemeSyntaxError) as exc:
-        parse_scheme(too_deep, degree)
-    assert exc.value.position == too_deep.rindex("1<1>") + 2
+        parse(too_deep, degree)
+    assert exc.value.position == too_deep.rindex(f"{oval}<{oval}>") \
+        + len(oval) + 1
 
 
 def test_is_m_curve():
@@ -124,13 +130,21 @@ def group_strategy(depth: int):
     )
 
 
-def render(groups, pseudoline: bool) -> str:
+def render(groups, pseudoline: bool, sign=lambda: "") -> str:
     def fmt(g: OvalGroup) -> str:
+        head = f"{g.count}{sign()}"
         if g.body is None:
-            return str(g.count)
-        return f"{g.count}<{' + '.join(fmt(c) for c in g.body) or '0'}>"
+            return head
+        return f"{head}<{' + '.join(fmt(c) for c in g.body) or '0'}>"
     items = (["J"] if pseudoline else []) + [fmt(g) for g in groups]
     return "<" + (" + ".join(items) if items else "0") + ">"
+
+
+def unit_containers(g: OvalGroup) -> OvalGroup:
+    """The same tree with every container count set to 1."""
+    if g.body is None:
+        return g
+    return OvalGroup(1, tuple(unit_containers(c) for c in g.body))
 
 
 @hyp.settings(max_examples=300, deadline=None)
@@ -145,6 +159,14 @@ def test_print_parse_roundtrip(groups, rng):
     assert s == again
     assert print_scheme(again) == print_scheme(s)
     assert again.oval_count() == sum(g.ovals() for g in groups)
+    # one grammar: a sign on every count reads as the same curve
+    units = [unit_containers(g) for g in groups]
+    plain = parse_scheme(render(units, True), 9)
+    signed = parse_signed(
+        render(units, True, lambda: rng.choice(["_+", "_-"])), 9)
+    assert (signed.oval_count(), signed.component_count(),
+            signed.pseudoline) == (plain.oval_count(),
+                                   plain.component_count(), plain.pseudoline)
 
 
 @hyp.settings(max_examples=150, deadline=None)
