@@ -19,6 +19,12 @@ and signed schemes share one grammar and one reader (a signed count carries
 a sign suffix).  It rejects a nest deeper than degree // 2, since a line
 through the innermost oval meets each oval of the nest twice (Bezout), and
 reads any shallower nest without recursion, whatever the degree.
+
+Each handler imports only the modules it runs: plain `parse` loads schemes,
+signed `parse` and `check-*` add orientations, `solve`, `prohibit` and
+`theorem*` add cases, `lemma3` loads the six-point geometry and `audit`
+bezout.  A usage error, or an error found before a handler's import, loads
+none of them.
 """
 
 from __future__ import annotations
@@ -27,12 +33,17 @@ import argparse
 import json
 import sys
 import time
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
-# the geometry stack and bezout load in the handlers that use them
-from . import cases, orientations, schemes
+if TYPE_CHECKING:
+    from . import cases, orientations
 
 SCHEMA = "deepnest-report/1"
+
+# cases.SCENARIO_KINDS, spelled out so that argparse can check --scenario
+# (and report a usage error) before any stack loads
+SCENARIO_KINDS = ("with-o1-jumps", "no-jumps-even-gamma",
+                  "no-jumps-odd-gamma", "beta-zero")
 
 _MODES = {"paper": "literal", "uniform": "uniform"}
 
@@ -84,6 +95,7 @@ def _cmd_parse(args) -> tuple[dict, dict, list[str]]:
     inputs = {"scheme": args.scheme, "degree": args.degree}
     degree = _degree(args)
     if "_" in args.scheme:
+        from . import orientations
         signed = orientations.parse_signed(args.scheme, degree)
         results: dict[str, Any] = {
             "kind": "signed",
@@ -92,6 +104,7 @@ def _cmd_parse(args) -> tuple[dict, dict, list[str]]:
             "components": signed.component_count(),
         }
         return inputs, results, ["OK"]
+    from . import schemes
     s = schemes.parse_scheme(args.scheme, degree)
     results = {
         "kind": "real",
@@ -118,6 +131,7 @@ def _cmd_parse(args) -> tuple[dict, dict, list[str]]:
 def _cmd_check_rm(args) -> tuple[dict, dict, list[str]]:
     inputs = {"scheme": args.scheme, "degree": args.degree,
               "mode": args.mode}
+    from . import orientations
     s = orientations.parse_signed(args.scheme, _degree(args))
     rhs = orientations.rm_rhs(s.degree, s.component_count())
     st = orientations.compute_stats(s, _mode(args.mode))
@@ -130,6 +144,7 @@ def _cmd_check_rm(args) -> tuple[dict, dict, list[str]]:
 
 def _cmd_check_orevkov(args) -> tuple[dict, dict, list[str]]:
     inputs = {"scheme": args.scheme, "degree": args.degree}
+    from . import orientations
     s = orientations.parse_signed(args.scheme, _degree(args))
     st = orientations.compute_stats(s, "uniform")
     r1, r2 = orientations.check_orevkov(s, stats=st)
@@ -141,6 +156,7 @@ def _cmd_check_orevkov(args) -> tuple[dict, dict, list[str]]:
 def _cmd_solve(args) -> tuple[dict, dict, list[str]]:
     inputs = {"scenario": args.scenario, "mode": args.mode,
               "beta": args.beta, "gamma": args.gamma}
+    from . import cases
     scn = cases.make_scenario(args.scenario, args.beta, args.gamma)
     sols = cases.solve_scenario(scn, _mode(args.mode))
     survivors = cases.orevkov_filter(sols)
@@ -159,6 +175,7 @@ def _cmd_solve(args) -> tuple[dict, dict, list[str]]:
 
 
 def _parse_known(text: str) -> tuple[int, ...]:
+    from . import cases
     try:
         known = tuple(int(tok) for tok in text.split(",") if tok.strip())
     except ValueError as exc:
@@ -173,6 +190,7 @@ def _cmd_prohibit(args) -> tuple[dict, dict, list[str]]:
     known = _parse_known(args.known)
     inputs = {"scheme": args.scheme, "known": list(known),
               "mode": args.mode}
+    from . import cases, schemes
     s = schemes.parse_scheme(args.scheme, cases.DEGREE)
     rep = cases.prohibit(s, known, _mode(args.mode))
     results = {
@@ -193,6 +211,7 @@ def _cmd_prohibit(args) -> tuple[dict, dict, list[str]]:
 def _cmd_theorem1(args) -> tuple[dict, dict, list[str]]:
     known = _parse_known(args.known)
     inputs = {"known": list(known)}
+    from . import cases
     rows = cases.theorem1_report(known)
     results = {
         "rows": [{"beta": r.beta, "gamma": r.gamma, "verdict": r.verdict,
@@ -207,6 +226,7 @@ def _cmd_theorem1(args) -> tuple[dict, dict, list[str]]:
 
 def _cmd_theorem2(args) -> tuple[dict, dict, list[str]]:
     inputs = {"beta": args.beta, "gamma": args.gamma}
+    from . import cases
     row = cases.theorem2_report(args.beta, args.gamma)
     results = {
         "beta": row.beta, "gamma": row.gamma,
@@ -381,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="sign cases passing the identity")
     p.add_argument("--scenario", required=True,
-                   choices=list(cases.SCENARIO_KINDS))
+                   choices=SCENARIO_KINDS)
     p.add_argument("--mode", choices=sorted(_MODES), default="uniform")
     p.add_argument("--beta", type=int)
     p.add_argument("--gamma", type=int)

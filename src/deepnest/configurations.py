@@ -480,62 +480,64 @@ def configuration_kind(cl: Classification) -> str:
 
 
 # Excluded-pattern templates (found by search, then frozen) and the witnesses
-# their samples must produce.  Keys follow configuration_kind(); coordinates
-# are affine rationals, stored canonically relabeled.
+# their samples must produce.  Keys follow configuration_kind(); each point
+# is stored canonically relabeled, as the integer numerators of its affine
+# coordinates over the common denominator 7.
 _EXCLUSION_COORDINATES = {
-    "convex-23654": {1: ("-10/7", "20/7"), 2: ("8", "4"), 3: ("59/7", "57/7"),
-                     4: ("-40/7", "-52/7"), 5: ("-22/7", "-19/7"), 6: ("8/7", "12/7")},
-    "convex-23564": {1: ("-51/7", "-29/7"), 2: ("45/7", "-12/7"), 3: ("60/7", "12/7"),
-                     4: ("3/7", "0"), 5: ("45/7", "31/7"), 6: ("-54/7", "18/7")},
-    "convex-23645": {1: ("57/7", "-2"), 2: ("-58/7", "-32/7"), 3: ("2", "-38/7"),
-                     4: ("-6/7", "51/7"), 5: ("-39/7", "51/7"), 6: ("18/7", "5/7")},
-    "convex-23546": {1: ("-20/7", "-3"), 2: ("55/7", "-6/7"), 3: ("55/7", "58/7"),
-                     4: ("-36/7", "-54/7"), 5: ("-20/7", "-19/7"), 6: ("47/7", "-58/7")},
-    "convex-23465": {1: ("-2/7", "27/7"), 2: ("-50/7", "25/7"), 3: ("-25/7", "9/7"),
-                     4: ("32/7", "-8/7"), 5: ("-33/7", "58/7"), 6: ("40/7", "-3/7")},
-    "convex-23456": {1: ("-45/7", "40/7"), 2: ("-5/7", "50/7"), 3: ("-24/7", "47/7"),
-                     4: ("-51/7", "32/7"), 5: ("15/7", "-8"), 6: ("34/7", "-33/7")},
-    "quadrangle-3456": {1: ("55/7", "-38/7"), 2: ("-20/7", "-32/7"), 3: ("19/7", "-57/7"),
-                        4: ("17/7", "13/7"), 5: ("-37/7", "-5/7"), 6: ("-54/7", "-26/7")},
-    "quadrangle-3465": {1: ("-2", "33/7"), 2: ("-6", "4"), 3: ("-58/7", "-45/7"),
-                        4: ("0", "-44/7"), 5: ("-48/7", "8"), 6: ("11/7", "25/7")},
-    "quadrangle-3564": {1: ("-30/7", "-48/7"), 2: ("4/7", "0"), 3: ("-31/7", "1/7"),
-                        4: ("-37/7", "55/7"), 5: ("0", "-23/7"), 6: ("16/7", "-4/7")},
-    "quadrangle-3654": {1: ("25/7", "37/7"), 2: ("-2", "13/7"), 3: ("-10/7", "6/7"),
-                        4: ("-19/7", "-33/7"), 5: ("-39/7", "8"), 6: ("-26/7", "45/7")},
-    "quadrangle-3645": {1: ("-8", "40/7"), 2: ("46/7", "-9/7"), 3: ("51/7", "0"),
-                        4: ("-54/7", "9/7"), 5: ("29/7", "-53/7"), 6: ("-19/7", "13/7")},
-    "quadrangle-A-T1": {1: ("-4/7", "-41/7"), 2: ("-4", "23/7"), 3: ("-41/7", "32/7"),
-                        4: ("2", "-53/7"), 5: ("-20/7", "-39/7"), 6: ("4", "19/7")},
-    "quadrangle-A-T2": {1: ("47/7", "6/7"), 2: ("29/7", "5/7"), 3: ("-34/7", "-37/7"),
-                        4: ("60/7", "3"), 5: ("4", "-23/7"), 6: ("-40/7", "27/7")},
-    "quadrangle-A-T3": {1: ("-9/7", "-6/7"), 2: ("-25/7", "9/7"), 3: ("-59/7", "23/7"),
-                        4: ("8/7", "5"), 5: ("-1/7", "-19/7"), 6: ("-57/7", "52/7")},
-    "interior-24": {1: ("-25/7", "-11/7"), 2: ("37/7", "13/7"), 3: ("7", "33/7"),
-                    4: ("-29/7", "24/7"), 5: ("-59/7", "39/7"), 6: ("47/7", "-58/7")},
-    "interior-25": {1: ("-1", "1"), 2: ("11/7", "45/7"), 3: ("11/7", "57/7"),
-                    4: ("4", "-50/7"), 5: ("-9/7", "10/7"), 6: ("-60/7", "16/7")},
-    "interior-35": {1: ("-47/7", "50/7"), 2: ("32/7", "-8/7"), 3: ("18/7", "5/7"),
-                    4: ("-24/7", "36/7"), 5: ("16/7", "20/7"), 6: ("19/7", "25/7")},
-    "interior-36": {1: ("-30/7", "27/7"), 2: ("44/7", "44/7"), 3: ("8/7", "52/7"),
-                    4: ("-17/7", "60/7"), 5: ("19/7", "-3"), 6: ("26/7", "5/7")},
-    "interior-46": {1: ("-37/7", "47/7"), 2: ("36/7", "7"), 3: ("-37/7", "5/7"),
-                    4: ("-13/7", "-16/7"), 5: ("1", "-36/7"), 6: ("-5/7", "-2/7")},
-    "triangle-236": {1: ("-3/7", "-45/7"), 2: ("8", "-3/7"), 3: ("-1/7", "60/7"),
-                     4: ("-23/7", "-4/7"), 5: ("-16/7", "-30/7"), 6: ("-60/7", "-52/7")},
-    "triangle-263-T1": {1: ("58/7", "43/7"), 2: ("-60/7", "57/7"), 3: ("-1/7", "34/7"),
-                        4: ("-26/7", "23/7"), 5: ("-25/7", "-9/7"), 6: ("-38/7", "-34/7")},
-    "triangle-263-T2": {1: ("-53/7", "-39/7"), 2: ("44/7", "-59/7"), 3: ("-11/7", "-18/7"),
-                        4: ("-1/7", "33/7"), 5: ("-3/7", "36/7"), 6: ("-3/7", "54/7")},
-    "triangle-263-T4": {1: ("-3", "-25/7"), 2: ("20/7", "-52/7"), 3: ("-55/7", "-44/7"),
-                        4: ("-33/7", "-39/7"), 5: ("-31/7", "-45/7"), 6: ("-17/7", "30/7")},
-    "triangle-263-T5": {1: ("59/7", "55/7"), 2: ("46/7", "-45/7"), 3: ("-41/7", "-27/7"),
-                        4: ("-3", "-24/7"), 5: ("18/7", "-31/7"), 6: ("7", "-12/7")},
-    "triangle-263-T6": {1: ("-13/7", "17/7"), 2: ("-8/7", "-60/7"), 3: ("-5/7", "-8/7"),
-                        4: ("-3/7", "-12/7"), 5: ("5/7", "-24/7"), 6: ("8", "5/7")},
+    "convex-23654": {1: (-10, 20), 2: (56, 28), 3: (59, 57),
+                     4: (-40, -52), 5: (-22, -19), 6: (8, 12)},
+    "convex-23564": {1: (-51, -29), 2: (45, -12), 3: (60, 12),
+                     4: (3, 0), 5: (45, 31), 6: (-54, 18)},
+    "convex-23645": {1: (57, -14), 2: (-58, -32), 3: (14, -38),
+                     4: (-6, 51), 5: (-39, 51), 6: (18, 5)},
+    "convex-23546": {1: (-20, -21), 2: (55, -6), 3: (55, 58),
+                     4: (-36, -54), 5: (-20, -19), 6: (47, -58)},
+    "convex-23465": {1: (-2, 27), 2: (-50, 25), 3: (-25, 9),
+                     4: (32, -8), 5: (-33, 58), 6: (40, -3)},
+    "convex-23456": {1: (-45, 40), 2: (-5, 50), 3: (-24, 47),
+                     4: (-51, 32), 5: (15, -56), 6: (34, -33)},
+    "quadrangle-3456": {1: (55, -38), 2: (-20, -32), 3: (19, -57),
+                        4: (17, 13), 5: (-37, -5), 6: (-54, -26)},
+    "quadrangle-3465": {1: (-14, 33), 2: (-42, 28), 3: (-58, -45),
+                        4: (0, -44), 5: (-48, 56), 6: (11, 25)},
+    "quadrangle-3564": {1: (-30, -48), 2: (4, 0), 3: (-31, 1),
+                        4: (-37, 55), 5: (0, -23), 6: (16, -4)},
+    "quadrangle-3654": {1: (25, 37), 2: (-14, 13), 3: (-10, 6),
+                        4: (-19, -33), 5: (-39, 56), 6: (-26, 45)},
+    "quadrangle-3645": {1: (-56, 40), 2: (46, -9), 3: (51, 0),
+                        4: (-54, 9), 5: (29, -53), 6: (-19, 13)},
+    "quadrangle-A-T1": {1: (-4, -41), 2: (-28, 23), 3: (-41, 32),
+                        4: (14, -53), 5: (-20, -39), 6: (28, 19)},
+    "quadrangle-A-T2": {1: (47, 6), 2: (29, 5), 3: (-34, -37),
+                        4: (60, 21), 5: (28, -23), 6: (-40, 27)},
+    "quadrangle-A-T3": {1: (-9, -6), 2: (-25, 9), 3: (-59, 23),
+                        4: (8, 35), 5: (-1, -19), 6: (-57, 52)},
+    "interior-24": {1: (-25, -11), 2: (37, 13), 3: (49, 33),
+                    4: (-29, 24), 5: (-59, 39), 6: (47, -58)},
+    "interior-25": {1: (-7, 7), 2: (11, 45), 3: (11, 57),
+                    4: (28, -50), 5: (-9, 10), 6: (-60, 16)},
+    "interior-35": {1: (-47, 50), 2: (32, -8), 3: (18, 5),
+                    4: (-24, 36), 5: (16, 20), 6: (19, 25)},
+    "interior-36": {1: (-30, 27), 2: (44, 44), 3: (8, 52),
+                    4: (-17, 60), 5: (19, -21), 6: (26, 5)},
+    "interior-46": {1: (-37, 47), 2: (36, 49), 3: (-37, 5),
+                    4: (-13, -16), 5: (7, -36), 6: (-5, -2)},
+    "triangle-236": {1: (-3, -45), 2: (56, -3), 3: (-1, 60),
+                     4: (-23, -4), 5: (-16, -30), 6: (-60, -52)},
+    "triangle-263-T1": {1: (58, 43), 2: (-60, 57), 3: (-1, 34),
+                        4: (-26, 23), 5: (-25, -9), 6: (-38, -34)},
+    "triangle-263-T2": {1: (-53, -39), 2: (44, -59), 3: (-11, -18),
+                        4: (-1, 33), 5: (-3, 36), 6: (-3, 54)},
+    "triangle-263-T4": {1: (-21, -25), 2: (20, -52), 3: (-55, -44),
+                        4: (-33, -39), 5: (-31, -45), 6: (-17, 30)},
+    "triangle-263-T5": {1: (59, 55), 2: (46, -45), 3: (-41, -27),
+                        4: (-21, -24), 5: (18, -31), 6: (49, -12)},
+    "triangle-263-T6": {1: (-13, 17), 2: (-8, -60), 3: (-5, -8),
+                        4: (-3, -12), 5: (5, -24), 6: (56, 5)},
 }
 EXCLUSION_TEMPLATES: dict[str, dict[int, Triple]] = {
-    key: _cfg(pts) for key, pts in _EXCLUSION_COORDINATES.items()}
+    key: {k: normalize(x, y, 7) for k, (x, y) in pts.items()}
+    for key, pts in _EXCLUSION_COORDINATES.items()}
 
 EXPECTED_WITNESSES: dict[str, tuple[str, ...]] = {
     "convex-23654": ("234|345=[34]",),

@@ -54,7 +54,7 @@ class SignedScheme:
 
     def oval_count(self) -> int:
         return self.empties.plus + self.empties.minus + sum(
-            1 + o.empties.plus + o.empties.minus for o, _ in _iter_ovals(self))
+            1 + o.empties.plus + o.empties.minus for o in _iter_ovals(self))
 
     def component_count(self) -> int:
         return self.oval_count() + (1 if self.pseudoline else 0)
@@ -141,68 +141,69 @@ class OrientationStats:
 
 
 def _iter_ovals(s: SignedScheme):
-    """Yield (oval, ancestors) over all non-empty ovals, outermost first."""
-    stack = [(o, ()) for o in s.ovals]
+    """Yield every non-empty oval, each before the ovals inside it."""
+    stack = list(s.ovals)
     while stack:
-        o, anc = stack.pop()
-        yield o, anc
-        for c in o.ovals:
-            stack.append((c, anc + (o,)))
+        o = stack.pop()
+        yield o
+        stack.extend(o.ovals)
 
 
-def _literal_pair_sign(s: SignedScheme):
+def _literal_keys(s: SignedScheme) -> dict[int, int]:
     """LITERAL convention: the sign for (O, empty o) is taken through the
-    other non-empty oval of the nest.  Requires exactly two non-empty ovals
-    forming a chain."""
-    chain = [o for o, _ in _iter_ovals(s)]
+    other non-empty oval of the nest, so each oval's key (by id) is that
+    oval's sign.  Requires exactly two non-empty ovals forming a chain."""
+    chain = list(_iter_ovals(s))
     if len(chain) != 2 or chain[1] not in chain[0].ovals:
         raise ValueError(
             "literal pair convention is defined only for a two-oval nest")
-    other = {id(chain[0]): chain[1].sign, id(chain[1]): chain[0].sign}
-    return lambda outer, inner_sign: -other[id(outer)] * inner_sign
+    return {id(chain[0]): chain[1].sign, id(chain[1]): chain[0].sign}
 
 
 def compute_stats(s: SignedScheme, mode: Mode = "uniform") -> OrientationStats:
-    all_p = s.empties.plus
-    all_m = s.empties.minus
-    empty_p = s.empties.plus
-    empty_m = s.empties.minus
+    """One walk over the non-empty ovals.  Each carries the number of + and
+    - ovals enclosing it and the number of + and - pair keys among them;
+    an (outer, inner) pair is signed -key(outer) * sign(inner), where the
+    key is the outer oval's own sign, except in LITERAL mode for an empty
+    inner oval."""
+    keys = _literal_keys(s) if mode == "literal" else None
+    empty_p, empty_m = s.empties.plus, s.empties.minus
+    all_p = all_m = 0       # non-empty ovals; the empty ones are added last
     pair_p = pair_m = 0
-    table = [[0, 0], [0, 0]]
-    literal = _literal_pair_sign(s) if mode == "literal" else None
-
-    ovals = list(_iter_ovals(s))
-    for o, ancestors in ovals:
-        all_p += o.empties.plus + (o.sign > 0)
-        all_m += o.empties.minus + (o.sign < 0)
-        empty_p += o.empties.plus
-        empty_m += o.empties.minus
-
-    def pair_sign(outer: SignedOval, inner_sign: int, inner_empty: bool) -> int:
-        if literal is not None and inner_empty:
-            return literal(outer, inner_sign)
-        return -outer.sign * inner_sign
-
-    for o, ancestors in ovals:
-        for anc in ancestors:
-            sgn = pair_sign(anc, o.sign, False)
-            pair_p += sgn > 0
-            pair_m += sgn < 0
-        enclosing = ancestors + (o,)
-        for anc in enclosing:
-            for es, count in ((1, o.empties.plus), (-1, o.empties.minus)):
-                if not count:
-                    continue
-                sgn = pair_sign(anc, es, True)
-                pair_p += count * (sgn > 0)
-                pair_m += count * (sgn < 0)
-                table[0 if anc.sign > 0 else 1][0 if es > 0 else 1] += count
+    pp = pm = mp = mm = 0   # table: (outer sign, empty sign) pair counts
+    stack = [(o, 0, 0, 0, 0) for o in s.ovals]
+    while stack:
+        o, plus, minus, key_plus, key_minus = stack.pop()
+        ep, em = o.empties.plus, o.empties.minus
+        empty_p += ep
+        empty_m += em
+        if o.sign > 0:
+            all_p += 1
+            pair_p += minus
+            pair_m += plus
+            plus += 1
+        else:
+            all_m += 1
+            pair_p += plus
+            pair_m += minus
+            minus += 1
+        if (o.sign if keys is None else keys[id(o)]) > 0:
+            key_plus += 1
+        else:
+            key_minus += 1
+        pair_p += key_minus * ep + key_plus * em
+        pair_m += key_plus * ep + key_minus * em
+        pp += plus * ep
+        pm += plus * em
+        mp += minus * ep
+        mm += minus * em
+        stack.extend((c, plus, minus, key_plus, key_minus) for c in o.ovals)
 
     return OrientationStats(
-        all_plus=all_p, all_minus=all_m,
+        all_plus=all_p + empty_p, all_minus=all_m + empty_m,
         empty_plus=empty_p, empty_minus=empty_m,
         pair_plus=pair_p, pair_minus=pair_m,
-        pair_table=(tuple(table[0]), tuple(table[1])),
+        pair_table=((pp, pm), (mp, mm)),
     )
 
 

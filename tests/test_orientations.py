@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 import hypothesis as hyp
@@ -10,6 +11,9 @@ import hypothesis.strategies as hys
 
 from deepnest.orientations import (
     OrientationParityError,
+    SignedEmpties,
+    SignedOval,
+    SignedScheme,
     chain_imbalance_magnitudes,
     chain_imbalance_set,
     check_orevkov,
@@ -83,6 +87,85 @@ def test_literal_mode_needs_two_oval_chain():
     assert check_rokhlin_mishachev(s, "uniform") == -34
     with pytest.raises(ValueError):
         compute_stats(s, "literal")
+
+
+def random_signed_scheme(rng: random.Random, two_oval_nest: bool):
+    def empties() -> SignedEmpties:
+        return SignedEmpties(rng.randint(0, 3), rng.randint(0, 3))
+
+    def oval(depth: int) -> SignedOval:
+        inner = rng.randint(0, 2) if depth < 4 else 0
+        return SignedOval(rng.choice((1, -1)), empties(),
+                          tuple(oval(depth + 1) for _ in range(inner)))
+
+    if two_oval_nest:
+        inner = SignedOval(rng.choice((1, -1)), empties())
+        top = (SignedOval(rng.choice((1, -1)), empties(), (inner,)),)
+    else:
+        top = tuple(oval(1) for _ in range(rng.randint(0, 2)))
+    return SignedScheme(9, rng.random() < 0.5, empties(), top)
+
+
+def pairwise_stats(s: SignedScheme, mode: str):
+    """The census by brute force: list every oval with the non-empty ovals
+    enclosing it, then sign each (enclosing oval, inner oval) pair alone."""
+    ovals = []      # (sign, the SignedOval or None if empty, enclosing ovals)
+    todo = [(None, s.empties, s.ovals, ())]
+    while todo:
+        node, empties, inside, outer = todo.pop()
+        ovals += [(1, None, outer)] * empties.plus
+        ovals += [(-1, None, outer)] * empties.minus
+        todo += [(o, o.empties, o.ovals, outer + (o,)) for o in inside]
+        if node is not None:
+            ovals.append((node.sign, node, outer[:-1]))
+    key = {}
+    if mode == "literal":
+        chain = [(outer, o) for _, o, outer in ovals if o]
+        if sorted(len(outer) for outer, _ in chain) != [0, 1]:
+            raise ValueError("not a two-oval nest")
+        a, b = (o for _, o in sorted(chain, key=lambda c: len(c[0])))
+        key = {id(a): b.sign, id(b): a.sign}
+    pairs = {1: 0, -1: 0}
+    table = {(a, b): 0 for a in (1, -1) for b in (1, -1)}
+    for sign, node, outer in ovals:
+        for anc in outer:
+            outer_key = anc.sign if node else key.get(id(anc), anc.sign)
+            pairs[-outer_key * sign] += 1
+            if node is None:
+                table[anc.sign, sign] += 1
+    signs = [sign for sign, _, _ in ovals]
+    empty = [sign for sign, node, _ in ovals if node is None]
+    return (signs.count(1), signs.count(-1), empty.count(1), empty.count(-1),
+            pairs[1], pairs[-1],
+            ((table[1, 1], table[1, -1]), (table[-1, 1], table[-1, -1])))
+
+
+@pytest.mark.parametrize("mode", ["uniform", "literal"])
+def test_compute_stats_matches_pairwise_count(mode):
+    rng = random.Random(14)
+    for i in range(400):
+        s = random_signed_scheme(rng, two_oval_nest=i % 2 == 0)
+        try:
+            want = pairwise_stats(s, mode)
+        except ValueError:
+            with pytest.raises(ValueError):
+                compute_stats(s, mode)
+            continue
+        st = compute_stats(s, mode)
+        assert (st.all_plus, st.all_minus, st.empty_plus, st.empty_minus,
+                st.pair_plus, st.pair_minus, st.pair_table) == want
+        assert s.oval_count() == st.all_plus + st.all_minus
+
+
+def test_compute_stats_on_a_1501_deep_nest():
+    """A 1501-deep nest of + ovals: every nested pair is negative."""
+    depth = 1500
+    s = parse_signed("<J + " + "1_+<" * depth + "2_-" + ">" * depth + ">",
+                     2 * depth + 3)
+    st = compute_stats(s)
+    assert (st.all_plus, st.all_minus) == (depth, 2)
+    assert (st.pair_plus, st.pair_minus) == (2 * depth, depth * (depth - 1) // 2)
+    assert st.pair_table == ((0, 2 * depth), (0, 0))
 
 
 def test_orevkov_rejects_odd_empty_imbalance():

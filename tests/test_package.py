@@ -1,10 +1,12 @@
 """The package's public names, and the modules each command loads.
 
 `import deepnest` loads no submodule: every exported name imports its
-module on first use.  A command loads the orientation stack (schemes,
-orientations, cases) and only what it runs beyond that: bezout for
-`audit`, the six-point geometry for `lemma3`.  Each check starts a fresh
-interpreter, because this test process has long imported everything.
+module on first use.  A command loads only the modules it runs: schemes for
+plain `parse`, orientations too for signed `parse` and `check-*`, cases too
+for `solve`, `prohibit` and `theorem*`, bezout alone for `audit` and the
+six-point geometry alone for `lemma3`; a usage error loads none of them.
+Each check starts a fresh interpreter, because this test process has long
+imported everything.
 """
 
 from __future__ import annotations
@@ -23,12 +25,16 @@ import deepnest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 
-ORIENTATION = {"deepnest.cli", "deepnest.schemes", "deepnest.orientations",
-               "deepnest.cases"}
-GEOMETRY = {"deepnest.geometry", "deepnest.conics", "deepnest.configurations"}
+CLI = {"deepnest.cli"}
+SCHEMES = CLI | {"deepnest.schemes"}
+ORIENTATIONS = SCHEMES | {"deepnest.orientations"}
+CASES = ORIENTATIONS | {"deepnest.cases"}
+GEOMETRY = CLI | {"deepnest.geometry", "deepnest.conics",
+                  "deepnest.configurations"}
+SIGNED = "<J + 1_-<3_+ + 9_- + 1_-<10_+ + 4_->>>"
 
 # imports deepnest, runs `deepnest ARGV` if given, and prints the exit
-# status and the deepnest modules then loaded
+# status (argparse exits by SystemExit) and the deepnest modules then loaded
 PROBE = """
 import contextlib, io, json, sys
 import deepnest
@@ -37,7 +43,10 @@ if sys.argv[1:]:
     from deepnest.cli import main
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
-        code = main(sys.argv[1:])
+        try:
+            code = main(sys.argv[1:])
+        except SystemExit as exc:
+            code = exc.code
 print(json.dumps([code, sorted(m for m in sys.modules
                                if m.startswith("deepnest."))]))
 """
@@ -78,31 +87,43 @@ def test_import_loads_no_submodule():
     assert loaded_by() == (None, set())
 
 
-@pytest.mark.parametrize("argv", [
-    ["parse", "--scheme", "<J + 1<4 + 1<22>>>"],
-    ["check-rm", "--scheme", "<J + 1_-<3_+ + 9_- + 1_-<10_+ + 4_->>>"],
-    ["check-orevkov", "--scheme", "<J + 1_-<3_+ + 9_- + 1_-<10_+ + 4_->>>"],
-    ["solve", "--scenario", "with-o1-jumps"],
-    ["prohibit", "--scheme", "<J + 1<3 + 1<23>>>"],
-    ["theorem1"],
-    ["theorem2", "--beta", "12"],
-], ids=lambda argv: argv[0])
-def test_orientation_commands_load_only_the_orientation_stack(argv):
-    assert loaded_by("--json", *argv) == (0, ORIENTATION)
+@pytest.mark.parametrize("argv, modules", [
+    (["parse", "--scheme", "<J + 1<4 + 1<22>>>"], SCHEMES),
+    (["parse", "--scheme", SIGNED], ORIENTATIONS),
+    (["check-rm", "--scheme", SIGNED], ORIENTATIONS),
+    (["check-orevkov", "--scheme", SIGNED], ORIENTATIONS),
+    (["solve", "--scenario", "with-o1-jumps"], CASES),
+    (["prohibit", "--scheme", "<J + 1<3 + 1<23>>>"], CASES),
+    (["theorem1"], CASES),
+    (["theorem2", "--beta", "12"], CASES),
+], ids=["parse", "parse-signed", "check-rm", "check-orevkov", "solve",
+        "prohibit", "theorem1", "theorem2"])
+def test_orientation_commands_load_only_the_orientation_stack(argv, modules):
+    assert loaded_by("--json", *argv) == (0, modules)
 
 
 def test_audit_loads_bezout_and_no_geometry():
     assert loaded_by("--json", "audit", "--trace", "trace.json") == (
-        0, ORIENTATION | {"deepnest.bezout"})
+        0, CLI | {"deepnest.bezout"})
 
 
 def test_lemma3_loads_the_geometry_stack():
     assert loaded_by("--json", "lemma3", "--case", "1", "--samples", "1") == (
-        0, ORIENTATION | GEOMETRY)
+        0, GEOMETRY)
 
 
 def test_lemma3_rejects_missing_case_before_loading_geometry():
-    assert loaded_by("--json", "lemma3") == (2, ORIENTATION)
+    assert loaded_by("--json", "lemma3") == (2, CLI)
+
+
+def test_usage_error_loads_no_stack():
+    assert loaded_by("--json", "solve", "--scenario",
+                     "no-such-scenario") == (2, CLI)
+
+
+def test_cli_scenario_choices_match_the_library():
+    from deepnest import cases, cli
+    assert cli.SCENARIO_KINDS == cases.SCENARIO_KINDS
 
 
 def test_public_names_are_unchanged():
