@@ -24,8 +24,7 @@ with any nest oval that would otherwise keep it inside one.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 REGION = {"median": 1, "inner": 2}
 
@@ -34,34 +33,29 @@ class InvalidTraceError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Visit:
+class Visit(NamedTuple):
     oval: str
     role: str         # "median" or "inner"
     node: bool = False
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(NamedTuple):
     j_crossings: int
 
 
-@dataclass(frozen=True)
-class Extra:
+class Extra(NamedTuple):
     count: int
     tag: str
 
 
-@dataclass(frozen=True)
-class AuxCurveTrace:
+class AuxCurveTrace(NamedTuple):
     degree: int
     visits: tuple[Visit, ...]
     arcs: tuple[Arc, ...]
     extras: tuple[Extra, ...] = ()
 
 
-@dataclass(frozen=True)
-class BudgetReport:
+class BudgetReport(NamedTuple):
     per_oval: dict[str, int]
     o1_crossings: int
     o2_crossings: int

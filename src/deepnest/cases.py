@@ -35,9 +35,8 @@ PROHIBITED always certifies the full parity class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .orientations import (
     OrientationParityError,
@@ -90,8 +89,7 @@ class InfeasibleOrientationError(ValueError):
     """A sign case admits no concrete signed scheme at the given beta."""
 
 
-@dataclass(frozen=True)
-class SignCase:
+class SignCase(NamedTuple):
     scenario: str
     eps1: int                  # outer nest oval sign
     eps2: int                  # inner nest oval sign
@@ -118,29 +116,32 @@ class SignCase:
         return 0, 0
 
 
-@dataclass(frozen=True)
-class Scenario:
+class _ScenarioFields(NamedTuple):
+    kind: str
+    beta: Optional[int] = None
+    parity: Optional[int] = None
+
+
+class Scenario(_ScenarioFields):
     """A scenario kind with beta's size, or only its parity, pinned.
 
     The parity the kind already fixes is filled in: even for
     no-jumps-even-gamma and odd for no-jumps-odd-gamma (gamma = 26 - beta
     has beta's parity), and beta = 0 for beta-zero.  A size or parity that
-    contradicts the kind, or each other, raises ValueError, so equal
-    scenarios compare and hash equal.  with-o1-jumps alone may leave the
-    parity open.  gamma is read from beta, never set."""
-    kind: str
-    beta: Optional[int] = None
-    parity: Optional[int] = None
+    contradicts the kind, or each other, raises ValueError (in `_make` and
+    `_replace` too), so equal scenarios compare and hash equal.
+    with-o1-jumps alone may leave the parity open; gamma is read from beta."""
 
-    def __post_init__(self):
-        if self.kind not in SCENARIO_KINDS:
-            raise ValueError(f"unknown scenario {self.kind!r}")
-        beta, parity = self.beta, self.parity
+    __slots__ = ()
+
+    def __new__(cls, kind: str, beta=None, parity=None):
+        if kind not in SCENARIO_KINDS:
+            raise ValueError(f"unknown scenario {kind!r}")
         if beta is not None and not _is_size(beta):
             raise ValueError(_SIZE_RANGE)
         if not (parity is None or type(parity) is int and 0 <= parity <= 1):
             raise ValueError("parity must be None, 0 or 1")
-        if self.kind == BETA_ZERO:
+        if kind == BETA_ZERO:
             if beta not in (None, 0):
                 raise ValueError("beta-zero scenario requires beta = 0")
             beta = 0
@@ -148,14 +149,17 @@ class Scenario:
             if parity not in (None, beta % 2):
                 raise ValueError("parity contradicts beta")
             parity = beta % 2
-        kind_parity = _KIND_PARITY.get(self.kind)
+        kind_parity = _KIND_PARITY.get(kind)
         if kind_parity is not None:
             if parity not in (None, kind_parity):
                 raise ValueError("gamma must be %s here"
                                  % ("odd" if kind_parity else "even"))
             parity = kind_parity
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "parity", parity)
+        return super().__new__(cls, kind, beta, parity)
+
+    @classmethod
+    def _make(cls, iterable) -> Scenario:
+        return cls(*iterable)
 
     @property
     def gamma(self) -> Optional[int]:
@@ -216,6 +220,8 @@ def solve_scenario(scenario: Scenario, mode: str = "uniform") -> list[SignCase]:
 
     Results are cached per (scenario, mode); each call returns a fresh
     list, so a caller that changes it cannot reach the cached value."""
+    if not isinstance(scenario, Scenario):
+        raise TypeError(f"expected a Scenario, got {scenario!r}")
     return list(_solve_scenario(scenario, mode))
 
 
@@ -324,23 +330,20 @@ def emit_complex_scheme(case: SignCase, beta: int) -> SignedScheme:
 # ---------------------------------------------------------------------------
 # prohibition verdicts
 
-@dataclass(frozen=True)
-class ScenarioResult:
+class ScenarioResult(NamedTuple):
     scenario: Scenario
     solutions: tuple[SignCase, ...]
     survivors: tuple[SignCase, ...]
 
 
-@dataclass(frozen=True)
-class FeasibleScheme:
+class FeasibleScheme(NamedTuple):
     case: SignCase
     scheme: str
     rm_residual: int
     orevkov_residuals: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class ProhibitReport:
+class ProhibitReport(NamedTuple):
     scheme: str
     beta: int
     gamma: int
@@ -426,8 +429,7 @@ def _prohibit(beta: int, gamma: int, known: Iterable[int],
 # ---------------------------------------------------------------------------
 # the two theorem tables
 
-@dataclass(frozen=True)
-class TheoremOneRow:
+class TheoremOneRow(NamedTuple):
     beta: int
     gamma: int
     verdict: str
@@ -450,8 +452,7 @@ def theorem1_report(known: Iterable[int] = (1, 3, 25)) -> list[TheoremOneRow]:
     return rows
 
 
-@dataclass(frozen=True)
-class TheoremTwoRow:
+class TheoremTwoRow(NamedTuple):
     beta: int
     gamma: int
     schemes: tuple[FeasibleScheme, ...]
@@ -484,8 +485,7 @@ def theorem2_report(beta: int, gamma: Optional[int] = None) -> TheoremTwoRow:
 # ---------------------------------------------------------------------------
 # the degenerate nest
 
-@dataclass(frozen=True)
-class BetaZeroReport:
+class BetaZeroReport(NamedTuple):
     lhs_values: tuple[int, ...]
     max_abs_lhs: int
     rhs: int

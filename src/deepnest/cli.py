@@ -59,10 +59,9 @@ def _degree(args) -> int:
 
 
 def _case_dict(c: cases.SignCase) -> dict[str, Any]:
-    out: dict[str, Any] = {"scenario": c.scenario, "eps1": c.eps1,
-                           "eps2": c.eps2, "eps3": c.eps3, "n": c.n}
-    if c.eps4 is not None:
-        out["eps4"] = c.eps4
+    out = c._asdict()
+    if c.eps4 is None:
+        del out["eps4"]
     return out
 
 

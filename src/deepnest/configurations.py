@@ -28,10 +28,9 @@ of times, so the chart's choice of sign cancels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .geometry import (
     DegeneratePositionError,
@@ -122,8 +121,7 @@ _WITNESS_PAIRS = (
 )
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """Two principal triangles with disjoint interiors (exactly verified)."""
 
     triangles: tuple[tuple[int, int, int], tuple[int, int, int]]
@@ -144,8 +142,7 @@ class Witness:
         return f"{a}|{b}=empty"
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     verdict: str                      # "case" or "contradiction"
     case: Optional[int] = None        # 1, 2 or 3 when valid
     relabel_shift: int = 0            # sigma^k applied to reach canonical labels
@@ -376,8 +373,7 @@ def _position_cycle(signs: dict, x: int) -> tuple[str, str]:
     return "1" + cyc, "1" + cyc[::-1]
 
 
-@dataclass(frozen=True)
-class SequenceReport:
+class SequenceReport(NamedTuple):
     classification: Classification
     events: tuple[tuple[str, str], ...] = ()
     matches_reference: Optional[bool] = None

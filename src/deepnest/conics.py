@@ -9,9 +9,8 @@ device used for line directions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .geometry import (
     DegeneratePositionError,
@@ -107,8 +106,7 @@ def conic_through_5(pts: Sequence[Triple]) -> Conic:
 # ---------------------------------------------------------------------------
 # pencils of conics through four points
 
-@dataclass(frozen=True)
-class PencilEvent:
+class PencilEvent(NamedTuple):
     kind: str              # "singular" | "through-point"
     label: str
     parameter: tuple[int, int]   # canonical (lam : mu) on the parameter circle

@@ -20,10 +20,9 @@ hand computation can be replayed verbatim next to the uniform one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Literal, Optional
+from typing import Literal, NamedTuple, Optional
 
-from .schemes import SchemeSyntaxError, print_items, read_scheme
+from .schemes import SchemeSyntaxError, print_items, read_scheme, tree_hash
 
 Mode = Literal["uniform", "literal"]
 
@@ -32,21 +31,19 @@ class OrientationParityError(ValueError):
     """Raised when a census is arithmetically impossible for any curve."""
 
 
-@dataclass(frozen=True)
-class SignedEmpties:
+class SignedEmpties(NamedTuple):
     plus: int
     minus: int
 
 
-@dataclass(frozen=True)
-class SignedOval:
+class SignedOval(NamedTuple):
     sign: int  # +1 or -1
     empties: SignedEmpties
     ovals: tuple["SignedOval", ...] = ()
+    __hash__ = tree_hash    # no recursion, as for schemes.OvalGroup
 
 
-@dataclass(frozen=True)
-class SignedScheme:
+class SignedScheme(NamedTuple):
     degree: int
     pseudoline: bool
     empties: SignedEmpties            # outermost empty ovals
@@ -118,8 +115,7 @@ def parse_signed(text: str, degree: int) -> SignedScheme:
 # ---------------------------------------------------------------------------
 # census
 
-@dataclass(frozen=True)
-class OrientationStats:
+class OrientationStats(NamedTuple):
     all_plus: int       # ovals with sign +
     all_minus: int
     empty_plus: int     # empty ovals with sign +
@@ -140,20 +136,19 @@ class OrientationStats:
         return self.pair_table[0 if outer_sign > 0 else 1][0 if empty_sign > 0 else 1]
 
 
-def _iter_ovals(s: SignedScheme):
-    """Yield every non-empty oval, each before the ovals inside it."""
-    stack = list(s.ovals)
-    while stack:
-        o = stack.pop()
-        yield o
-        stack.extend(o.ovals)
+def _iter_ovals(s: SignedScheme) -> list[SignedOval]:
+    """Every non-empty oval, each before the ovals inside it."""
+    ovals = list(s.ovals)
+    for o in ovals:     # the list grows as it is read
+        ovals.extend(o.ovals)
+    return ovals
 
 
 def _literal_keys(s: SignedScheme) -> dict[int, int]:
     """LITERAL convention: the sign for (O, empty o) is taken through the
     other non-empty oval of the nest, so each oval's key (by id) is that
     oval's sign.  Requires exactly two non-empty ovals forming a chain."""
-    chain = list(_iter_ovals(s))
+    chain = _iter_ovals(s)
     if len(chain) != 2 or chain[1] not in chain[0].ovals:
         raise ValueError(
             "literal pair convention is defined only for a two-oval nest")

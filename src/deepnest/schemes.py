@@ -18,8 +18,7 @@ the identity on trees.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 
 class SchemeSyntaxError(ValueError):
@@ -38,23 +37,43 @@ class InadmissibleSchemeError(ValueError):
         self.oval = oval
 
 
-@dataclass(frozen=True)
-class OvalGroup:
+class _Hashed(int):
+    """A hash value, standing in a tuple for the record it hashes."""
+
+    def __hash__(self) -> int:
+        return int(self)
+
+
+def tree_hash(tree: tuple) -> int:
+    """hash(tuple(tree)), for a record whose last field holds its children
+    or None, without the C recursion that crashes on a deep enough tree."""
+    nodes = [tree]
+    for node in nodes:      # breadth first: the list grows as it is read
+        nodes.extend(node[-1] or ())
+    hashes: dict[int, int] = {}
+    for node in reversed(nodes):    # every child before its parent
+        kids = node[-1] if node[-1] is None else _Hashed(
+            hash(tuple(_Hashed(hashes[id(c)]) for c in node[-1])))
+        hashes[id(node)] = hash((*node[:-1], kids))
+    return hashes[id(tree)]
+
+
+class OvalGroup(NamedTuple):
     """`count` identical ovals; body None means they are empty, otherwise each
-    contains the given child groups."""
+    contains the given child groups.  hash() does not recurse; `==` and
+    repr() do, and raise RecursionError a few hundred levels deep."""
 
     count: int
     body: Optional[tuple["OvalGroup", ...]] = None
+    __hash__ = tree_hash
 
-    def _walk(self):
+    def _walk(self) -> list:
         """(group, its depth, how many copies of it there are), every group
         of the tree once."""
-        stack = [(self, 1, self.count)]
-        while stack:
-            g, depth, copies = stack.pop()
-            yield g, depth, copies
-            for c in g.body or ():
-                stack.append((c, depth + 1, copies * c.count))
+        walk = [(self, 1, self.count)]
+        for g, depth, copies in walk:   # the list grows as it is read
+            walk.extend((c, depth + 1, copies * c.count) for c in g.body or ())
+        return walk
 
     def ovals(self) -> int:
         return sum(copies for _, _, copies in self._walk())
@@ -63,8 +82,7 @@ class OvalGroup:
         return max(depth for _, depth, _ in self._walk())
 
 
-@dataclass(frozen=True)
-class RealScheme:
+class RealScheme(NamedTuple):
     degree: int
     pseudoline: bool
     groups: tuple[OvalGroup, ...]
@@ -256,8 +274,7 @@ def is_m_curve(s: RealScheme) -> bool:
     return s.component_count() == genus_bound(s.degree) + 1
 
 
-@dataclass(frozen=True)
-class DeepNestProfile:
+class DeepNestProfile(NamedTuple):
     alpha: int       # empty ovals outside the nest
     beta: int        # empty ovals between the two nest ovals
     gamma: int       # empty ovals inside the inner nest oval

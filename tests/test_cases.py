@@ -164,6 +164,29 @@ def test_sizes_must_be_integers(size):
         theorem2_report(12, size)
 
 
+def test_make_and_replace_validate_as_the_constructor_does():
+    sized = Scenario(WITH_O1_JUMPS, beta=5)
+    with pytest.raises(ValueError):
+        sized._replace(beta=4)          # parity 1 contradicts beta = 4
+    with pytest.raises(ValueError):
+        Scenario._make((NO_JUMPS_EVEN_GAMMA, 1, None))   # gamma = 25
+    assert Scenario._make((BETA_ZERO, None, None)) == Scenario(BETA_ZERO)
+    moved = sized._replace(beta=7)
+    assert type(moved) is Scenario and moved == Scenario(WITH_O1_JUMPS, beta=7)
+
+
+@pytest.mark.parametrize("scenario", [
+    (BETA_ZERO, 0, 0),           # equal to the cached Scenario(BETA_ZERO)
+    (WITH_O1_JUMPS, 3, 1),       # equal to no cached key
+    [BETA_ZERO, 0, 0],
+    BETA_ZERO,
+])
+def test_solve_scenario_takes_only_a_scenario(scenario):
+    solve_scenario(Scenario(BETA_ZERO))
+    with pytest.raises(TypeError):
+        solve_scenario(scenario)
+
+
 def all_scenarios():
     """Every field combination Scenario accepts, equal ones included."""
     sizes = (None, *range(TOTAL_EMPTIES + 1))

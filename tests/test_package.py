@@ -5,6 +5,7 @@ module on first use.  A command loads only the modules it runs: schemes for
 plain `parse`, orientations too for signed `parse` and `check-*`, cases too
 for `solve`, `prohibit` and `theorem*`, bezout alone for `audit` and the
 six-point geometry alone for `lemma3`; a usage error loads none of them.
+No command loads `dataclasses` or `inspect`: the records are NamedTuples.
 Each check starts a fresh interpreter, because this test process has long
 imported everything.
 """
@@ -34,7 +35,8 @@ GEOMETRY = CLI | {"deepnest.geometry", "deepnest.conics",
 SIGNED = "<J + 1_-<3_+ + 9_- + 1_-<10_+ + 4_->>>"
 
 # imports deepnest, runs `deepnest ARGV` if given, and prints the exit
-# status (argparse exits by SystemExit) and the deepnest modules then loaded
+# status (argparse exits by SystemExit) and the deepnest modules then loaded,
+# with dataclasses and inspect if either is
 PROBE = """
 import contextlib, io, json, sys
 import deepnest
@@ -48,7 +50,8 @@ if sys.argv[1:]:
         except SystemExit as exc:
             code = exc.code
 print(json.dumps([code, sorted(m for m in sys.modules
-                               if m.startswith("deepnest."))]))
+                               if m.startswith("deepnest.")
+                               or m in ("dataclasses", "inspect"))]))
 """
 
 PUBLIC_NAMES = [

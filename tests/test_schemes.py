@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 import hypothesis as hyp
@@ -178,3 +182,45 @@ def test_canonical_form_is_order_independent(groups, rng):
     b = parse_scheme(render(shuffled, True), 9)
     assert a == b
     assert print_scheme(a) == print_scheme(b)
+
+
+def plain(g: OvalGroup) -> tuple:
+    """The tree as nested plain tuples."""
+    return (g.count, None if g.body is None
+            else tuple(plain(c) for c in g.body))
+
+
+@hyp.settings(max_examples=200, deadline=None)
+@hyp.given(hys.lists(group_strategy(3), min_size=1, max_size=4))
+def test_a_tree_hashes_as_its_plain_tuple(groups):
+    for g in groups:
+        assert g == plain(g)
+        assert hash(g) == hash(plain(g))
+    s = parse_scheme(render(groups, True), 9)
+    assert hash(s) == hash(parse_scheme(print_scheme(s), 9))
+
+
+# a crash of the C stack kills the interpreter, so it runs in its own;
+# it prints whether two equal trees built apart hash equal
+DEEP_HASH = """
+from deepnest.orientations import SignedEmpties, SignedOval
+from deepnest.schemes import OvalGroup
+
+def nest(depth):
+    group, oval = OvalGroup(1), SignedOval(1, SignedEmpties(0, 0))
+    for _ in range(depth):
+        group = OvalGroup(1, (group,))
+        oval = SignedOval(-oval.sign, SignedEmpties(1, 0), (oval,))
+    return group, oval
+
+print([hash(a) == hash(b) for a, b in zip(nest(100_000), nest(100_000))])
+"""
+
+
+def test_hash_of_a_100000_deep_tree_does_not_recurse():
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-c", DEEP_HASH],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout) == (0, "[True, True]\n"), \
+        done.stderr
