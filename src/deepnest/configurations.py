@@ -8,7 +8,9 @@ five principal triangles 234, 345, 456, 562, 623 have disjoint interiors and
 the pair is reported as an exact witness.  The pencil order, the hull, the
 sub-region and the witness are each decided by signs of 3x3 determinants of
 chart points, so the classifier reads them all from one table of the
-configuration's 20 orientation signs.
+configuration's 20 orientation signs.  Hence a sampled configuration whose
+table equals its template's is accepted without classifying it, and the
+event sequence relabels the classifier's table instead of building another.
 
 The event sequence of a valid configuration lists, in pencil order, the five
 reducible members of the cubic pencil through the six points (labeled "12".."16"
@@ -292,7 +294,12 @@ CASE3_TRIANGLE = (2, 6, 3)
 
 def classify_configuration(cfg: dict[int, Triple]) -> Classification:
     _check_input(cfg)
-    signs = orientation_table(cfg)
+    return _classify_signs(orientation_table(cfg))
+
+
+def _classify_signs(signs: dict) -> Classification:
+    """The classification of a configuration with distinct points 1..6,
+    from its orientation table alone."""
     order = _pencil_order(signs)
     if order != [2, 3, 4, 5, 6]:
         raise InvalidConfigurationError(
@@ -388,7 +395,9 @@ def reducible_cubic_sequence(cfg: dict[int, Triple]) -> SequenceReport:
     singular members and two marked-point passages give, in parameter order,
     the five reducible cubics of the original configuration.
     """
-    cl = classify_configuration(cfg)
+    _check_input(cfg)
+    signs = orientation_table(cfg)
+    cl = _classify_signs(signs)
     if not cl.is_valid:
         return SequenceReport(classification=cl)
     c = sigma_shift(cfg, cl.relabel_shift)
@@ -397,7 +406,7 @@ def reducible_cubic_sequence(cfg: dict[int, Triple]) -> SequenceReport:
                                  [("14", c[5]), ("15", c[4])])
     order = [_SINGULAR_LABELS.get(ev.label, ev.label) for ev in events]
     order = _orient_events(order, cl.case)
-    signs = orientation_table(c)
+    signs = _shift_signs(signs, cl.relabel_shift)
     out = []
     for lab in order:
         x = int(lab[1])
@@ -438,20 +447,29 @@ def perturb_configuration(cfg: dict[int, Triple], rng):
     return out
 
 
+# kind -> orientation table of its template, filled on first use
+_TEMPLATE_SIGNS: dict[str, dict] = {}
+
+
 def sample_configuration(kind: str, rng):
     """A fresh configuration of the requested kind: "case1".."case3" or an
     excluded-pattern key from EXCLUSION_TEMPLATES.  Perturbs a stored template
     once; if the perturbed points do not classify as `kind`, returns a copy of
-    the template itself, which always does."""
+    the template itself, which always does.  The classifier reads only the
+    orientation table, so a sample with its template's table (no zero sign,
+    hence distinct points) is of its template's kind without classifying."""
     if kind in ("case1", "case2", "case3"):
         template = BASE_CONFIGURATIONS[int(kind[-1])]
     elif kind in EXCLUSION_TEMPLATES:
         template = EXCLUSION_TEMPLATES[kind]
     else:
         raise InvalidConfigurationError(f"unknown configuration kind {kind!r}")
+    if kind not in _TEMPLATE_SIGNS:
+        _TEMPLATE_SIGNS[kind] = orientation_table(template)
     cfg = perturb_configuration(template, rng)
     try:
-        if configuration_kind(classify_configuration(cfg)) == kind:
+        if (orientation_table(cfg) == _TEMPLATE_SIGNS[kind]
+                or configuration_kind(classify_configuration(cfg)) == kind):
             return cfg
     except (InvalidConfigurationError, DegeneratePositionError):
         pass

@@ -18,6 +18,7 @@ computes each triple's determinant once (`orientation_table`).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import combinations
 from math import gcd
 from typing import Sequence
@@ -136,7 +137,6 @@ def circle_less(a: tuple[int, int], b: tuple[int, int]) -> bool:
 
 def circle_sort(items: list, key) -> list:
     """Sort by circular position starting at angle 0 (exact comparisons)."""
-    import functools
 
     def cmp(x, y):
         kx, ky = key(x), key(y)
@@ -144,7 +144,7 @@ def circle_sort(items: list, key) -> list:
             raise DegeneratePositionError("equal circular positions")
         return -1 if circle_less(kx, ky) else 1
 
-    return sorted(items, key=functools.cmp_to_key(cmp))
+    return sorted(items, key=cmp_to_key(cmp))
 
 
 def inside_ccw_arc(a: tuple[int, int], b: tuple[int, int], m: tuple[int, int]) -> bool:
@@ -164,12 +164,15 @@ def inside_ccw_arc(a: tuple[int, int], b: tuple[int, int], m: tuple[int, int]) -
 
 def orientation_table(pts: dict) -> dict:
     """Chart orientation of every ordered triple of distinct labels of `pts`
-    (label -> point off J): one det3 per unordered triple, one chart_rep
-    per point."""
-    reps = {k: chart_rep(p) for k, p in pts.items()}
+    (label -> point off J): one chart_rep per point and, in one pass, one
+    3x3 determinant (det3, written out) per unordered triple."""
+    reps = [(k, chart_rep(p)) for k, p in pts.items()]
     signs = {}
-    for a, b, c in combinations(reps, 3):
-        s = sign(det3(reps[a], reps[b], reps[c]))
+    for (a, (ax, ay, az)), (b, (bx, by, bz)), (c, (cx, cy, cz)) in \
+            combinations(reps, 3):
+        d = (ax * (by * cz - bz * cy) - ay * (bx * cz - bz * cx)
+             + az * (bx * cy - by * cx))
+        s = (d > 0) - (d < 0)
         signs[a, b, c] = signs[b, c, a] = signs[c, a, b] = s
         signs[b, a, c] = signs[a, c, b] = signs[c, b, a] = -s
     return signs

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from deepnest import configurations
+from deepnest.cli import main
 from deepnest.configurations import (
     BASE_CONFIGURATIONS,
     EXCLUSION_TEMPLATES,
@@ -98,12 +99,78 @@ def test_sampler_produces_requested_kind():
             assert configuration_kind(classify_configuration(cfg)) == kind
 
 
+TEMPLATES = {**{f"case{k}": cfg for k, cfg in BASE_CONFIGURATIONS.items()},
+             **EXCLUSION_TEMPLATES}
+
+
 def test_every_template_classifies_as_its_own_kind():
-    templates = {**{f"case{k}": cfg for k, cfg in BASE_CONFIGURATIONS.items()},
-                 **EXCLUSION_TEMPLATES}
-    assert len(templates) == 28
-    for kind, cfg in templates.items():
+    assert len(TEMPLATES) == 28
+    for kind, cfg in TEMPLATES.items():
         assert configuration_kind(classify_configuration(cfg)) == kind
+        # the sampler's premise: the template's table alone decides its kind
+        signs = orientation_table(cfg)
+        assert 0 not in signs.values()
+        assert configuration_kind(configurations._classify_signs(signs)) == kind
+
+
+def oracle_sample(kind, rng):
+    """The sampler's acceptance rule, spelled out: perturb the template,
+    classify, and keep the sample only if it is of the requested kind."""
+    template = TEMPLATES[kind]
+    cfg = perturb_configuration(template, rng)
+    try:
+        if configuration_kind(classify_configuration(cfg)) == kind:
+            return cfg
+    except ValueError:
+        pass
+    return dict(template)
+
+
+@pytest.mark.parametrize("kind", sorted(TEMPLATES))
+def test_sampler_follows_the_classifier(kind):
+    for seed in range(200):
+        assert (sample_configuration(kind, random.Random(seed))
+                == oracle_sample(kind, random.Random(seed)))
+
+
+def test_sampler_accepts_a_new_table_of_its_kind(monkeypatch):
+    # a relabelled case 2 is still case 2, but its table is not the template's
+    shifted = sigma_shift(BASE_CONFIGURATIONS[2], 1)
+    assert orientation_table(shifted) != orientation_table(BASE_CONFIGURATIONS[2])
+    monkeypatch.setattr(configurations, "perturb_configuration",
+                        lambda cfg, rng: dict(shifted))
+    assert sample_configuration("case2", random.Random(0)) == shifted
+
+
+def test_lemma3_classifies_each_sample_once(monkeypatch, capsys):
+    calls = {"_classify_signs": 0, "orientation_table": 0}
+
+    def counted(name):
+        fn = getattr(configurations, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(configurations, name, counted(name))
+    monkeypatch.setattr(configurations, "_TEMPLATE_SIGNS", {})
+    argv = ["--json", "lemma3", "--case", "2", "--samples", "20", "--seed", "0"]
+    assert main(argv) == 0
+    assert '"matchesPaper": true' in capsys.readouterr().out
+    assert calls["_classify_signs"] == 20
+    # two tables per sample (sampler, sequence), plus the template's once
+    assert calls["orientation_table"] == 2 * 20 + 1
+
+
+def test_shifted_table_is_the_table_of_the_shifted_points():
+    rng = random.Random(4)
+    for cfg in TEMPLATES.values():
+        cfg = perturb_configuration(cfg, rng)
+        for k in range(5):
+            assert (configurations._shift_signs(orientation_table(cfg), k)
+                    == orientation_table(sigma_shift(cfg, k)))
 
 
 @pytest.mark.parametrize("perturbed", [

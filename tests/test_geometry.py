@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 import hypothesis as hyp
@@ -26,6 +27,7 @@ from deepnest.geometry import (
     normalize,
     orientation_table,
     point,
+    sign,
 )
 
 coord = hys.integers(min_value=-40, max_value=40)
@@ -128,6 +130,24 @@ def test_convex_position_vs_float_hull():
                     continue
                 assert chart_orient(a, b, p) > 0
     assert hits > 100
+
+
+def test_orientation_table_is_the_sign_of_det3():
+    # small coordinates, so that many triples are collinear; z of either sign
+    rng = random.Random(1616)
+    zeros = flips = 0
+    for _ in range(300):
+        pts = {k: (rng.randint(-3, 3), rng.randint(-3, 3),
+                   rng.choice((-3, -2, -1, 1, 2, 3))) for k in range(1, 7)}
+        signs = orientation_table(pts)
+        assert len(signs) == 120
+        for a, b, c in permutations(pts, 3):
+            expected = sign(det3(chart_rep(pts[a]), chart_rep(pts[b]),
+                                 chart_rep(pts[c])))
+            assert signs[a, b, c] == expected
+            zeros += expected == 0
+            flips += expected != sign(det3(pts[a], pts[b], pts[c]))
+    assert zeros > 1000 and flips > 1000
 
 
 def test_pencil_sweep_is_cyclic_and_antipode_free():
