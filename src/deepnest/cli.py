@@ -280,9 +280,12 @@ def _sequence_json(events) -> list[list[str]]:
 
 
 def _cmd_lemma3(args) -> tuple[dict, dict, list[str]]:
-    if args.config is None and args.case is None:
+    if args.config is not None:
+        if (args.case, args.samples, args.seed) != (None, None, None):
+            raise ValueError("--config takes no --case, --samples or --seed")
+    elif args.case is None:
         raise ValueError("lemma3 needs --case (or --config FILE)")
-    if args.config is None and args.samples < 1:
+    elif args.samples is not None and args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
     from . import configurations
     if args.config is not None:
@@ -313,11 +316,13 @@ def _cmd_lemma3(args) -> tuple[dict, dict, list[str]]:
                                  else "MISMATCH"]
 
     import random
-    inputs = {"case": args.case, "samples": args.samples, "seed": args.seed}
-    rng = random.Random(args.seed)
+    samples = 20 if args.samples is None else args.samples
+    seed = 0 if args.seed is None else args.seed
+    inputs = {"case": args.case, "samples": samples, "seed": seed}
+    rng = random.Random(seed)
     per_sample = []
     all_match = True
-    for _ in range(args.samples):
+    for _ in range(samples):
         cfg = configurations.sample_configuration(f"case{args.case}", rng)
         rep = configurations.reducible_cubic_sequence(cfg)
         ok = bool(rep.matches_reference)
@@ -423,9 +428,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="six-point configurations and their conic-pencil "
                             "event sequences")
     p.add_argument("--case", type=int, choices=(1, 2, 3))
-    p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--config", help="JSON file with 6 labeled points")
+    p.add_argument("--samples", type=int, help="with --case (default 20)")
+    p.add_argument("--seed", type=int, help="with --case (default 0)")
+    p.add_argument("--config", help="JSON file with 6 labeled points "
+                                    "(takes no --case, --samples or --seed)")
 
     p = sub.add_parser("audit", help="intersection-budget audit of a trace")
     p.add_argument("--trace", required=True)

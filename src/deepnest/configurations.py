@@ -30,7 +30,6 @@ of times, so the chart's choice of sign cancels.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple, Optional
 
@@ -41,7 +40,6 @@ from .geometry import (
     chart_orient,
     normalize,
     orientation_table,
-    point,
 )
 from .conics import conic_pencil_events, cremona
 
@@ -51,37 +49,15 @@ class InvalidConfigurationError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# the three valid base configurations (exact rational coordinates)
-
-def _cfg(pairs) -> dict[int, Triple]:
-    return {k: point(x, y) for k, (x, y) in pairs.items()}
-
+# the three valid base configurations (canonical integer triples)
 
 BASE_CONFIGURATIONS: dict[int, dict[int, Triple]] = {
-    1: _cfg({
-        1: (0, 0),
-        2: (0, 1),
-        3: (Fraction(3, 5), Fraction(-4, 5)),
-        4: (Fraction(-176, 185), Fraction(57, 185)),
-        5: (Fraction(35, 37), Fraction(12, 37)),
-        6: (Fraction(-3, 5), Fraction(-4, 5)),
-    }),
-    2: _cfg({
-        1: (Fraction(-1, 5), Fraction(1, 10)),
-        2: (Fraction(-3, 10), Fraction(3, 10)),
-        3: (1, 0),
-        4: (-1, 0),
-        5: (0, 1),
-        6: (0, -1),
-    }),
-    3: _cfg({
-        1: (Fraction(-2, 5), Fraction(-1, 5)),
-        2: (1, 0),
-        3: (-1, -1),
-        4: (Fraction(-1, 3), 0),
-        5: (Fraction(-1, 3), Fraction(-2, 5)),
-        6: (-1, 1),
-    }),
+    1: {1: (0, 0, 1), 2: (0, 1, 1), 3: (3, -4, 5), 4: (176, -57, -185),
+        5: (35, 12, 37), 6: (3, 4, -5)},
+    2: {1: (2, -1, -10), 2: (3, -3, -10), 3: (1, 0, 1), 4: (1, 0, -1),
+        5: (0, 1, 1), 6: (0, 1, -1)},
+    3: {1: (2, 1, -5), 2: (1, 0, 1), 3: (1, 1, -1), 4: (1, 0, -3),
+        5: (5, 6, -15), 6: (1, -1, -1)},
 }
 
 # Reference event sequences for the three classes: (line label, position cycle).

@@ -1,23 +1,23 @@
-"""Exact rational projective-plane kernel.
+"""Exact projective-plane kernel over the integers.
 
 Points and lines are integer homogeneous triples, canonicalized to coprime
-entries with the first nonzero entry positive.  All predicates are exact;
-no tolerances anywhere.  Directions mod pi are compared on the circle via
-the double-angle embedding (dx, dy) -> (dx^2 - dy^2, 2 dx dy), which is
-injective on lines through the origin and turns "rotating pencil" questions
-into ordinary circular-order questions.
+entries with the first nonzero entry positive (`normalize`).  All predicates
+are exact; no tolerances anywhere.
 
 The curve's one-sided branch J is modelled as the line z = 0, the line at
-infinity of the affine chart: every pencil, hull and J-jump argument is
-projective, so this choice of coordinates loses nothing.  Points handed to
-the chart predicates must lie off J.  A hull, and every decision of the
-six-point classification, is read from one table of chart orientations that
-computes each triple's determinant once (`orientation_table`).
+infinity of the affine chart.  Points handed to the chart predicates must
+lie off J.  A hull (`_hull_cycle`), and every decision of the six-point
+classification, is read from one table of chart orientations that computes
+each triple's determinant once (`orientation_table`).
+
+The conic pencil orders its events by their parameters (lam : mu), which
+are directions mod pi.  The double-angle embedding
+(dx, dy) -> (dx^2 - dy^2, 2 dx dy) is injective on lines through the origin,
+so that order is an ordinary circular order (`circle_sort`).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations
 from math import gcd
@@ -46,13 +46,6 @@ def normalize(x: int, y: int, z: int) -> Triple:
     return (x, y, z)
 
 
-def point(x, y) -> Triple:
-    """Affine point with exact rational coordinates -> canonical triple."""
-    fx, fy = Fraction(x), Fraction(y)
-    den = fx.denominator * fy.denominator // gcd(fx.denominator, fy.denominator)
-    return normalize(int(fx * den), int(fy * den), den)
-
-
 def cross(u: Triple, v: Triple) -> Triple:
     return normalize(
         u[1] * v[2] - u[2] * v[1],
@@ -65,10 +58,6 @@ def line_through(p: Triple, q: Triple) -> Triple:
     if p == q:
         raise ValueError("need two distinct points")
     return cross(p, q)
-
-
-def dot(l: Triple, p: Triple) -> int:
-    return l[0] * p[0] + l[1] * p[1] + l[2] * p[2]
 
 
 def det3(a: Sequence[int], b: Sequence[int], c: Sequence[int]) -> int:
@@ -96,19 +85,6 @@ def chart_rep(p: Triple) -> Triple:
 def chart_orient(p: Triple, q: Triple, r: Triple) -> int:
     """Affine orientation in the chart complementing J (+1 = counterclockwise)."""
     return sign(det3(chart_rep(p), chart_rep(q), chart_rep(r)))
-
-
-def chart_direction(frm: Triple, to: Triple) -> tuple[int, int]:
-    """Direction (2-vector, exact) from `frm` to `to` in the chart complementing J."""
-    a = chart_rep(frm)
-    b = chart_rep(to)
-    # Affine difference b/z_b - a/z_a, cleared of denominators (positive factor).
-    dx = b[0] * a[2] - a[0] * b[2]
-    dy = b[1] * a[2] - a[1] * b[2]
-    if dx == 0 and dy == 0:
-        raise ValueError("coincident points have no direction")
-    g = gcd(abs(dx), abs(dy))
-    return (dx // g, dy // g)
 
 
 def double_angle(d: tuple[int, int]) -> tuple[int, int]:
@@ -145,21 +121,6 @@ def circle_sort(items: list, key) -> list:
         return -1 if circle_less(kx, ky) else 1
 
     return sorted(items, key=cmp_to_key(cmp))
-
-
-def inside_ccw_arc(a: tuple[int, int], b: tuple[int, int], m: tuple[int, int]) -> bool:
-    """Is m strictly inside the counterclockwise arc from a to b (full circle)?"""
-    cab = a[0] * b[1] - a[1] * b[0]
-    cam = a[0] * m[1] - a[1] * m[0]
-    cmb = m[0] * b[1] - m[1] * b[0]
-    if cab == 0:
-        if a == b:
-            return False
-        # arc of half turn: m inside iff strictly left of a
-        return cam > 0
-    if cab > 0:
-        return cam > 0 and cmb > 0
-    return cam > 0 or cmb > 0
 
 
 def orientation_table(pts: dict) -> dict:
@@ -209,50 +170,4 @@ def _raw_cross(u: Sequence[int], v: Sequence[int]) -> Triple:
         u[2] * v[0] - u[0] * v[2],
         u[0] * v[1] - u[1] * v[0],
     )
-
-
-# ---------------------------------------------------------------------------
-# rotating line pencils and J-jumps
-
-def line_pencil_sweep(base: Triple, targets: dict):
-    """Counterclockwise cyclic order in which a line rotating about `base`
-    meets the targets, with a flag per consecutive step: True iff the swept
-    sector's segment of the two targets' line is the one crossing J (a J-jump).
-
-    Returns (order, flags): flags[i] covers the step order[i] -> order[(i+1) % n].
-    """
-    labs = list(targets)
-    if len(labs) < 2:
-        raise ValueError("need at least 2 targets")
-    if base[2] == 0:
-        raise DegeneratePositionError("pencil base on the distinguished line")
-    keyed = []
-    for k in labs:
-        if targets[k] == base:
-            raise ValueError("target equals base")
-        keyed.append((k, double_angle(chart_direction(base, targets[k]))))
-    try:
-        ordered = circle_sort(keyed, key=lambda it: it[1])
-    except DegeneratePositionError:
-        raise DegeneratePositionError("two targets collinear with the base")
-    order = [k for k, _ in ordered]
-    n = len(order)
-    flags = [step_is_j_jump(base, targets[order[i]], targets[order[(i + 1) % n]])
-             for i in range(n)]
-    return order, flags
-
-
-def step_is_j_jump(base: Triple, px: Triple, py: Triple) -> bool:
-    """Does the pencil at `base`, rotating counterclockwise from the line
-    through px to the line through py (consecutively), sweep the segment of
-    line(px,py) that meets J?
-
-    Exact criterion: the swept sector covers exactly one of the two segments;
-    it covers the J-crossing one iff the direction of line(px,py) lies in the
-    swept arc of directions.
-    """
-    a = double_angle(chart_direction(base, px))
-    b = double_angle(chart_direction(base, py))
-    m = double_angle(chart_direction(px, py))
-    return inside_ccw_arc(a, b, m)
 

@@ -1,0 +1,108 @@
+"""Affine chart helpers the test oracles share: rational points, directions,
+arcs of the direction circle, and the rotating line pencil with its J-jumps.
+
+No command runs these.  The library decides every six-point question from
+orientation signs (`deepnest.geometry.orientation_table`); the oracles in
+`point_classifier.py`, the acceptance criteria and the kernel tests recompute
+the same answers from the points through these functions.  J is the line
+z = 0, as in `deepnest.geometry`.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd
+
+from deepnest.geometry import (
+    DegeneratePositionError,
+    Triple,
+    chart_rep,
+    circle_sort,
+    double_angle,
+    normalize,
+)
+
+
+def point(x, y) -> Triple:
+    """Affine point with exact rational coordinates -> canonical triple."""
+    fx, fy = Fraction(x), Fraction(y)
+    den = fx.denominator * fy.denominator // gcd(fx.denominator, fy.denominator)
+    return normalize(int(fx * den), int(fy * den), den)
+
+
+def dot(l: Triple, p: Triple) -> int:
+    return l[0] * p[0] + l[1] * p[1] + l[2] * p[2]
+
+
+def chart_direction(frm: Triple, to: Triple) -> tuple[int, int]:
+    """Direction (2-vector, exact) from `frm` to `to` in the chart complementing J."""
+    a = chart_rep(frm)
+    b = chart_rep(to)
+    # Affine difference b/z_b - a/z_a, cleared of denominators (positive factor).
+    dx = b[0] * a[2] - a[0] * b[2]
+    dy = b[1] * a[2] - a[1] * b[2]
+    if dx == 0 and dy == 0:
+        raise ValueError("coincident points have no direction")
+    g = gcd(abs(dx), abs(dy))
+    return (dx // g, dy // g)
+
+
+def inside_ccw_arc(a: tuple[int, int], b: tuple[int, int], m: tuple[int, int]) -> bool:
+    """Is m strictly inside the counterclockwise arc from a to b (full circle)?"""
+    cab = a[0] * b[1] - a[1] * b[0]
+    cam = a[0] * m[1] - a[1] * m[0]
+    cmb = m[0] * b[1] - m[1] * b[0]
+    if cab == 0:
+        if a == b:
+            return False
+        # arc of half turn: m inside iff strictly left of a
+        return cam > 0
+    if cab > 0:
+        return cam > 0 and cmb > 0
+    return cam > 0 or cmb > 0
+
+
+# ---------------------------------------------------------------------------
+# rotating line pencils and J-jumps
+
+def line_pencil_sweep(base: Triple, targets: dict):
+    """Counterclockwise cyclic order in which a line rotating about `base`
+    meets the targets, with a flag per consecutive step: True iff the swept
+    sector's segment of the two targets' line is the one crossing J (a J-jump).
+
+    Returns (order, flags): flags[i] covers the step order[i] -> order[(i+1) % n].
+    """
+    labs = list(targets)
+    if len(labs) < 2:
+        raise ValueError("need at least 2 targets")
+    if base[2] == 0:
+        raise DegeneratePositionError("pencil base on the distinguished line")
+    keyed = []
+    for k in labs:
+        if targets[k] == base:
+            raise ValueError("target equals base")
+        keyed.append((k, double_angle(chart_direction(base, targets[k]))))
+    try:
+        ordered = circle_sort(keyed, key=lambda it: it[1])
+    except DegeneratePositionError:
+        raise DegeneratePositionError("two targets collinear with the base")
+    order = [k for k, _ in ordered]
+    n = len(order)
+    flags = [step_is_j_jump(base, targets[order[i]], targets[order[(i + 1) % n]])
+             for i in range(n)]
+    return order, flags
+
+
+def step_is_j_jump(base: Triple, px: Triple, py: Triple) -> bool:
+    """Does the pencil at `base`, rotating counterclockwise from the line
+    through px to the line through py (consecutively), sweep the segment of
+    line(px,py) that meets J?
+
+    Exact criterion: the swept sector covers exactly one of the two segments;
+    it covers the J-crossing one iff the direction of line(px,py) lies in the
+    swept arc of directions.
+    """
+    a = double_angle(chart_direction(base, px))
+    b = double_angle(chart_direction(base, py))
+    m = double_angle(chart_direction(px, py))
+    return inside_ccw_arc(a, b, m)

@@ -26,17 +26,14 @@ from deepnest.configurations import (
 from deepnest.geometry import (
     DegeneratePositionError,
     Triple,
-    chart_direction,
     chart_orient,
     chart_rep,
     circle_sort,
-    dot,
     double_angle,
-    inside_ccw_arc,
     line_through,
-    point,
     sign,
 )
+from chart import chart_direction, dot, inside_ccw_arc, point
 
 
 def in_triangle(p: Triple, a: Triple, b: Triple, c: Triple) -> bool:

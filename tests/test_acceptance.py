@@ -39,12 +39,7 @@ from deepnest.configurations import (
     sigma_shift,
     verify_witness,
 )
-from deepnest.geometry import (
-    DegeneratePositionError,
-    line_pencil_sweep,
-    normalize,
-    point,
-)
+from deepnest.geometry import DegeneratePositionError, normalize
 from deepnest.orientations import (
     chain_imbalance_set,
     check_orevkov,
@@ -53,6 +48,7 @@ from deepnest.orientations import (
     rm_rhs,
 )
 from deepnest.schemes import parse_scheme, print_scheme
+from chart import line_pencil_sweep, point
 from region_walk import recount_by_region_walk
 
 

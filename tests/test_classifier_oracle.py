@@ -17,7 +17,8 @@ from deepnest.configurations import (
     sample_configuration,
     sigma_shift,
 )
-from deepnest.geometry import DegeneratePositionError, normalize, point
+from deepnest.geometry import DegeneratePositionError, normalize
+from chart import point
 from point_classifier import classify_by_points, sweep_order
 
 TEMPLATES = {**{f"case{k}": cfg for k, cfg in BASE_CONFIGURATIONS.items()},

@@ -223,6 +223,18 @@ def test_lemma3_rejects_samples_below_1(capsys, samples):
     assert captured.err.startswith("deepnest: error: --samples must be at least 1")
 
 
+@pytest.mark.parametrize("extra", [
+    ["--samples", "-3"], ["--case", "2", "--seed", "9"], ["--case", "1"],
+    ["--samples", "20"], ["--seed", "0"],
+], ids=["samples", "case-seed", "case", "default-samples", "default-seed"])
+def test_lemma3_config_rejects_sampling_arguments(tmp_path, capsys, extra):
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps([{"label": k, "point": p}
+                                for k, p in enumerate(README_POINTS, start=1)]))
+    err = assert_input_error(capsys, ["lemma3", "--config", str(path), *extra])
+    assert err == "deepnest: error: --config takes no --case, --samples or --seed\n"
+
+
 def test_audit_subcommand(tmp_path, capsys):
     path = tmp_path / "trace.json"
     path.write_text(json.dumps(CUBIC_TRACE))

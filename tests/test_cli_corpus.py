@@ -1,0 +1,208 @@
+"""Byte-identical command-line output over a fixed corpus of argv.
+
+``tests/golden/cli-digests.json`` holds one SHA-256 digest of
+(exit status, stdout, stderr) per argv, in the format of
+``tests/test_lemma3_corpus.py``.  The corpus covers every command:
+
+* the README examples, with and without ``--json``;
+* ``theorem2 --beta B`` for B = -1..27, and ``theorem1`` with a few
+  ``--known`` lists;
+* ``prohibit`` at every beta 0..26 in both modes;
+* ``solve`` for every kind and mode: with no size, with ``--beta 0..26``
+  and with a few ``--gamma`` values;
+* ``lemma3 --case K`` with its default sample count and seed;
+* degenerate ``lemma3 --config`` files (a point on J, a collinear triple,
+  a repeated point, the zero triple) and malformed ones;
+* the malformed argv of the cli-cold benchmark workload.
+
+Every input file is written into a fresh directory and its path is masked
+as the file's name, and the human form's ``elapsed`` line is masked.  An
+argparse usage error (SystemExit) keeps its exit status, but its stderr is
+masked: that text is argparse's, and its wording differs between Python
+versions.  Regenerate the file only when a report is meant to change:
+``PYTHONPATH=src python tests/test_cli_corpus.py``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import pathlib
+import re
+import tempfile
+
+from deepnest.cli import SCENARIO_KINDS, main
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+DIGESTS = GOLDEN / "cli-digests.json"
+
+SIGNED = "<J + 1_-<3_+ + 9_- + 1_-<10_+ + 4_->>>"
+ELAPSED = re.compile(r"^  elapsed: .*$", re.M)
+
+README_POINTS = [[2, -1, -10], [3, -3, -10], [1, 0, 1], [1, 0, -1],
+                 [0, 1, 1], [0, 1, -1]]
+
+
+def _points(*points) -> str:
+    return json.dumps([{"label": k, "point": p}
+                       for k, p in enumerate(points, start=1)])
+
+
+def _with(index: int, value) -> list:
+    points = [list(p) for p in README_POINTS]
+    points[index] = value
+    return points
+
+
+# lemma3 --config inputs: name -> file text
+CONFIGS = {
+    "points.json": (GOLDEN / "points.json").read_text(encoding="utf-8"),
+    "on-j.json": _points(*_with(3, [1, 0, 0])),
+    "collinear.json": _points([0, 0, 1], [10, -1, 1], [10, 1, 1], [10, 3, 1],
+                              [1, 10, 1], [-10, 10, 1]),
+    "pencil-collinear.json": _points([0, 0, 1], [1, 0, 1], [1, 1, 1],
+                                     [0, 1, 1], [-2, 0, 1], [1, -1, 1]),
+    "repeated.json": _points(*_with(4, README_POINTS[2])),
+    "repeated-scaled.json": _points(*_with(4, [-2, 0, -2])),
+    "zero.json": _points(*_with(2, [0, 0, 0])),
+    "object.json": json.dumps({"1": [0, 0, 1]}),
+    "five.json": _points(*README_POINTS[:5]),
+    "seven.json": _points(*README_POINTS, [7, 7, 1]),
+    "no-point.json": json.dumps([{"label": k} for k in range(1, 7)]),
+    "extra-key.json": json.dumps(
+        [{"label": k, "point": p, "name": "x"}
+         for k, p in enumerate(README_POINTS, start=1)]),
+    "string-label.json": json.dumps(
+        [{"label": str(k), "point": p}
+         for k, p in enumerate(README_POINTS, start=1)]),
+    "bool-label.json": json.dumps(
+        [{"label": k if k > 1 else True, "point": p}
+         for k, p in enumerate(README_POINTS, start=1)]),
+    "two-coordinates.json": _points(*_with(1, [3, -3])),
+    "float-coordinate.json": _points(*_with(1, [3.0, -3, -10])),
+    "bool-coordinate.json": _points(*_with(1, [True, -3, -10])),
+    "duplicate-label.json": json.dumps(
+        [{"label": min(k, 5), "point": p}
+         for k, p in enumerate(README_POINTS, start=1)]),
+    "labels-0-5.json": json.dumps(
+        [{"label": k, "point": p} for k, p in enumerate(README_POINTS)]),
+    "not-json.json": "[{\"label\": 1, ",
+    "empty.json": "",
+    "deep.json": "[" * 100_000 + "]" * 100_000,
+}
+
+_LONE = json.loads((GOLDEN / "trace.json").read_text(encoding="utf-8"))
+_LONE["visits"][0] = {"oval": "lone", "role": "median", "node": True}
+TRACES = {
+    "trace.json": (GOLDEN / "trace.json").read_text(encoding="utf-8"),
+    "unpaired-node.json": json.dumps(_LONE),
+}
+
+
+# a 1500-deep nest, beyond degree 9's depth bound; named DEEP in the corpus
+DEEP = "<J + " + "1<" * 1500 + "1" + ">" * 1500 + ">"
+
+
+def _nest(beta: int) -> str:
+    """The depth-3 nest with beta ovals beside the inner container."""
+    return {0: "<J + 1<1<26>>>", 26: "<J + 1<27>>"}.get(
+        beta, f"<J + 1<{beta} + 1<{26 - beta}>>>")
+
+
+def corpus() -> list[list[str]]:
+    """Every corpus argv, with each file argument given by its bare name
+    and the 1500-deep nest by DEEP."""
+    readme = [
+        ["parse", "--scheme", "<J + 1<4 + 1<22>>>"],
+        ["check-rm", "--scheme", SIGNED],
+        ["check-orevkov", "--scheme", SIGNED],
+        ["solve", "--scenario", "with-o1-jumps"],
+        ["solve", "--scenario", "no-jumps-odd-gamma"],
+        ["prohibit", "--scheme", "<J + 1<3 + 1<23>>>"],
+        ["prohibit", "--scheme", "<J + 1<12 + 1<14>>>"],
+        ["theorem1"],
+        ["theorem2", "--beta", "12"],
+        ["lemma3", "--case", "2", "--samples", "20", "--seed", "0"],
+        ["lemma3", "--config", "points.json"],
+        ["audit", "--trace", "trace.json"],
+    ]
+    runs = [["--json", *argv] for argv in readme] + readme
+    # theorem2 --beta 12 is a README example, and the sweep holds the
+    # malformed odd betas
+    runs += [["--json", "theorem2", "--beta", str(b)] for b in range(-1, 28)
+             if b != 12]
+    runs += [["--json", "theorem1", "--known", known]
+             for known in ("1,3,5,7", "", "25", "0,26", "27", "1,x")]
+    runs += [["--json", "prohibit", "--scheme", _nest(b), "--mode", mode]
+             for b in range(27) for mode in ("paper", "uniform")]
+    for kind in SCENARIO_KINDS:
+        for mode in ("paper", "uniform"):
+            solve = ["--json", "solve", "--scenario", kind, "--mode", mode]
+            runs.append(solve)
+            runs += [[*solve, "--beta", str(b)] for b in range(27)]
+            runs += [[*solve, "--gamma", str(g)]
+                     for g in (-1, 0, 1, 13, 24, 25, 26, 27)]
+    runs += [["--json", "lemma3", "--case", str(k)] for k in (1, 2, 3)]
+    runs += [["--json", "lemma3", "--config", name] for name in CONFIGS
+             if name != "points.json"]
+    runs += [["--json", "lemma3", "--config", "missing.json"],
+             ["--json", "audit", "--trace", "unpaired-node.json"]]
+    runs += [["--json", *argv] for argv in (
+        ["parse", "--scheme", "<J + 1<4 + 1<2"],
+        ["solve", "--scenario", "no-such-scenario"],
+        ["check-orevkov", "--scheme", "<J + 1_-<3_+ + 8_- + 1_-<10_+ + 4_->>>"],
+        ["prohibit", "--scheme", "<J + 1<5 + 1<7>>>"],
+        ["lemma3", "--seed", "3"],
+        ["lemma3"],
+        ["lemma3", "--case", "4"],
+        ["check-rm", "--degree", "8", "--scheme", "<1_+<3_+ + 2_->>"],
+        ["parse", "--scheme", "DEEP"],
+        ["lemma3", "--case", "2", "--samples", "-3"],
+        ["lemma3", "--case", "1", "--samples", "0"],
+        ["parse", "--degree", "0", "--scheme", "<1>"],
+        ["parse", "--degree", "-2", "--scheme", "<1>"],
+        ["parse", "--degree", "-3", "--scheme", "<J + 1>"],
+    )]
+    return runs
+
+
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        try:
+            return main(argv), stdout.getvalue(), stderr.getvalue()
+        except SystemExit as exc:
+            return exc.code, stdout.getvalue(), "USAGE"
+
+
+def corpus_digests(workdir: pathlib.Path) -> dict[str, str]:
+    """Run every corpus argv through `main`; argv text -> digest."""
+    files = {**CONFIGS, **TRACES}
+    for name, text in files.items():
+        (workdir / name).write_text(text, encoding="utf-8")
+    paths = {name: str(workdir / name) for name in [*files, "missing.json"]}
+    out = {}
+    for argv in corpus():
+        code, *texts = _run([paths.get(a, DEEP if a == "DEEP" else a)
+                             for a in argv])
+        for name in set(argv) & set(paths):
+            texts = [t.replace(paths[name], name) for t in texts]
+        texts = [ELAPSED.sub("  elapsed: ELAPSED", t) for t in texts]
+        blob = json.dumps([code, *texts]).encode()
+        out[" ".join(argv)] = hashlib.sha256(blob).hexdigest()
+    return out
+
+
+def test_cli_reports_match_their_digests(tmp_path):
+    expected = json.loads(DIGESTS.read_text())
+    assert len(expected) == len(corpus()) == 440
+    assert corpus_digests(tmp_path) == expected
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = corpus_digests(pathlib.Path(tmp))
+    DIGESTS.write_text(json.dumps(digests, indent=1) + "\n")

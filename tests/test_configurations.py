@@ -25,7 +25,8 @@ from deepnest.configurations import (
     sigma_shift,
     verify_witness,
 )
-from deepnest.geometry import orientation_table, point
+from deepnest.geometry import orientation_table
+from chart import point
 
 
 def test_base_configurations_classify_canonically():

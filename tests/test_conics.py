@@ -13,10 +13,8 @@ from deepnest.geometry import (
     DegeneratePositionError,
     _raw_cross,
     det3,
-    dot,
     line_through,
     normalize,
-    point,
 )
 from deepnest.conics import (
     _pair_conic,
@@ -29,6 +27,7 @@ from deepnest.conics import (
     polar_line,
 )
 from deepnest.configurations import sample_configuration
+from chart import dot, point
 
 
 def rand_point(rng, span=40):

@@ -14,20 +14,22 @@ import hypothesis.strategies as hys
 from deepnest.geometry import (
     DegeneratePositionError,
     _hull_cycle,
-    chart_direction,
     chart_orient,
     chart_rep,
     circle_sort,
     det3,
-    dot,
     double_angle,
-    inside_ccw_arc,
-    line_pencil_sweep,
     line_through,
     normalize,
     orientation_table,
-    point,
     sign,
+)
+from chart import (
+    chart_direction,
+    dot,
+    inside_ccw_arc,
+    line_pencil_sweep,
+    point,
 )
 
 coord = hys.integers(min_value=-40, max_value=40)

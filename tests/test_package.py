@@ -5,7 +5,9 @@ module on first use.  A command loads only the modules it runs: schemes for
 plain `parse`, orientations too for signed `parse` and `check-*`, cases too
 for `solve`, `prohibit` and `theorem*`, bezout alone for `audit` and the
 six-point geometry alone for `lemma3`; a usage error loads none of them.
-No command loads `dataclasses` or `inspect`: the records are NamedTuples.
+No command loads `dataclasses` or `inspect`, because the records are
+NamedTuples, nor `fractions` or `decimal`, because the kernel and the
+stored configurations are integer triples.
 Each check starts a fresh interpreter, because this test process has long
 imported everything.
 """
@@ -36,7 +38,7 @@ SIGNED = "<J + 1_-<3_+ + 9_- + 1_-<10_+ + 4_->>>"
 
 # imports deepnest, runs `deepnest ARGV` if given, and prints the exit
 # status (argparse exits by SystemExit) and the deepnest modules then loaded,
-# with dataclasses and inspect if either is
+# with dataclasses, inspect, fractions and decimal if any of them is
 PROBE = """
 import contextlib, io, json, sys
 import deepnest
@@ -51,7 +53,8 @@ if sys.argv[1:]:
             code = exc.code
 print(json.dumps([code, sorted(m for m in sys.modules
                                if m.startswith("deepnest.")
-                               or m in ("dataclasses", "inspect"))]))
+                               or m in ("dataclasses", "inspect",
+                                        "fractions", "decimal"))]))
 """
 
 PUBLIC_NAMES = [

@@ -16,12 +16,12 @@ from deepnest.conics import conic_through_5, polar_line
 from deepnest.geometry import (
     DegeneratePositionError,
     _hull_cycle,
-    chart_direction,
     circle_sort,
     double_angle,
     normalize,
     orientation_table,
 )
+from chart import chart_direction
 from point_classifier import sweep_order
 
 
