@@ -416,7 +416,10 @@ def _prohibit(beta: int, gamma: int, known: Iterable[int],
 
     verdict = "PROHIBITED" if not survivors_all else "OPEN"
     return ProhibitReport(
-        scheme=f"<J + 1<{beta} + 1<{gamma}>>>",
+        # print_scheme's spelling: at beta = 0 the median oval holds only
+        # the inner nest oval
+        scheme=(f"<J + 1<{beta} + 1<{gamma}>>>" if beta
+                else f"<J + 1<1<{gamma}>>>"),
         beta=beta, gamma=gamma, mode=mode,
         results=tuple(results),
         verdict=verdict,

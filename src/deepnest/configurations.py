@@ -9,8 +9,9 @@ the pair is reported as an exact witness.  The pencil order, the hull, the
 sub-region and the witness are each decided by signs of 3x3 determinants of
 chart points, so the classifier reads them all from one table of the
 configuration's 20 orientation signs.  Hence a sampled configuration whose
-table equals its template's is accepted without classifying it, and the
-event sequence relabels the classifier's table instead of building another.
+table equals its template's is accepted without classifying it, comparing
+only the 20 signs of the unordered triples, and the event sequence relabels
+the classifier's table instead of building another.
 
 The event sequence of a valid configuration lists, in pencil order, the five
 reducible members of the cubic pencil through the six points (labeled "12".."16"
@@ -18,7 +19,10 @@ by their line component) together with the cyclic position order of the
 remaining points on each conic component.  The event order is computed
 downstream of a quadratic transformation based at points 1, 5, 4: the
 transformed curve family becomes the pencil of conics through four points,
-whose parameter circle supplies it.  The position orders need no conic:
+whose parameter circle supplies it.  Each event's parameter is two integer
+evaluations of the pencil's generators, and the order is read from cross
+products of the parameters: no canonical conic, event record or circle sort
+is built.  The position orders need no conic:
 central projection from point 1 maps the conic missing x onto the line
 pencil at 1, and 1 itself onto its tangent.  So the other four points keep
 their pencil order a0..a3, and 1 falls between a(i-1) and a(i) iff that pair
@@ -30,7 +34,7 @@ of times, so the chart's choice of sign cancels.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import NamedTuple, Optional
 
 from .geometry import (
@@ -39,9 +43,10 @@ from .geometry import (
     _hull_cycle,
     chart_orient,
     normalize,
+    orientation_signs,
     orientation_table,
 )
-from .conics import conic_pencil_events, cremona
+from .conics import _pencil_events, cremona
 
 
 class InvalidConfigurationError(ValueError):
@@ -150,10 +155,19 @@ def sigma_shift(cfg: dict[int, Triple], k: int) -> dict[int, Triple]:
     return {m[x]: cfg[x] for x in (1, 2, 3, 4, 5, 6)}
 
 
+# the 120 keys of an orientation table on labels 1..6, and each key under
+# sigma^k
+_TRIPLES = tuple(permutations((1, 2, 3, 4, 5, 6), 3))
+_SHIFTED_TRIPLES = tuple(tuple((m[a], m[b], m[c]) for a, b, c in _TRIPLES)
+                         for m in _SIGMA)
+
+
 def _shift_signs(signs: dict, k: int) -> dict:
-    """The orientation table of sigma_shift(cfg, k), from the table of cfg."""
-    m = _SIGMA[k]
-    return {(m[a], m[b], m[c]): s for (a, b, c), s in signs.items()}
+    """The orientation table of sigma_shift(cfg, k), from the table of cfg.
+    Tables are never mutated, so sigma^0 returns `signs` itself."""
+    if k == 0:
+        return signs
+    return dict(zip(_SHIFTED_TRIPLES[k], map(signs.__getitem__, _TRIPLES)))
 
 
 def _shift_cycle(cycle: tuple, k: int) -> tuple:
@@ -378,9 +392,10 @@ def reducible_cubic_sequence(cfg: dict[int, Triple]) -> SequenceReport:
         return SequenceReport(classification=cl)
     c = sigma_shift(cfg, cl.relabel_shift)
     qt = cremona(c[1], c[5], c[4])
-    events = conic_pencil_events([c[1], *(qt.point(c[x]) for x in (2, 3, 6))],
-                                 [("14", c[5]), ("15", c[4])])
-    order = [_SINGULAR_LABELS.get(ev.label, ev.label) for ev in events]
+    _, _, events = _pencil_events(
+        [c[1], *(qt.point(c[x]) for x in (2, 3, 6))],
+        [("14", c[5]), ("15", c[4])])
+    order = [_SINGULAR_LABELS.get(label, label) for _, label, _, _ in events]
     order = _orient_events(order, cl.case)
     signs = _shift_signs(signs, cl.relabel_shift)
     out = []
@@ -423,8 +438,8 @@ def perturb_configuration(cfg: dict[int, Triple], rng):
     return out
 
 
-# kind -> orientation table of its template, filled on first use
-_TEMPLATE_SIGNS: dict[str, dict] = {}
+# kind -> labels and orientation signs of its template, filled on first use
+_TEMPLATE_SIGNS: dict[str, tuple] = {}
 
 
 def sample_configuration(kind: str, rng):
@@ -433,7 +448,9 @@ def sample_configuration(kind: str, rng):
     once; if the perturbed points do not classify as `kind`, returns a copy of
     the template itself, which always does.  The classifier reads only the
     orientation table, so a sample with its template's table (no zero sign,
-    hence distinct points) is of its template's kind without classifying."""
+    hence distinct points) is of its template's kind without classifying:
+    with the template's labels in the template's order, equal signs of the
+    unordered triples (`orientation_signs`) mean equal tables."""
     if kind in ("case1", "case2", "case3"):
         template = BASE_CONFIGURATIONS[int(kind[-1])]
     elif kind in EXCLUSION_TEMPLATES:
@@ -441,10 +458,10 @@ def sample_configuration(kind: str, rng):
     else:
         raise InvalidConfigurationError(f"unknown configuration kind {kind!r}")
     if kind not in _TEMPLATE_SIGNS:
-        _TEMPLATE_SIGNS[kind] = orientation_table(template)
+        _TEMPLATE_SIGNS[kind] = (tuple(template), orientation_signs(template))
     cfg = perturb_configuration(template, rng)
     try:
-        if (orientation_table(cfg) == _TEMPLATE_SIGNS[kind]
+        if ((tuple(cfg), orientation_signs(cfg)) == _TEMPLATE_SIGNS[kind]
                 or configuration_kind(classify_configuration(cfg)) == kind):
             return cfg
     except (InvalidConfigurationError, DegeneratePositionError):

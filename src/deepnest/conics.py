@@ -2,9 +2,12 @@
 
 A conic is a canonical integer 6-tuple (a, b, c, d, e, f) representing
     a x^2 + b xy + c y^2 + d xz + e yz + f z^2 = 0,
-coprime with first nonzero entry positive.  Pencil parameters live on the
-parameter circle RP^1 and are compared exactly through the same double-angle
-device used for line directions.
+coprime with first nonzero entry positive.  Pencil parameters (lam : mu)
+live on the parameter circle RP^1 as directions mod pi, and are ordered by
+exact cross products of their representatives with mu >= 0.
+`_pencil_events` does this in integer steps on positive multiples of the
+generators, with no gcd and no sort; `conic_pencil_events` turns its output
+into canonical `PencilEvent` records.
 """
 
 from __future__ import annotations
@@ -16,11 +19,7 @@ from .geometry import (
     DegeneratePositionError,
     Triple,
     _raw_cross,
-    circle_sort,
-    cross,
     det3,
-    double_angle,
-    line_through,
     normalize,
     sign,
 )
@@ -137,46 +136,83 @@ def pencil_member(ga: Conic, gb: Conic, lam: int, mu: int) -> Conic:
     return _canon6(v)
 
 
+def _pencil_events(base: Sequence[Triple], extras=()):
+    """The pencil of conics through four base points, in integer steps.
+
+    Returns its generators (l12 . X)(l34 . X) and (l13 . X)(l24 . X), each
+    built from unreduced line brackets and multiplied by the sign of its
+    first nonzero coefficient, so a positive multiple of its canonical conic,
+    and its events as (kind, label, lam, mu) in pencil order.  (lam : mu) is
+    taken with respect to these generators: "12|34" is (1 : 0), "13|24" is
+    (0 : 1), and "14|23" and each extra lie at (-vb : va), with va and vb the
+    generators evaluated at the diagonal point or the extra point.  The
+    parameters are directions mod pi: stored with mu >= 0, they are ranked
+    by cross products, counterclockwise from (1 : 0).  The errors are those
+    of `conic_pencil_events`, raised in the same order.
+    """
+    if len(base) != 4:
+        raise ValueError("a conic pencil needs 4 base points")
+    for i, j, k in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)):
+        if det3(base[i], base[j], base[k]) == 0:
+            raise DegeneratePositionError(
+                f"base points {i + 1},{j + 1},{k + 1} are collinear")
+    b1, b2, b3, b4 = base
+    gens = []
+    for v in (_raw_pair(_raw_cross(b1, b2), _raw_cross(b3, b4)),
+              _raw_pair(_raw_cross(b1, b3), _raw_cross(b2, b4))):
+        for lead in v:
+            if lead:
+                break
+        gens.append(v if lead > 0 else tuple([-c for c in v]))
+    ga, gb = gens
+    labels = ["12|34", "13|24", "14|23"]
+    points = [_raw_cross(_raw_cross(b1, b4), _raw_cross(b2, b3))]
+    for label, p in extras:
+        labels.append(label)
+        points.append(p)
+    params = [(1, 0), (0, 1)]
+    for p in points:
+        va, vb = conic_eval(ga, p), conic_eval(gb, p)
+        if va == 0 and vb == 0:
+            raise DegeneratePositionError("point lies on every pencil member")
+        # mu >= 0; at mu = 0 the event is 12|34's, reported just below
+        params.append((-vb, va) if va > 0 else (vb, -va))
+    # rank[j] counts the events before event j; a zero cross product is a
+    # repeated parameter, reported for the first such pair in event order
+    rank = [0] * len(params)
+    for j in range(1, len(params)):
+        xj, yj = params[j]
+        for i in range(j):
+            xi, yi = params[i]
+            c = xi * yj - yi * xj
+            if c == 0:
+                raise DegeneratePositionError(
+                    f"coincident pencil events {labels[i]} and {labels[j]}")
+            if c > 0:
+                rank[j] += 1
+            else:
+                rank[i] += 1
+    events = [None] * len(params)
+    for i, r in enumerate(rank):
+        events[r] = ("singular" if i < 3 else "through-point", labels[i],
+                     *params[i])
+    return ga, gb, events
+
+
 def conic_pencil_events(base: Sequence[Triple], extras=()):
     """Events met by the pencil of conics through four general-position points.
 
     `base` gives the four base points (positions 1..4 for labels); `extras`
     is a sequence of (label, point) pairs.  Returns the events in
     cyclic order of the pencil parameter: the three singular members, labeled
-    like "12|34" by base positions, and one "through-point" event per extra.
+    like "12|34" by base positions, and one "through-point" event per extra,
+    as records on the canonical generators of `_pencil_events`.
     """
-    if len(base) != 4:
-        raise ValueError("a conic pencil needs 4 base points")
-    for i in range(4):
-        for j in range(i + 1, 4):
-            for k in range(j + 1, 4):
-                if det3(base[i], base[j], base[k]) == 0:
-                    raise DegeneratePositionError(
-                        f"base points {i + 1},{j + 1},{k + 1} are collinear")
-    l12, l34 = line_through(base[0], base[1]), line_through(base[2], base[3])
-    l13, l24 = line_through(base[0], base[2]), line_through(base[1], base[3])
-    l14, l23 = line_through(base[0], base[3]), line_through(base[1], base[2])
-    gens = (_pair_conic(l12, l34), _pair_conic(l13, l24))
-
-    def param_through(p: Triple) -> tuple[int, int]:
-        va, vb = (conic_eval(g, p) for g in gens)
-        if va == 0 and vb == 0:
-            raise DegeneratePositionError("point lies on every pencil member")
-        return _canon_param(-vb, va)
-
-    events = [
-        PencilEvent("singular", "12|34", (1, 0), gens),
-        PencilEvent("singular", "13|24", (0, 1), gens),
-        PencilEvent("singular", "14|23", param_through(cross(l14, l23)), gens),
-    ] + [PencilEvent("through-point", label, param_through(p), gens)
-         for label, p in extras]
-    seen = {}
-    for ev in events:
-        if ev.parameter in seen:
-            raise DegeneratePositionError(
-                f"coincident pencil events {seen[ev.parameter]} and {ev.label}")
-        seen[ev.parameter] = ev.label
-    return circle_sort(events, key=lambda ev: double_angle(ev.parameter))
+    ga, gb, events = _pencil_events(base, extras)
+    gens = (_canon6(ga), _canon6(gb))
+    sa, sb = gcd(*ga), gcd(*gb)
+    return [PencilEvent(kind, label, _canon_param(lam * sa, mu * sb), gens)
+            for kind, label, lam, mu in events]
 
 
 # ---------------------------------------------------------------------------
@@ -194,29 +230,26 @@ class CremonaMap:
     def __init__(self, b1: Triple, b2: Triple, b3: Triple):
         if det3(b1, b2, b3) == 0:
             raise DegeneratePositionError("base points are collinear")
-        self.base = (normalize(*b1), normalize(*b2), normalize(*b3))
-        d = det3(*self.base)
-        s = sign(d)
-        rows = self.base
-        adj_rows = [_raw_cross(rows[(i + 1) % 3], rows[(i + 2) % 3]) for i in range(3)]
+        self.base = p, q, r = (normalize(*b1), normalize(*b2), normalize(*b3))
+        s = sign(det3(p, q, r))
         # T p expresses p in base coordinates: T = adj(B) arranged so T b_i = e_i
-        self._t = tuple(tuple(s * adj_rows[i][k] for k in range(3)) for i in range(3))
-
-    def _to_frame(self, p: Triple) -> tuple[int, int, int]:
-        return tuple(sum(self._t[i][k] * p[k] for k in range(3)) for i in range(3))
-
-    def _from_frame(self, y) -> Triple:
-        return normalize(*(sum(self.base[c][k] * y[c] for c in range(3))
-                           for k in range(3)))
+        self._t = tuple(tuple(s * c for c in row) for row in
+                        (_raw_cross(q, r), _raw_cross(r, p), _raw_cross(p, q)))
 
     def point(self, p: Triple) -> Triple:
         """Image of a point; base points blow up (error), base lines contract."""
-        y = self._to_frame(p)
-        zeros = sum(1 for c in y if c == 0)
-        if zeros >= 2:
+        x, y, z = p
+        (t0, t1, t2), (t3, t4, t5), (t6, t7, t8) = self._t
+        u = t0 * x + t1 * y + t2 * z
+        v = t3 * x + t4 * y + t5 * z
+        w = t6 * x + t7 * y + t8 * z
+        if (u == 0) + (v == 0) + (w == 0) >= 2:
             raise DegeneratePositionError("base point has no well-defined image")
-        img = (y[1] * y[2], y[0] * y[2], y[0] * y[1])
-        return self._from_frame(img)
+        # the image (vw : uw : uv) in base coordinates, back in the plane
+        u, v, w = v * w, u * w, u * v
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = self.base
+        return normalize(a0 * u + b0 * v + c0 * w, a1 * u + b1 * v + c1 * w,
+                         a2 * u + b2 * v + c2 * w)
 
 
 def cremona(b1: Triple, b2: Triple, b3: Triple) -> CremonaMap:

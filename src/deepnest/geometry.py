@@ -8,12 +8,13 @@ The curve's one-sided branch J is modelled as the line z = 0, the line at
 infinity of the affine chart.  Points handed to the chart predicates must
 lie off J.  A hull (`_hull_cycle`), and every decision of the six-point
 classification, is read from one table of chart orientations that computes
-each triple's determinant once (`orientation_table`).
+each triple's determinant once (`orientation_table`), or from just the signs
+of the unordered triples (`orientation_signs`).
 
-The conic pencil orders its events by their parameters (lam : mu), which
-are directions mod pi.  The double-angle embedding
-(dx, dy) -> (dx^2 - dy^2, 2 dx dy) is injective on lines through the origin,
-so that order is an ordinary circular order (`circle_sort`).
+`circle_sort` orders full-circle vectors exactly; with the double-angle
+embedding (dx, dy) -> (dx^2 - dy^2, 2 dx dy), which is injective on lines
+through the origin, it orders directions mod pi.  No command calls either:
+the test oracles do.
 """
 
 from __future__ import annotations
@@ -123,17 +124,24 @@ def circle_sort(items: list, key) -> list:
     return sorted(items, key=cmp_to_key(cmp))
 
 
-def orientation_table(pts: dict) -> dict:
-    """Chart orientation of every ordered triple of distinct labels of `pts`
-    (label -> point off J): one chart_rep per point and, in one pass, one
-    3x3 determinant (det3, written out) per unordered triple."""
-    reps = [(k, chart_rep(p)) for k, p in pts.items()]
-    signs = {}
-    for (a, (ax, ay, az)), (b, (bx, by, bz)), (c, (cx, cy, cz)) in \
-            combinations(reps, 3):
+def orientation_signs(pts: dict) -> tuple:
+    """Chart orientation of each unordered triple of labels of `pts` (label ->
+    point off J), in `combinations` order of its labels: one chart_rep per
+    point and one 3x3 determinant (det3, written out) per triple."""
+    out = []
+    for (ax, ay, az), (bx, by, bz), (cx, cy, cz) in \
+            combinations([chart_rep(p) for p in pts.values()], 3):
         d = (ax * (by * cz - bz * cy) - ay * (bx * cz - bz * cx)
              + az * (bx * cy - by * cx))
-        s = (d > 0) - (d < 0)
+        out.append((d > 0) - (d < 0))
+    return tuple(out)
+
+
+def orientation_table(pts: dict) -> dict:
+    """Chart orientation of every ordered triple of distinct labels of `pts`,
+    from `orientation_signs`."""
+    signs = {}
+    for (a, b, c), s in zip(combinations(pts, 3), orientation_signs(pts)):
         signs[a, b, c] = signs[b, c, a] = signs[c, a, b] = s
         signs[b, a, c] = signs[a, c, b] = signs[c, b, a] = -s
     return signs

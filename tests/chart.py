@@ -6,6 +6,10 @@ orientation signs (`deepnest.geometry.orientation_table`); the oracles in
 `point_classifier.py`, the acceptance criteria and the kernel tests recompute
 the same answers from the points through these functions.  J is the line
 z = 0, as in `deepnest.geometry`.
+
+`reference_pencil_events` is the reference for the conic pencil's event
+order: canonical generators and parameters, a seen-dict for coincident
+events, and a circle sort of the doubled parameter angles.
 """
 
 from __future__ import annotations
@@ -13,12 +17,16 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+from deepnest.conics import PencilEvent, _canon_param, _pair_conic, conic_eval
 from deepnest.geometry import (
     DegeneratePositionError,
     Triple,
     chart_rep,
     circle_sort,
+    cross,
+    det3,
     double_angle,
+    line_through,
     normalize,
 )
 
@@ -106,3 +114,43 @@ def step_is_j_jump(base: Triple, px: Triple, py: Triple) -> bool:
     b = double_angle(chart_direction(base, py))
     m = double_angle(chart_direction(px, py))
     return inside_ccw_arc(a, b, m)
+
+
+# ---------------------------------------------------------------------------
+# the conic pencil through four points, ordered by a circle sort
+
+def reference_pencil_events(base, extras=()):
+    """`deepnest.conics.conic_pencil_events`, computed on canonical conics:
+    the same records, in the same order, with the same errors."""
+    if len(base) != 4:
+        raise ValueError("a conic pencil needs 4 base points")
+    for i in range(4):
+        for j in range(i + 1, 4):
+            for k in range(j + 1, 4):
+                if det3(base[i], base[j], base[k]) == 0:
+                    raise DegeneratePositionError(
+                        f"base points {i + 1},{j + 1},{k + 1} are collinear")
+    l12, l34 = line_through(base[0], base[1]), line_through(base[2], base[3])
+    l13, l24 = line_through(base[0], base[2]), line_through(base[1], base[3])
+    l14, l23 = line_through(base[0], base[3]), line_through(base[1], base[2])
+    gens = (_pair_conic(l12, l34), _pair_conic(l13, l24))
+
+    def param_through(p: Triple) -> tuple[int, int]:
+        va, vb = (conic_eval(g, p) for g in gens)
+        if va == 0 and vb == 0:
+            raise DegeneratePositionError("point lies on every pencil member")
+        return _canon_param(-vb, va)
+
+    events = [
+        PencilEvent("singular", "12|34", (1, 0), gens),
+        PencilEvent("singular", "13|24", (0, 1), gens),
+        PencilEvent("singular", "14|23", param_through(cross(l14, l23)), gens),
+    ] + [PencilEvent("through-point", label, param_through(p), gens)
+         for label, p in extras]
+    seen = {}
+    for ev in events:
+        if ev.parameter in seen:
+            raise DegeneratePositionError(
+                f"coincident pencil events {seen[ev.parameter]} and {ev.label}")
+        seen[ev.parameter] = ev.label
+    return circle_sort(events, key=lambda ev: double_angle(ev.parameter))

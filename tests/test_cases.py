@@ -40,7 +40,7 @@ from deepnest.orientations import (
     check_rokhlin_mishachev,
     print_signed,
 )
-from deepnest.schemes import parse_scheme
+from deepnest.schemes import parse_scheme, print_scheme
 
 JUMP_SOLUTIONS = {
     "literal": {(-1, -1, 1, 6), (-1, 1, 1, 3), (1, -1, -1, 3), (1, 1, -1, 4)},
@@ -399,6 +399,14 @@ def test_size_core_matches_the_text_path(mode):
         text = f"<J + 1<{beta} + 1<{26 - beta}>>>"
         assert (_prohibit(beta, 26 - beta, (), mode)
                 == prohibit(parse_scheme(text, 9), (), mode))
+
+
+def test_prohibit_reports_the_canonical_spelling():
+    for beta in range(26):
+        scheme = deep_nest_scheme(beta)
+        for mode in ("uniform", "literal"):
+            assert prohibit(scheme, (), mode).scheme == print_scheme(scheme)
+    assert print_scheme(deep_nest_scheme(0)) == "<J + 1<1<26>>>"
 
 
 def test_beta_zero_report():

@@ -146,6 +146,15 @@ def test_prohibit_subcommand(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("scheme", ["<J + 1<1<26>>>", "<J + 1<0 + 1<26>>>"])
+def test_prohibit_reports_beta_zero_as_parse_spells_it(capsys, scheme):
+    code, rep = run_json(capsys, "prohibit", "--scheme", scheme)
+    assert code == 0
+    assert rep["inputs"]["scheme"] == scheme
+    assert rep["results"]["scheme"] == "<J + 1<1<26>>>"
+    assert rep["results"]["beta"] == 0
+
+
 def test_theorem1_subcommand(capsys):
     code, rep = run_json(capsys, "theorem1")
     assert code == 0

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from deepnest import configurations
+from deepnest import configurations, conics, geometry
 from deepnest.cli import main
 from deepnest.configurations import (
     BASE_CONFIGURATIONS,
@@ -25,7 +26,7 @@ from deepnest.configurations import (
     sigma_shift,
     verify_witness,
 )
-from deepnest.geometry import orientation_table
+from deepnest.geometry import orientation_signs, orientation_table
 from chart import point
 
 
@@ -138,13 +139,22 @@ def test_sampler_accepts_a_new_table_of_its_kind(monkeypatch):
     # a relabelled case 2 is still case 2, but its table is not the template's
     shifted = sigma_shift(BASE_CONFIGURATIONS[2], 1)
     assert orientation_table(shifted) != orientation_table(BASE_CONFIGURATIONS[2])
+    # the same points in the same order under other labels: equal signs of
+    # the unordered triples, so only the labels tell the tables apart
+    assert orientation_signs(shifted) == orientation_signs(BASE_CONFIGURATIONS[2])
     monkeypatch.setattr(configurations, "perturb_configuration",
                         lambda cfg, rng: dict(shifted))
+    classified = []
+    monkeypatch.setattr(configurations, "classify_configuration",
+                        lambda cfg: classified.append(cfg) or
+                        classify_configuration(cfg))
     assert sample_configuration("case2", random.Random(0)) == shifted
+    assert classified == [shifted]
 
 
 def test_lemma3_classifies_each_sample_once(monkeypatch, capsys):
-    calls = {"_classify_signs": 0, "orientation_table": 0}
+    calls = {"_classify_signs": 0, "orientation_table": 0,
+             "orientation_signs": 0}
 
     def counted(name):
         fn = getattr(configurations, name)
@@ -156,13 +166,24 @@ def test_lemma3_classifies_each_sample_once(monkeypatch, capsys):
 
     for name in calls:
         monkeypatch.setattr(configurations, name, counted(name))
+    # the pencil's record-building path and the circle sort must not run:
+    # replace them under every name a loaded deepnest module binds them to
+    for fn in (geometry.circle_sort, conics.conic_pencil_events):
+        def refuse(*args, _name=fn.__name__, **kwargs):
+            raise AssertionError(f"lemma3 --case called {_name}")
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("deepnest"):
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, refuse)
     monkeypatch.setattr(configurations, "_TEMPLATE_SIGNS", {})
     argv = ["--json", "lemma3", "--case", "2", "--samples", "20", "--seed", "0"]
     assert main(argv) == 0
     assert '"matchesPaper": true' in capsys.readouterr().out
-    assert calls["_classify_signs"] == 20
-    # two tables per sample (sampler, sequence), plus the template's once
-    assert calls["orientation_table"] == 2 * 20 + 1
+    # per sample: the sampler's 20 signs, the sequence's table and one
+    # classification; plus the template's signs once
+    assert calls == {"_classify_signs": 20, "orientation_table": 20,
+                     "orientation_signs": 20 + 1}
 
 
 def test_shifted_table_is_the_table_of_the_shifted_points():

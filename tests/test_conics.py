@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import math
 import random
 from fractions import Fraction
@@ -26,8 +27,12 @@ from deepnest.conics import (
     pencil_member,
     polar_line,
 )
-from deepnest.configurations import sample_configuration
-from chart import dot, point
+from deepnest.configurations import (
+    classify_configuration,
+    sample_configuration,
+    sigma_shift,
+)
+from chart import dot, point, reference_pencil_events
 
 
 def rand_point(rng, span=40):
@@ -277,6 +282,52 @@ def test_pencil_member_through_extra_point():
         ev = next(e for e in events if e.label == "p")
         assert ev.kind == "through-point"
         assert conic_eval(ev.member, p) == 0
+
+
+def outcome(fn, base, extras):
+    """The events `fn` returns, or the type and text of what it raises."""
+    try:
+        return fn(base, extras)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_pencil_events_match_the_reference_on_small_integers():
+    # coordinates this small make about a third of the inputs degenerate,
+    # often in more than one way at once, so the order of the checks shows
+    rng = random.Random(1818)
+    seen = collections.Counter()
+    for _ in range(20_000):
+        span = rng.choice((3, 4))
+        pts = []
+        while len(pts) < 4 + 3:
+            p = tuple(rng.randint(-span, span) for _ in range(3))
+            if any(p):
+                pts.append(p)
+        base = pts[:4]
+        extras = [(f"x{i}", p) for i, p in enumerate(pts[4:4 + rng.randint(0, 3)])]
+        want = outcome(reference_pencil_events, base, extras)
+        assert outcome(conic_pencil_events, base, extras) == want
+        seen[want[1].split()[0] if isinstance(want, tuple) else "events"] += 1
+    assert sum(seen.values()) - seen["events"] > 5_000
+    assert min(seen.values()) > 500, seen
+
+
+def test_pencil_events_match_the_reference_on_lemma3_samples():
+    # the pencil that `reducible_cubic_sequence` builds, for every case and
+    # relabelling of 200 sampler seeds
+    for case in (1, 2, 3):
+        for shift in range(5):
+            for seed in range(200):
+                cfg = sigma_shift(sample_configuration(
+                    f"case{case}", random.Random(seed)), shift)
+                cl = classify_configuration(cfg)
+                c = sigma_shift(cfg, cl.relabel_shift)
+                qt = cremona(c[1], c[5], c[4])
+                base = [c[1], *(qt.point(c[x]) for x in (2, 3, 6))]
+                extras = [("14", c[5]), ("15", c[4])]
+                assert (conic_pencil_events(base, extras)
+                        == reference_pencil_events(base, extras))
 
 
 def test_cremona_is_an_involution():

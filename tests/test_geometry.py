@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 import hypothesis as hyp
@@ -21,6 +21,7 @@ from deepnest.geometry import (
     double_angle,
     line_through,
     normalize,
+    orientation_signs,
     orientation_table,
     sign,
 )
@@ -143,6 +144,8 @@ def test_orientation_table_is_the_sign_of_det3():
                    rng.choice((-3, -2, -1, 1, 2, 3))) for k in range(1, 7)}
         signs = orientation_table(pts)
         assert len(signs) == 120
+        assert orientation_signs(pts) == tuple(
+            signs[t] for t in combinations(pts, 3))
         for a, b, c in permutations(pts, 3):
             expected = sign(det3(chart_rep(pts[a]), chart_rep(pts[b]),
                                  chart_rep(pts[c])))
