@@ -14,7 +14,9 @@ ValueError, so main() turns any ValueError or OSError into one
 "deepnest: error: ..." line on stderr and exit status 2 (argparse usage
 errors exit 2 too).  A handler catches an error only to turn it into a
 verdict (parse reports INADMISSIBLE) or to prefix it with what only the
-command line knows (--known, a --config point or configuration).  Plain
+command line knows (--known, a --config point or configuration).  Every
+integer option, and each --known item, is read by one decimal reader
+(`integer`): ASCII digits with an optional sign, nothing else.  Plain
 and signed schemes share one grammar and one reader (a signed count carries
 a sign suffix).  It rejects a nest deeper than degree // 2, since a line
 through the innermost oval meets each oval of the nest twice (Bezout), and
@@ -46,6 +48,15 @@ SCENARIO_KINDS = ("with-o1-jumps", "no-jumps-even-gamma",
                   "no-jumps-odd-gamma", "beta-zero")
 
 _MODES = {"paper": "literal", "uniform": "uniform"}
+
+
+def integer(text: str) -> int:
+    """A decimal integer: ASCII digits with an optional sign.  int() alone
+    also takes underscores, surrounding blanks and other scripts' digits."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
 
 
 def _mode(arg: str) -> str:
@@ -176,7 +187,7 @@ def _cmd_solve(args) -> tuple[dict, dict, list[str]]:
 def _parse_known(text: str) -> tuple[int, ...]:
     from . import cases
     try:
-        known = tuple(int(tok) for tok in text.split(",") if tok.strip())
+        known = tuple(map(integer, text.split(","))) if text else ()
     except ValueError as exc:
         raise ValueError(f"--known must be a comma list of integers: {exc}")
     if any(b not in range(cases.TOTAL_EMPTIES + 1) for b in known):
@@ -390,25 +401,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("parse", help="parse and canonicalize a scheme")
     p.add_argument("--scheme", required=True)
-    p.add_argument("--degree", type=int, default=9)
+    p.add_argument("--degree", type=integer, default=9)
 
     p = sub.add_parser("check-rm",
                        help="signed-pair identity on a signed scheme")
     p.add_argument("--scheme", required=True)
-    p.add_argument("--degree", type=int, default=9)
+    p.add_argument("--degree", type=integer, default=9)
     p.add_argument("--mode", choices=sorted(_MODES), default="uniform")
 
     p = sub.add_parser("check-orevkov",
                        help="pair-table identities on a signed scheme")
     p.add_argument("--scheme", required=True)
-    p.add_argument("--degree", type=int, default=9)
+    p.add_argument("--degree", type=integer, default=9)
 
     p = sub.add_parser("solve", help="sign cases passing the identity")
     p.add_argument("--scenario", required=True,
                    choices=SCENARIO_KINDS)
     p.add_argument("--mode", choices=sorted(_MODES), default="uniform")
-    p.add_argument("--beta", type=int)
-    p.add_argument("--gamma", type=int)
+    p.add_argument("--beta", type=integer)
+    p.add_argument("--gamma", type=integer)
 
     p = sub.add_parser("prohibit", help="full prohibition argument")
     p.add_argument("--scheme", required=True)
@@ -421,15 +432,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("theorem2",
                        help="surviving signed schemes at an even beta")
-    p.add_argument("--beta", type=int, required=True)
-    p.add_argument("--gamma", type=int)
+    p.add_argument("--beta", type=integer, required=True)
+    p.add_argument("--gamma", type=integer)
 
     p = sub.add_parser("lemma3",
                        help="six-point configurations and their conic-pencil "
                             "event sequences")
-    p.add_argument("--case", type=int, choices=(1, 2, 3))
-    p.add_argument("--samples", type=int, help="with --case (default 20)")
-    p.add_argument("--seed", type=int, help="with --case (default 0)")
+    p.add_argument("--case", type=integer, choices=(1, 2, 3))
+    p.add_argument("--samples", type=integer, help="with --case (default 20)")
+    p.add_argument("--seed", type=integer, help="with --case (default 0)")
     p.add_argument("--config", help="JSON file with 6 labeled points "
                                     "(takes no --case, --samples or --seed)")
 

@@ -10,8 +10,9 @@ sub-region and the witness are each decided by signs of 3x3 determinants of
 chart points, so the classifier reads them all from one table of the
 configuration's 20 orientation signs.  Hence a sampled configuration whose
 table equals its template's is accepted without classifying it, comparing
-only the 20 signs of the unordered triples, and the event sequence relabels
-the classifier's table instead of building another.
+only the 20 signs of the unordered triples, and the event sequence reads
+the table that the classifier has already relabeled to canonical labels,
+instead of building or relabeling another.
 
 The event sequence of a valid configuration lists, in pencil order, the five
 reducible members of the cubic pencil through the six points (labeled "12".."16"
@@ -21,8 +22,9 @@ downstream of a quadratic transformation based at points 1, 5, 4: the
 transformed curve family becomes the pencil of conics through four points,
 whose parameter circle supplies it.  Each event's parameter is two integer
 evaluations of the pencil's generators, and the order is read from cross
-products of the parameters: no canonical conic, event record or circle sort
-is built.  The position orders need no conic:
+products of the parameters (`conics.conic_pencil_events`): no canonical
+conic, event record or circle sort is built.  The position orders need no
+conic:
 central projection from point 1 maps the conic missing x onto the line
 pencil at 1, and 1 itself onto its tangent.  So the other four points keep
 their pencil order a0..a3, and 1 falls between a(i-1) and a(i) iff that pair
@@ -46,7 +48,7 @@ from .geometry import (
     orientation_signs,
     orientation_table,
 )
-from .conics import _pencil_events, cremona
+from .conics import conic_pencil_events, cremona
 
 
 class InvalidConfigurationError(ValueError):
@@ -284,12 +286,13 @@ CASE3_TRIANGLE = (2, 6, 3)
 
 def classify_configuration(cfg: dict[int, Triple]) -> Classification:
     _check_input(cfg)
-    return _classify_signs(orientation_table(cfg))
+    return _classify_signs(orientation_table(cfg))[0]
 
 
-def _classify_signs(signs: dict) -> Classification:
+def _classify_signs(signs: dict) -> tuple[Classification, dict]:
     """The classification of a configuration with distinct points 1..6,
-    from its orientation table alone."""
+    from its orientation table alone, and that table relabeled by
+    sigma^relabel_shift."""
     order = _pencil_order(signs)
     if order != [2, 3, 4, 5, 6]:
         raise InvalidConfigurationError(
@@ -299,8 +302,8 @@ def _classify_signs(signs: dict) -> Classification:
     if len(interior) == 0:
         if hull == CASE1_PATTERN:
             return Classification("case", case=1, relabel_shift=0,
-                                  pattern=hull, interior=())
-        return _contradiction(signs, hull, ())
+                                  pattern=hull, interior=()), signs
+        return _contradiction(signs, hull, ()), signs
 
     if len(interior) == 1:
         k = (2 - interior[0]) % 5
@@ -313,15 +316,17 @@ def _classify_signs(signs: dict) -> Classification:
                     "case", case=2, relabel_shift=k, pattern=quad,
                     interior=(2,), region="T4",
                     notes=("region label T4 follows the figure geometry; "
-                           "a text reference to T2 is a known slip",))
-            return _contradiction(sc, quad, (2,), relabel=k, region=region)
-        return _contradiction(sc, quad, (2,), relabel=k)
+                           "a text reference to T2 is a known slip",)), sc
+            return _contradiction(sc, quad, (2,), relabel=k,
+                                  region=region), sc
+        return _contradiction(sc, quad, (2,), relabel=k), sc
 
     # two interior points
     pairs = [l for l in (2, 3, 4, 5, 6) if set(interior) == {l, _SIGMA[1][l]}]
     if not pairs:
-        return _contradiction(signs, hull, interior,
-                              note="interior labels not pencil-consecutive")
+        cl = _contradiction(signs, hull, interior,
+                            note="interior labels not pencil-consecutive")
+        return cl, signs
     k = (4 - pairs[0]) % 5
     sc = _shift_signs(signs, k)
     tri = _shift_cycle(hull, k)
@@ -329,10 +334,11 @@ def _classify_signs(signs: dict) -> Classification:
         region = _case3_region(sc)
         if region == "T3":
             return Classification("case", case=3, relabel_shift=k,
-                                  pattern=tri, interior=(4, 5), region="T3")
-        return _contradiction(sc, tri, (4, 5), relabel=k, region=region)
+                                  pattern=tri, interior=(4, 5),
+                                  region="T3"), sc
+        return _contradiction(sc, tri, (4, 5), relabel=k, region=region), sc
     return _contradiction(sc, tri, (4, 5), relabel=k,
-                          note="outer triangle orientation reversed")
+                          note="outer triangle orientation reversed"), sc
 
 
 def _contradiction(signs, pattern, interior, relabel=0, region=None,
@@ -386,18 +392,16 @@ def reducible_cubic_sequence(cfg: dict[int, Triple]) -> SequenceReport:
     the five reducible cubics of the original configuration.
     """
     _check_input(cfg)
-    signs = orientation_table(cfg)
-    cl = _classify_signs(signs)
+    cl, signs = _classify_signs(orientation_table(cfg))
     if not cl.is_valid:
         return SequenceReport(classification=cl)
     c = sigma_shift(cfg, cl.relabel_shift)
     qt = cremona(c[1], c[5], c[4])
-    _, _, events = _pencil_events(
+    _, _, events = conic_pencil_events(
         [c[1], *(qt.point(c[x]) for x in (2, 3, 6))],
         [("14", c[5]), ("15", c[4])])
     order = [_SINGULAR_LABELS.get(label, label) for _, label, _, _ in events]
     order = _orient_events(order, cl.case)
-    signs = _shift_signs(signs, cl.relabel_shift)
     out = []
     for lab in order:
         x = int(lab[1])

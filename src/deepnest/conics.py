@@ -5,15 +5,16 @@ A conic is a canonical integer 6-tuple (a, b, c, d, e, f) representing
 coprime with first nonzero entry positive.  Pencil parameters (lam : mu)
 live on the parameter circle RP^1 as directions mod pi, and are ordered by
 exact cross products of their representatives with mu >= 0.
-`_pencil_events` does this in integer steps on positive multiples of the
-generators, with no gcd and no sort; `conic_pencil_events` turns its output
-into canonical `PencilEvent` records.
+`conic_pencil_events` does this in integer steps on positive multiples of
+the generators, with no gcd and no sort.  Canonical event records, their
+member conics and the circle-sorted reference order are test oracles in
+`tests/chart.py`.
 """
 
 from __future__ import annotations
 
 from math import gcd
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .geometry import (
     DegeneratePositionError,
@@ -52,11 +53,6 @@ def conic_matrix2(q: Conic):
     """The integer matrix 2M with x^T M x the conic's quadratic form."""
     a, b, c, d, e, f = q
     return ((2 * a, b, d), (b, 2 * c, e), (d, e, 2 * f))
-
-
-def conic_det2(q: Conic) -> int:
-    """det(2M); zero exactly for degenerate (rank <= 2) conics."""
-    return det3(*conic_matrix2(q))
 
 
 def polar_line(q: Conic, p: Triple) -> Triple:
@@ -105,50 +101,24 @@ def conic_through_5(pts: Sequence[Triple]) -> Conic:
 # ---------------------------------------------------------------------------
 # pencils of conics through four points
 
-class PencilEvent(NamedTuple):
-    kind: str              # "singular" | "through-point"
-    label: str
-    parameter: tuple[int, int]   # canonical (lam : mu) on the parameter circle
-    generators: tuple[Conic, Conic]   # the pencil's members 12|34 and 13|24
-
-    @property
-    def member(self) -> Conic:
-        """The pencil member lam * 12|34 + mu * 13|24, built on read."""
-        return pencil_member(*self.generators, *self.parameter)
-
-
-def _pair_conic(l1: Triple, l2: Triple) -> Conic:
-    return _canon6(_raw_pair(l1, l2))
-
-
-def _canon_param(lam: int, mu: int) -> tuple[int, int]:
-    if lam == 0 and mu == 0:
-        raise ValueError("zero parameter")
-    g = gcd(abs(lam), abs(mu))
-    lam, mu = lam // g, mu // g
-    if lam < 0 or (lam == 0 and mu < 0):
-        lam, mu = -lam, -mu
-    return lam, mu
-
-
-def pencil_member(ga: Conic, gb: Conic, lam: int, mu: int) -> Conic:
-    v = tuple(lam * ga[i] + mu * gb[i] for i in range(6))
-    return _canon6(v)
-
-
-def _pencil_events(base: Sequence[Triple], extras=()):
+def conic_pencil_events(base: Sequence[Triple], extras=()):
     """The pencil of conics through four base points, in integer steps.
 
-    Returns its generators (l12 . X)(l34 . X) and (l13 . X)(l24 . X), each
-    built from unreduced line brackets and multiplied by the sign of its
-    first nonzero coefficient, so a positive multiple of its canonical conic,
-    and its events as (kind, label, lam, mu) in pencil order.  (lam : mu) is
-    taken with respect to these generators: "12|34" is (1 : 0), "13|24" is
-    (0 : 1), and "14|23" and each extra lie at (-vb : va), with va and vb the
-    generators evaluated at the diagonal point or the extra point.  The
+    `base` gives the four base points (positions 1..4 for labels); `extras`
+    is a sequence of (label, point) pairs.  Returns the pencil's generators
+    (l12 . X)(l34 . X) and (l13 . X)(l24 . X), each built from unreduced
+    line brackets and multiplied by the sign of its first nonzero
+    coefficient, so a positive multiple of its canonical conic, and its
+    events as (kind, label, lam, mu) in pencil order: the three singular
+    members ("singular", labeled like "12|34" by base positions) and one
+    "through-point" event per extra.  (lam : mu) is taken with respect to
+    these generators: "12|34" is (1 : 0), "13|24" is (0 : 1), and "14|23"
+    and each extra lie at (-vb : va), with va and vb the generators
+    evaluated at the diagonal point or the extra point.  The
     parameters are directions mod pi: stored with mu >= 0, they are ranked
-    by cross products, counterclockwise from (1 : 0).  The errors are those
-    of `conic_pencil_events`, raised in the same order.
+    by cross products, counterclockwise from (1 : 0).  Collinear base
+    points, a point on every member and two coincident events raise
+    `DegeneratePositionError`, checked in that order.
     """
     if len(base) != 4:
         raise ValueError("a conic pencil needs 4 base points")
@@ -197,22 +167,6 @@ def _pencil_events(base: Sequence[Triple], extras=()):
         events[r] = ("singular" if i < 3 else "through-point", labels[i],
                      *params[i])
     return ga, gb, events
-
-
-def conic_pencil_events(base: Sequence[Triple], extras=()):
-    """Events met by the pencil of conics through four general-position points.
-
-    `base` gives the four base points (positions 1..4 for labels); `extras`
-    is a sequence of (label, point) pairs.  Returns the events in
-    cyclic order of the pencil parameter: the three singular members, labeled
-    like "12|34" by base positions, and one "through-point" event per extra,
-    as records on the canonical generators of `_pencil_events`.
-    """
-    ga, gb, events = _pencil_events(base, extras)
-    gens = (_canon6(ga), _canon6(gb))
-    sa, sb = gcd(*ga), gcd(*gb)
-    return [PencilEvent(kind, label, _canon_param(lam * sa, mu * sb), gens)
-            for kind, label, lam, mu in events]
 
 
 # ---------------------------------------------------------------------------

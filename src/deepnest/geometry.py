@@ -12,9 +12,9 @@ each triple's determinant once (`orientation_table`), or from just the signs
 of the unordered triples (`orientation_signs`).
 
 `circle_sort` orders full-circle vectors exactly; with the double-angle
-embedding (dx, dy) -> (dx^2 - dy^2, 2 dx dy), which is injective on lines
-through the origin, it orders directions mod pi.  No command calls either:
-the test oracles do.
+embedding (dx, dy) -> (dx^2 - dy^2, 2 dx dy) of `tests/chart.py`, which is
+injective on lines through the origin, it orders directions mod pi.  No
+command calls it: the test oracles do.
 """
 
 from __future__ import annotations
@@ -47,20 +47,6 @@ def normalize(x: int, y: int, z: int) -> Triple:
     return (x, y, z)
 
 
-def cross(u: Triple, v: Triple) -> Triple:
-    return normalize(
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
-
-
-def line_through(p: Triple, q: Triple) -> Triple:
-    if p == q:
-        raise ValueError("need two distinct points")
-    return cross(p, q)
-
-
 def det3(a: Sequence[int], b: Sequence[int], c: Sequence[int]) -> int:
     return (
         a[0] * (b[1] * c[2] - b[2] * c[1])
@@ -86,12 +72,6 @@ def chart_rep(p: Triple) -> Triple:
 def chart_orient(p: Triple, q: Triple, r: Triple) -> int:
     """Affine orientation in the chart complementing J (+1 = counterclockwise)."""
     return sign(det3(chart_rep(p), chart_rep(q), chart_rep(r)))
-
-
-def double_angle(d: tuple[int, int]) -> tuple[int, int]:
-    """Map a direction mod pi to a full-circle direction: angle doubling."""
-    dx, dy = d
-    return (dx * dx - dy * dy, 2 * dx * dy)
 
 
 def _half(v: tuple[int, int]) -> int:

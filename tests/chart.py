@@ -1,5 +1,6 @@
-"""Affine chart helpers the test oracles share: rational points, directions,
-arcs of the direction circle, and the rotating line pencil with its J-jumps.
+"""Affine chart helpers the test oracles share: rational points, lines,
+directions, arcs of the direction circle, the rotating line pencil with its
+J-jumps, and canonical records of the conic pencil's events.
 
 No command runs these.  The library decides every six-point question from
 orientation signs (`deepnest.geometry.orientation_table`); the oracles in
@@ -7,26 +8,34 @@ orientation signs (`deepnest.geometry.orientation_table`); the oracles in
 the same answers from the points through these functions.  J is the line
 z = 0, as in `deepnest.geometry`.
 
-`reference_pencil_events` is the reference for the conic pencil's event
-order: canonical generators and parameters, a seen-dict for coincident
-events, and a circle sort of the doubled parameter angles.
+`deepnest.conics.conic_pencil_events` returns the pencil's events as
+integer parameters on unreduced generators.  `pencil_event_records` turns
+them into `PencilEvent` records on the canonical generators, whose member
+conics are built on read.  `reference_pencil_events` is the reference for
+those records: canonical generators and parameters, a seen-dict for
+coincident events, and a circle sort of the doubled parameter angles.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
-from deepnest.conics import PencilEvent, _canon_param, _pair_conic, conic_eval
+from deepnest.conics import (
+    Conic,
+    _canon6,
+    _raw_pair,
+    conic_eval,
+    conic_matrix2,
+    conic_pencil_events,
+)
 from deepnest.geometry import (
     DegeneratePositionError,
     Triple,
     chart_rep,
     circle_sort,
-    cross,
     det3,
-    double_angle,
-    line_through,
     normalize,
 )
 
@@ -36,6 +45,20 @@ def point(x, y) -> Triple:
     fx, fy = Fraction(x), Fraction(y)
     den = fx.denominator * fy.denominator // gcd(fx.denominator, fy.denominator)
     return normalize(int(fx * den), int(fy * den), den)
+
+
+def cross(u: Triple, v: Triple) -> Triple:
+    return normalize(
+        u[1] * v[2] - u[2] * v[1],
+        u[2] * v[0] - u[0] * v[2],
+        u[0] * v[1] - u[1] * v[0],
+    )
+
+
+def line_through(p: Triple, q: Triple) -> Triple:
+    if p == q:
+        raise ValueError("need two distinct points")
+    return cross(p, q)
 
 
 def dot(l: Triple, p: Triple) -> int:
@@ -53,6 +76,12 @@ def chart_direction(frm: Triple, to: Triple) -> tuple[int, int]:
         raise ValueError("coincident points have no direction")
     g = gcd(abs(dx), abs(dy))
     return (dx // g, dy // g)
+
+
+def double_angle(d: tuple[int, int]) -> tuple[int, int]:
+    """Map a direction mod pi to a full-circle direction: angle doubling."""
+    dx, dy = d
+    return (dx * dx - dy * dy, 2 * dx * dy)
 
 
 def inside_ccw_arc(a: tuple[int, int], b: tuple[int, int], m: tuple[int, int]) -> bool:
@@ -117,11 +146,60 @@ def step_is_j_jump(base: Triple, px: Triple, py: Triple) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# canonical records of the conic pencil's events
+
+def conic_det2(q: Conic) -> int:
+    """det(2M); zero exactly for degenerate (rank <= 2) conics."""
+    return det3(*conic_matrix2(q))
+
+
+class PencilEvent(NamedTuple):
+    kind: str              # "singular" | "through-point"
+    label: str
+    parameter: tuple[int, int]   # canonical (lam : mu) on the parameter circle
+    generators: tuple[Conic, Conic]   # the pencil's members 12|34 and 13|24
+
+    @property
+    def member(self) -> Conic:
+        """The pencil member lam * 12|34 + mu * 13|24, built on read."""
+        return pencil_member(*self.generators, *self.parameter)
+
+
+def _pair_conic(l1: Triple, l2: Triple) -> Conic:
+    return _canon6(_raw_pair(l1, l2))
+
+
+def _canon_param(lam: int, mu: int) -> tuple[int, int]:
+    if lam == 0 and mu == 0:
+        raise ValueError("zero parameter")
+    g = gcd(abs(lam), abs(mu))
+    lam, mu = lam // g, mu // g
+    if lam < 0 or (lam == 0 and mu < 0):
+        lam, mu = -lam, -mu
+    return lam, mu
+
+
+def pencil_member(ga: Conic, gb: Conic, lam: int, mu: int) -> Conic:
+    v = tuple(lam * ga[i] + mu * gb[i] for i in range(6))
+    return _canon6(v)
+
+
+def pencil_event_records(base, extras=()):
+    """The events of `deepnest.conics.conic_pencil_events`, in its order and
+    with its errors, as records on the canonical generators."""
+    ga, gb, events = conic_pencil_events(base, extras)
+    gens = (_canon6(ga), _canon6(gb))
+    sa, sb = gcd(*ga), gcd(*gb)
+    return [PencilEvent(kind, label, _canon_param(lam * sa, mu * sb), gens)
+            for kind, label, lam, mu in events]
+
+
+# ---------------------------------------------------------------------------
 # the conic pencil through four points, ordered by a circle sort
 
 def reference_pencil_events(base, extras=()):
-    """`deepnest.conics.conic_pencil_events`, computed on canonical conics:
-    the same records, in the same order, with the same errors."""
+    """`pencil_event_records`, computed on canonical conics: the same
+    records, in the same order, with the same errors."""
     if len(base) != 4:
         raise ValueError("a conic pencil needs 4 base points")
     for i in range(4):

@@ -29,11 +29,16 @@ from deepnest.geometry import (
     chart_orient,
     chart_rep,
     circle_sort,
-    double_angle,
-    line_through,
     sign,
 )
-from chart import chart_direction, dot, inside_ccw_arc, point
+from chart import (
+    chart_direction,
+    dot,
+    double_angle,
+    inside_ccw_arc,
+    line_through,
+    point,
+)
 
 
 def in_triangle(p: Triple, a: Triple, b: Triple, c: Triple) -> bool:

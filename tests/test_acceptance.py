@@ -27,8 +27,7 @@ from deepnest.cases import (
     theorem1_report,
     theorem2_report,
 )
-from deepnest.conics import conic_det2, conic_eval, conic_pencil_events, \
-    conic_through_5, cremona
+from deepnest.conics import conic_eval, conic_through_5, cremona
 from deepnest.configurations import (
     EXCLUSION_TEMPLATES,
     EXPECTED_WITNESSES,
@@ -48,7 +47,7 @@ from deepnest.orientations import (
     rm_rhs,
 )
 from deepnest.schemes import parse_scheme, print_scheme
-from chart import line_pencil_sweep, point
+from chart import conic_det2, line_pencil_sweep, pencil_event_records, point
 from region_walk import recount_by_region_walk
 
 
@@ -283,7 +282,7 @@ def test_criterion_11():
                 if q not in pts:
                     pts.append(q)
             try:
-                events = conic_pencil_events(pts)
+                events = pencil_event_records(pts)
             except (DegeneratePositionError, ValueError):
                 continue
             singular = [e for e in events if e.kind == "singular"]

@@ -344,6 +344,41 @@ def test_known_rejects_sizes_out_of_range(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ["theorem2", "--beta", "1_0"],
+    ["theorem2", "--beta", "\u0661\u0660"],       # Arabic-Indic 10
+    ["theorem2", "--beta", " 12"],
+    ["theorem2", "--beta", "12", "--gamma", "1_4"],
+    ["solve", "--scenario", "beta-zero", "--beta", "\uff10"],  # fullwidth 0
+    ["parse", "--degree", "\u0669", "--scheme", "<1>"],        # Arabic-Indic 9
+    ["lemma3", "--case", "\u0661"],
+    ["lemma3", "--case", "1", "--samples", "\u0662"],
+    ["lemma3", "--case", "1", "--samples", "2", "--seed", "0_1"],
+    ["lemma3", "--case", "1", "--samples", "2", "--seed", "+-1"],
+])
+def test_integer_options_are_ascii_decimals(argv):
+    code, out, err = run_quietly(["--json", *argv])
+    assert (code, out) == (2, "")
+    assert "invalid integer value" in err
+
+
+@pytest.mark.parametrize("known", ["1,,3", "1,3,", ",1", "1, 3", "1_0",
+                                   "\u0663", "+", " "])
+@pytest.mark.parametrize("command", [["theorem1"], PROHIBIT_5])
+def test_known_items_are_ascii_decimals(capsys, command, known):
+    err = assert_input_error(capsys, [*command, "--known", known])
+    assert err.startswith(
+        "deepnest: error: --known must be a comma list of integers: ")
+
+
+def test_integers_take_an_optional_sign(capsys):
+    _, plain = run(capsys, "--json", "theorem2", "--beta", "12")
+    _, signed = run(capsys, "--json", "theorem2", "--beta", "+12")
+    assert signed == plain
+    _, rep = run_json(capsys, "theorem1", "--known", "+1,3,+25")
+    assert rep["inputs"]["known"] == [1, 3, 25]
+
+
+@pytest.mark.parametrize("argv", [
     ["--scenario", "no-jumps-even-gamma", "--beta", "-4"],
     ["--scenario", "with-o1-jumps", "--beta", "1000"],
     ["--scenario", "no-jumps-odd-gamma", "--gamma", "-3"],

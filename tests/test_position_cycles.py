@@ -17,11 +17,10 @@ from deepnest.geometry import (
     DegeneratePositionError,
     _hull_cycle,
     circle_sort,
-    double_angle,
     normalize,
     orientation_table,
 )
-from chart import chart_direction
+from chart import chart_direction, double_angle
 from point_classifier import sweep_order
 
 
