@@ -36,7 +36,8 @@ of times, so the chart's choice of sign cancels.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations
+from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .geometry import (
@@ -47,6 +48,7 @@ from .geometry import (
     normalize,
     orientation_signs,
     orientation_table,
+    slot,
 )
 from .conics import conic_pencil_events, cremona
 
@@ -157,19 +159,17 @@ def sigma_shift(cfg: dict[int, Triple], k: int) -> dict[int, Triple]:
     return {m[x]: cfg[x] for x in (1, 2, 3, 4, 5, 6)}
 
 
-# the 120 keys of an orientation table on labels 1..6, and each key under
-# sigma^k
-_TRIPLES = tuple(permutations((1, 2, 3, 4, 5, 6), 3))
-_SHIFTED_TRIPLES = tuple(tuple((m[a], m[b], m[c]) for a, b, c in _TRIPLES)
-                         for m in _SIGMA)
+# _SHIFT_GETTERS[k] permutes an orientation table into the table under
+# sigma^k: its [abc] reads the old [a'b'c'], where m = sigma^-k takes a to a'
+_SHIFT_GETTERS = tuple(
+    itemgetter(*[slot(a, b, c) for a in m for b in m for c in m])
+    for m in (_SIGMA[-k % 5] for k in range(5)))
 
 
-def _shift_signs(signs: dict, k: int) -> dict:
+def _shift_signs(signs: tuple, k: int) -> tuple:
     """The orientation table of sigma_shift(cfg, k), from the table of cfg.
-    Tables are never mutated, so sigma^0 returns `signs` itself."""
-    if k == 0:
-        return signs
-    return dict(zip(_SHIFTED_TRIPLES[k], map(signs.__getitem__, _TRIPLES)))
+    sigma^0 returns `signs` itself."""
+    return _SHIFT_GETTERS[k](signs) if k else signs
 
 
 def _shift_cycle(cycle: tuple, k: int) -> tuple:
@@ -186,18 +186,24 @@ def _check_input(cfg: dict[int, Triple]) -> None:
         raise InvalidConfigurationError("points must be distinct")
 
 
-def _pencil_order(signs: dict) -> list[int]:
+# the table slots [12y], [1yx], [1x2] for the pairs y < x of 3..6: together
+# they read every [1ab]
+_PENCIL_TURNS = tuple((y, x, slot(1, 2, y), slot(1, y, x), slot(1, x, 2))
+                      for y, x in combinations((3, 4, 5, 6), 2))
+
+
+def _pencil_order(signs: tuple) -> list[int]:
     """Labels 2..6 in counterclockwise order of their lines through point 1,
     starting at 2.  The lines to a, b, c turn counterclockwise in that cyclic
     order iff [1ab][1bc][1ca] < 0."""
-    for a, b in combinations((2, 3, 4, 5, 6), 2):
-        if signs[1, a, b] == 0:
-            raise InvalidConfigurationError(
-                "degenerate pencil at point 1: equal circular positions")
     # the rank of x counts the labels y that come between 2 and x
     rank = dict.fromkeys((3, 4, 5, 6), 0)
-    for y, x in combinations((3, 4, 5, 6), 2):
-        if signs[1, 2, y] * signs[1, y, x] * signs[1, x, 2] < 0:
+    for y, x, i, j, k in _PENCIL_TURNS:
+        turn = signs[i] * signs[j] * signs[k]
+        if turn == 0:
+            raise InvalidConfigurationError(
+                "degenerate pencil at point 1: equal circular positions")
+        if turn < 0:
             rank[x] += 1
         else:
             rank[y] += 1
@@ -210,27 +216,27 @@ def _pencil_order(signs: dict) -> list[int]:
 def _interiors_disjoint(t1, t2, orient) -> bool:
     """Separating-axis search over the six edge lines: some edge line of one
     triangle has the other triangle's vertices on the side away from its own
-    third vertex (or on the line).  `orient((a, b, c))` is the chart
+    third vertex (or on the line).  `orient(a, b, c)` is the chart
     orientation of the labelled points."""
     for ta, tb in ((t1, t2), (t2, t1)):
         for i in range(3):
             a, b, c = ta[i], ta[(i + 1) % 3], ta[(i + 2) % 3]
-            s_own = orient((a, b, c))
+            s_own = orient(a, b, c)
             if s_own == 0:
                 raise DegeneratePositionError("degenerate principal triangle")
             for v in tb:
-                if v != a and v != b and orient((a, b, v)) == s_own:
+                if v != a and v != b and orient(a, b, v) == s_own:
                     break
             else:
                 return True
     return False
 
 
-def find_witness(signs: dict) -> Optional[Witness]:
+def find_witness(signs: tuple) -> Optional[Witness]:
     """First interior-disjoint pair of principal triangles, in canonical order,
     read from a configuration's orientation table."""
     for t1, t2 in _WITNESS_PAIRS:
-        if _interiors_disjoint(t1, t2, signs.__getitem__):
+        if _interiors_disjoint(t1, t2, lambda a, b, c: signs[slot(a, b, c)]):
             shared = tuple(sorted(set(t1) & set(t2)))
             return Witness(triangles=(t1, t2), shared=shared)
     return None
@@ -240,7 +246,7 @@ def verify_witness(cfg: dict[int, Triple], w: Witness) -> bool:
     """Recheck a witness from the points themselves, not from a sign table."""
     return _interiors_disjoint(
         w.triangles[0], w.triangles[1],
-        lambda t: chart_orient(cfg[t[0]], cfg[t[1]], cfg[t[2]]))
+        lambda a, b, c: chart_orient(cfg[a], cfg[b], cfg[c]))
 
 
 # ---------------------------------------------------------------------------
@@ -249,15 +255,17 @@ def verify_witness(cfg: dict[int, Triple], w: Witness) -> bool:
 # (is 2 on 5's side of [34], is 2 on 4's side of [56]) -> quadrant
 _CASE2_QUADRANTS = {(True, True): "T4", (True, False): "T3",
                     (False, True): "T2", (False, False): "T1"}
+_CASE2_SLOTS = itemgetter(slot(3, 4, 2), slot(3, 4, 5), slot(5, 6, 2),
+                          slot(5, 6, 4))
 
 
-def _case2_region(signs: dict) -> str:
+def _case2_region(signs: tuple) -> str:
     """Quadrant of point 2 inside the family-A quadrangle (3,5,4,6), cut by
     the diagonals [34] and [56].  T4 (between the rays toward 5 and toward 4)
     is the valid region; T1 is opposite T4; T3 shares the [34]-side with T4;
     T2 shares the [56]-side with T4."""
-    return _CASE2_QUADRANTS[signs[3, 4, 2] == signs[3, 4, 5],
-                            signs[5, 6, 2] == signs[5, 6, 4]]
+    s342, s345, s562, s564 = _CASE2_SLOTS(signs)
+    return _CASE2_QUADRANTS[s342 == s345, s562 == s564]
 
 
 # Point 4 lies inside the counterclockwise triangle 2, 6, 3, so its cevian
@@ -267,13 +275,14 @@ _CASE3_SECTORS = {
     (+1, +1, -1): "T1", (-1, +1, -1): "T2", (-1, +1, +1): "T3",
     (-1, -1, +1): "T4", (+1, -1, +1): "T5", (+1, -1, -1): "T6",
 }
+_CASE3_SLOTS = itemgetter(slot(4, 2, 5), slot(4, 6, 5), slot(4, 3, 5))
 
 
-def _case3_region(signs: dict) -> str:
+def _case3_region(signs: tuple) -> str:
     """Sector of point 5 among the six regions around 4 cut by the cevians
     from 2, 6, 3 through 4, numbered counterclockwise starting at the ray
     toward 6.  T3 (between the rays toward 3 and away from 6) is valid."""
-    return _CASE3_SECTORS[signs[4, 2, 5], signs[4, 6, 5], signs[4, 3, 5]]
+    return _CASE3_SECTORS[_CASE3_SLOTS(signs)]
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +298,7 @@ def classify_configuration(cfg: dict[int, Triple]) -> Classification:
     return _classify_signs(orientation_table(cfg))[0]
 
 
-def _classify_signs(signs: dict) -> tuple[Classification, dict]:
+def _classify_signs(signs: tuple) -> tuple[Classification, tuple]:
     """The classification of a configuration with distinct points 1..6,
     from its orientation table alone, and that table relabeled by
     sigma^relabel_shift."""
@@ -361,19 +370,31 @@ def _contradiction(signs, pattern, interior, relabel=0, region=None,
 _SINGULAR_LABELS = {"12|34": "12", "13|24": "13", "14|23": "16"}
 
 
-def _position_cycle(signs: dict, x: int) -> tuple[str, str]:
+def _position_readings(x: int) -> tuple:
+    # per gap i of a0..a3, the table slots of its cross-ratio sign (see the
+    # module docstring) and both readings of the cycle that starts there
+    a = [v for v in (2, 3, 4, 5, 6) if v != x]
+    out = []
+    for i in range(4):
+        p, q, r, e = a[i - 1], a[i], a[(i + 1) % 4], a[(i + 2) % 4]
+        cyc = "".join(map(str, a[i:] + a[:i]))
+        out.append(((slot(e, p, 1), slot(e, q, r), slot(e, p, r),
+                     slot(e, q, 1)), "1" + cyc, "1" + cyc[::-1]))
+    return tuple(out)
+
+
+_POSITION_READINGS = {x: _position_readings(x) for x in (2, 3, 4, 5, 6)}
+
+
+def _position_cycle(signs: tuple, x: int) -> tuple[str, str]:
     """Both readings, from point 1 along its pencil and against it, of the
     cyclic order of the five points other than `x` on the conic through
     them, from the orientation table of a pencil-ordered configuration."""
-    a = [v for v in (2, 3, 4, 5, 6) if v != x]
-    for i in range(3):
-        p, q, r, e = a[i - 1], a[i], a[i + 1], a[(i + 2) % 4]
-        if signs[e, p, 1] * signs[e, q, r] * signs[e, p, r] * signs[e, q, 1] < 0:
+    for (i, j, k, l), fwd, rev in _POSITION_READINGS[x]:
+        if signs[i] * signs[j] * signs[k] * signs[l] < 0:
             break
-    else:
-        i = 3
-    cyc = "".join(map(str, a[i:] + a[:i]))
-    return "1" + cyc, "1" + cyc[::-1]
+    # when the first three gaps fail, 1 lies in the fourth
+    return fwd, rev
 
 
 class SequenceReport(NamedTuple):

@@ -2,18 +2,17 @@
 
 A conic is a canonical integer 6-tuple (a, b, c, d, e, f) representing
     a x^2 + b xy + c y^2 + d xz + e yz + f z^2 = 0,
-coprime with first nonzero entry positive.  Pencil parameters (lam : mu)
-live on the parameter circle RP^1 as directions mod pi, and are ordered by
-exact cross products of their representatives with mu >= 0.
+coprime with first nonzero entry positive (`geometry.normalize`).  Pencil
+parameters (lam : mu) live on the parameter circle RP^1 as directions mod
+pi, ordered by exact cross products of their representatives with mu >= 0.
 `conic_pencil_events` does this in integer steps on positive multiples of
-the generators, with no gcd and no sort.  Canonical event records, their
-member conics and the circle-sorted reference order are test oracles in
-`tests/chart.py`.
+the generators, each a product of two line brackets, with no gcd and no
+sort.  A conic's value from its coefficients, canonical event records and
+the circle-sorted reference order are test oracles in `tests/chart.py`.
 """
 
 from __future__ import annotations
 
-from math import gcd
 from typing import Sequence
 
 from .geometry import (
@@ -26,27 +25,6 @@ from .geometry import (
 )
 
 Conic = tuple[int, int, int, int, int, int]
-
-
-def _canon6(v: Sequence[int]) -> Conic:
-    if all(c == 0 for c in v):
-        raise ValueError("zero conic")
-    g = 0
-    for c in v:
-        g = gcd(g, abs(c))
-    v = [c // g for c in v]
-    for c in v:
-        if c != 0:
-            if c < 0:
-                v = [-x for x in v]
-            break
-    return tuple(v)  # type: ignore[return-value]
-
-
-def conic_eval(q: Conic, p: Triple) -> int:
-    x, y, z = p
-    a, b, c, d, e, f = q
-    return a * x * x + b * x * y + c * y * y + d * x * z + e * y * z + f * z * z
 
 
 def conic_matrix2(q: Conic):
@@ -95,7 +73,7 @@ def conic_through_5(pts: Sequence[Triple]) -> Conic:
     coeffs = [s * u - t * v for u, v in zip(p, q)]
     if all(v == 0 for v in coeffs):
         raise DegeneratePositionError("five points do not determine a unique conic")
-    return _canon6(coeffs)
+    return normalize(*coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -114,9 +92,10 @@ def conic_pencil_events(base: Sequence[Triple], extras=()):
     "through-point" event per extra.  (lam : mu) is taken with respect to
     these generators: "12|34" is (1 : 0), "13|24" is (0 : 1), and "14|23"
     and each extra lie at (-vb : va), with va and vb the generators
-    evaluated at the diagonal point or the extra point.  The
-    parameters are directions mod pi: stored with mu >= 0, they are ranked
-    by cross products, counterclockwise from (1 : 0).  Collinear base
+    evaluated at the diagonal point or the extra point, each as the product
+    of its two line brackets, the first one sign-fixed.  The parameters are
+    directions mod pi: stored with mu >= 0, they are ranked by cross
+    products, counterclockwise from (1 : 0).  Collinear base
     points, a point on every member and two coincident events raise
     `DegeneratePositionError`, checked in that order.
     """
@@ -127,22 +106,26 @@ def conic_pencil_events(base: Sequence[Triple], extras=()):
             raise DegeneratePositionError(
                 f"base points {i + 1},{j + 1},{k + 1} are collinear")
     b1, b2, b3, b4 = base
-    gens = []
-    for v in (_raw_pair(_raw_cross(b1, b2), _raw_cross(b3, b4)),
-              _raw_pair(_raw_cross(b1, b3), _raw_cross(b2, b4))):
-        for lead in v:
-            if lead:
-                break
-        gens.append(v if lead > 0 else tuple([-c for c in v]))
+    # each generator's first line carries its lead sign
+    lines, gens = [], []
+    for l, m in ((_raw_cross(b1, b2), _raw_cross(b3, b4)),
+                 (_raw_cross(b1, b3), _raw_cross(b2, b4))):
+        g = _raw_pair(l, m)
+        if next(c for c in g if c) < 0:
+            l, g = (-l[0], -l[1], -l[2]), tuple([-c for c in g])
+        lines += l, m
+        gens.append(g)
     ga, gb = gens
+    (u0, u1, u2), (u3, u4, u5), (w0, w1, w2), (w3, w4, w5) = lines
     labels = ["12|34", "13|24", "14|23"]
     points = [_raw_cross(_raw_cross(b1, b4), _raw_cross(b2, b3))]
     for label, p in extras:
         labels.append(label)
         points.append(p)
     params = [(1, 0), (0, 1)]
-    for p in points:
-        va, vb = conic_eval(ga, p), conic_eval(gb, p)
+    for x, y, z in points:
+        va = (u0 * x + u1 * y + u2 * z) * (u3 * x + u4 * y + u5 * z)
+        vb = (w0 * x + w1 * y + w2 * z) * (w3 * x + w4 * y + w5 * z)
         if va == 0 and vb == 0:
             raise DegeneratePositionError("point lies on every pencil member")
         # mu >= 0; at mu = 0 the event is 12|34's, reported just below

@@ -1,15 +1,16 @@
 """Exact projective-plane kernel over the integers.
 
-Points and lines are integer homogeneous triples, canonicalized to coprime
+Points, lines and conics are integer tuples, canonicalized to coprime
 entries with the first nonzero entry positive (`normalize`).  All predicates
 are exact; no tolerances anywhere.
 
 The curve's one-sided branch J is modelled as the line z = 0, the line at
 infinity of the affine chart.  Points handed to the chart predicates must
 lie off J.  A hull (`_hull_cycle`), and every decision of the six-point
-classification, is read from one table of chart orientations that computes
-each triple's determinant once (`orientation_table`), or from just the signs
-of the unordered triples (`orientation_signs`).
+classification, is read from a flat table of chart orientations over labels
+0..6 (`orientation_table`, [abc] at `slot(a, b, c)`), spread from the signs
+of the unordered triples, which `orientation_signs` remembers for its last
+point set.
 
 `circle_sort` orders full-circle vectors exactly; with the double-angle
 embedding (dx, dy) -> (dx^2 - dy^2, 2 dx dy) of `tests/chart.py`, which is
@@ -19,9 +20,10 @@ command calls it: the test oracles do.
 
 from __future__ import annotations
 
-from functools import cmp_to_key
+from functools import cmp_to_key, lru_cache
 from itertools import combinations
 from math import gcd
+from operator import itemgetter
 from typing import Sequence
 
 Triple = tuple[int, int, int]
@@ -32,19 +34,17 @@ class DegeneratePositionError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# canonical homogeneous triples
+# canonical integer tuples
 
-def normalize(x: int, y: int, z: int) -> Triple:
-    if x == 0 and y == 0 and z == 0:
+def normalize(*v: int):
+    """The integers `v` over their gcd, with the first nonzero one positive:
+    the canonical form of a point, a line or a conic."""
+    g = gcd(*v)
+    if g == 0:
         raise ValueError("zero triple is not a projective object")
-    g = gcd(gcd(abs(x), abs(y)), abs(z))
-    x, y, z = x // g, y // g, z // g
-    for c in (x, y, z):
-        if c != 0:
-            if c < 0:
-                x, y, z = -x, -y, -z
-            break
-    return (x, y, z)
+    if next(filter(None, v)) < 0:
+        g = -g
+    return tuple([c // g for c in v])
 
 
 def det3(a: Sequence[int], b: Sequence[int], c: Sequence[int]) -> int:
@@ -104,46 +104,71 @@ def circle_sort(items: list, key) -> list:
     return sorted(items, key=cmp_to_key(cmp))
 
 
+def slot(a: int, b: int, c: int) -> int:
+    """The index of [abc] in a flat orientation table over labels 0..6."""
+    return 49 * a + 7 * b + c
+
+
 def orientation_signs(pts: dict) -> tuple:
     """Chart orientation of each unordered triple of labels of `pts` (label ->
-    point off J), in `combinations` order of its labels: one chart_rep per
-    point and one 3x3 determinant (det3, written out) per triple."""
+    point off J), in `combinations` order; the last result is remembered."""
+    return _signs(tuple(pts.values()))
+
+
+@lru_cache(maxsize=1)
+def _signs(pts: tuple) -> tuple:
+    # one chart_rep per point and one det3, written out, per triple
     out = []
     for (ax, ay, az), (bx, by, bz), (cx, cy, cz) in \
-            combinations([chart_rep(p) for p in pts.values()], 3):
+            combinations([chart_rep(p) for p in pts], 3):
         d = (ax * (by * cz - bz * cy) - ay * (bx * cz - bz * cx)
              + az * (bx * cy - by * cx))
         out.append((d > 0) - (d < 0))
     return tuple(out)
 
 
-def orientation_table(pts: dict) -> dict:
-    """Chart orientation of every ordered triple of distinct labels of `pts`,
-    from `orientation_signs`."""
-    signs = {}
-    for (a, b, c), s in zip(combinations(pts, 3), orientation_signs(pts)):
-        signs[a, b, c] = signs[b, c, a] = signs[c, a, b] = s
-        signs[b, a, c] = signs[a, c, b] = signs[c, b, a] = -s
-    return signs
+@lru_cache(maxsize=None)
+def _table_getter(labels: tuple) -> itemgetter:
+    """The getter that spreads (signs of `labels` in this order, their
+    negations, 0) over the 343 slots of a flat orientation table.  A
+    six-point configuration has at most 720 label orders."""
+    if not set(labels) <= set(range(7)):
+        raise ValueError(f"orientation tables take labels 0..6, not {labels}")
+    n = len(labels) * (len(labels) - 1) * (len(labels) - 2) // 6
+    src = [2 * n] * 343
+    for i, (a, b, c) in enumerate(combinations(labels, 3)):
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            src[slot(x, y, z)], src[slot(y, x, z)] = i, n + i
+    return itemgetter(*src)
 
 
-def _hull_cycle(signs: dict, labels: Sequence):
+def orientation_table(pts: dict) -> tuple:
+    """Chart orientation of every ordered triple of labels of `pts` (labels
+    in 0..6), from `orientation_signs`: a flat tuple with [abc] at
+    `slot(a, b, c)`, and 0 wherever a label repeats or is not in `pts`."""
+    signs = orientation_signs(pts)
+    return _table_getter(tuple(pts))((*signs, *[-s for s in signs], 0))
+
+
+@lru_cache(maxsize=None)
+def _hull_rows(labels: tuple) -> list:
+    # per label a, per other label b, the getter of the slots [abc] over c
+    return [(a, [(b, itemgetter(*[slot(a, b, c) for c in labels]))
+                 for b in labels if b != a]) for a in labels]
+
+
+def _hull_cycle(signs: tuple, labels: Sequence):
     """Counterclockwise hull cycle of the points `labels`, starting at its
     smallest label, and their sorted interior labels, read from an
     orientation table: [ab] is a hull edge iff no other point lies to the
-    right of a -> b."""
+    right of a -> b (a repeated label reads 0, so a and b need no test)."""
     for t in combinations(labels, 3):
-        if signs[t] == 0:
+        if signs[slot(*t)] == 0:
             raise DegeneratePositionError("collinear triple {},{},{}".format(*t))
     succ = {}
-    for a in labels:
-        for b in labels:
-            if b == a:
-                continue
-            for c in labels:
-                if c != a and c != b and signs[a, b, c] < 0:
-                    break
-            else:
+    for a, row in _hull_rows(tuple(labels)):
+        for b, right in row:
+            if -1 not in right(signs):
                 succ[a] = b
                 break
     cycle = [min(succ)]

@@ -1,6 +1,7 @@
 """Affine chart helpers the test oracles share: rational points, lines,
 directions, arcs of the direction circle, the rotating line pencil with its
-J-jumps, and canonical records of the conic pencil's events.
+J-jumps, a conic's value at a point from its coefficients (`conic_eval`),
+and canonical records of the conic pencil's events.
 
 No command runs these.  The library decides every six-point question from
 orientation signs (`deepnest.geometry.orientation_table`); the oracles in
@@ -24,9 +25,7 @@ from typing import NamedTuple
 
 from deepnest.conics import (
     Conic,
-    _canon6,
     _raw_pair,
-    conic_eval,
     conic_matrix2,
     conic_pencil_events,
 )
@@ -148,6 +147,13 @@ def step_is_j_jump(base: Triple, px: Triple, py: Triple) -> bool:
 # ---------------------------------------------------------------------------
 # canonical records of the conic pencil's events
 
+def conic_eval(q: Conic, p: Triple) -> int:
+    """The conic's quadratic form at p, from its six coefficients."""
+    x, y, z = p
+    a, b, c, d, e, f = q
+    return a * x * x + b * x * y + c * y * y + d * x * z + e * y * z + f * z * z
+
+
 def conic_det2(q: Conic) -> int:
     """det(2M); zero exactly for degenerate (rank <= 2) conics."""
     return det3(*conic_matrix2(q))
@@ -166,7 +172,7 @@ class PencilEvent(NamedTuple):
 
 
 def _pair_conic(l1: Triple, l2: Triple) -> Conic:
-    return _canon6(_raw_pair(l1, l2))
+    return normalize(*_raw_pair(l1, l2))
 
 
 def _canon_param(lam: int, mu: int) -> tuple[int, int]:
@@ -181,14 +187,14 @@ def _canon_param(lam: int, mu: int) -> tuple[int, int]:
 
 def pencil_member(ga: Conic, gb: Conic, lam: int, mu: int) -> Conic:
     v = tuple(lam * ga[i] + mu * gb[i] for i in range(6))
-    return _canon6(v)
+    return normalize(*v)
 
 
 def pencil_event_records(base, extras=()):
     """The events of `deepnest.conics.conic_pencil_events`, in its order and
     with its errors, as records on the canonical generators."""
     ga, gb, events = conic_pencil_events(base, extras)
-    gens = (_canon6(ga), _canon6(gb))
+    gens = tuple(normalize(*g) for g in (ga, gb))
     sa, sb = gcd(*ga), gcd(*gb)
     return [PencilEvent(kind, label, _canon_param(lam * sa, mu * sb), gens)
             for kind, label, lam, mu in events]

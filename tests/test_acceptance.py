@@ -27,7 +27,7 @@ from deepnest.cases import (
     theorem1_report,
     theorem2_report,
 )
-from deepnest.conics import conic_eval, conic_through_5, cremona
+from deepnest.conics import conic_through_5, cremona
 from deepnest.configurations import (
     EXCLUSION_TEMPLATES,
     EXPECTED_WITNESSES,
@@ -47,7 +47,8 @@ from deepnest.orientations import (
     rm_rhs,
 )
 from deepnest.schemes import parse_scheme, print_scheme
-from chart import conic_det2, line_pencil_sweep, pencil_event_records, point
+from chart import (conic_det2, conic_eval, line_pencil_sweep,
+                   pencil_event_records, point)
 from region_walk import recount_by_region_walk
 
 

@@ -191,13 +191,17 @@ def test_lemma3_config_file(tmp_path, capsys):
     from deepnest.configurations import BASE_CONFIGURATIONS, EXCLUSION_TEMPLATES
 
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(
-        [{"label": k, "point": list(v)}
-         for k, v in BASE_CONFIGURATIONS[2].items()]))
+    entries = [{"label": k, "point": list(v)}
+               for k, v in BASE_CONFIGURATIONS[2].items()]
+    path.write_text(json.dumps(entries))
     code, rep = run_json(capsys, "lemma3", "--config", str(path))
     assert code == 0
     assert rep["verdicts"] == ["MATCHES"]
     assert rep["results"]["case"] == 2
+
+    # the same points listed in reverse give the same results
+    path.write_text(json.dumps(entries[::-1]))
+    assert run_json(capsys, "lemma3", "--config", str(path)) == (code, rep)
 
     path.write_text(json.dumps(
         [{"label": k, "point": list(v)}

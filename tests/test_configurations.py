@@ -110,8 +110,8 @@ def test_every_template_classifies_as_its_own_kind():
     for kind, cfg in TEMPLATES.items():
         assert configuration_kind(classify_configuration(cfg)) == kind
         # the sampler's premise: the template's table alone decides its kind
+        assert 0 not in orientation_signs(cfg)
         signs = orientation_table(cfg)
-        assert 0 not in signs.values()
         assert configuration_kind(configurations._classify_signs(signs)[0]) == kind
 
 
@@ -178,6 +178,12 @@ def test_lemma3_classifies_each_sample_once(monkeypatch, capsys):
                 if value is fn:
                     monkeypatch.setattr(module, attr, refuse)
     monkeypatch.setattr(configurations, "_TEMPLATE_SIGNS", {})
+    # each sign vector computed takes one chart representative per point
+    reps = []
+    chart_rep = geometry.chart_rep
+    monkeypatch.setattr(geometry, "chart_rep",
+                        lambda p: reps.append(p) or chart_rep(p))
+    geometry._signs.cache_clear()
     argv = ["--json", "lemma3", "--case", "2", "--samples", "20", "--seed", "0"]
     assert main(argv) == 0
     assert '"matchesPaper": true' in capsys.readouterr().out
@@ -185,6 +191,9 @@ def test_lemma3_classifies_each_sample_once(monkeypatch, capsys):
     # classification and one pencil; plus the template's signs once
     assert calls == {"_classify_signs": 20, "orientation_table": 20,
                      "orientation_signs": 20 + 1, "conic_pencil_events": 20}
+    # the sequence's table reuses the signs the sampler has just computed:
+    # 20 samples and the template, not 2 * 20 + 1
+    assert len(reps) == 6 * (20 + 1)
 
 
 @pytest.mark.parametrize("case", [2, 3])
@@ -199,6 +208,43 @@ def test_sequence_relabels_the_table_once(monkeypatch, case, k):
     assert rep.matches_reference
     # the classifier's relabeled table serves the position cycles too
     assert shifts == [rep.classification.relabel_shift]
+
+
+def test_tables_ignore_insertion_order_and_never_mix_configurations():
+    rng = random.Random(2020)
+    for case in (1, 2, 3):
+        cfg = perturb_configuration(
+            sigma_shift(BASE_CONFIGURATIONS[case], case), rng)
+        table = orientation_table(cfg)
+        cl = classify_configuration(cfg)
+        rep = reducible_cubic_sequence(cfg)
+        assert rep.matches_reference
+        for _ in range(50):
+            labels = list(cfg)
+            rng.shuffle(labels)
+            shuffled = {k: cfg[k] for k in labels}
+            assert orientation_table(shuffled) == table
+            assert classify_configuration(shuffled) == cl
+            assert reducible_cubic_sequence(shuffled) == rep
+    # A, B, A in turn, where B is A's points under other labels (the same
+    # points in the same order, so the signs memo hits) or other points
+    a = BASE_CONFIGURATIONS[2]
+    b_relabelled = sigma_shift(a, 2)
+    b_other = EXCLUSION_TEMPLATES["quadrangle-A-T1"]
+    for b, want_b in ((b_relabelled, ("case2", 3)),
+                      (b_other, ("quadrangle-A-T1", 0))):
+        for c, want in ((a, ("case2", 0)), (b, want_b), (a, ("case2", 0))):
+            cl = classify_configuration(c)
+            assert (configuration_kind(cl), cl.relabel_shift) == want
+            assert orientation_table(c) == table_from_points(c)
+
+
+def table_from_points(cfg):
+    """The flat orientation table, one chart orientation per slot."""
+    return tuple(
+        geometry.chart_orient(cfg[a], cfg[b], cfg[c])
+        if len({a, b, c}) == 3 and {a, b, c} <= set(cfg) else 0
+        for a in range(7) for b in range(7) for c in range(7))
 
 
 def test_shifted_table_is_the_table_of_the_shifted_points():

@@ -17,7 +17,6 @@ from deepnest.geometry import (
     normalize,
 )
 from deepnest.conics import (
-    conic_eval,
     conic_matrix2,
     conic_through_5,
     cremona,
@@ -30,6 +29,7 @@ from deepnest.configurations import (
 )
 from chart import (
     _pair_conic,
+    conic_eval,
     dot,
     line_through,
     pencil_event_records,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, product
 
 import pytest
 import hypothesis as hyp
@@ -22,6 +22,7 @@ from deepnest.geometry import (
     orientation_signs,
     orientation_table,
     sign,
+    slot,
 )
 from chart import (
     chart_direction,
@@ -136,23 +137,37 @@ def test_convex_position_vs_float_hull():
 
 
 def test_orientation_table_is_the_sign_of_det3():
-    # small coordinates, so that many triples are collinear; z of either sign
+    # small coordinates, so that many triples are collinear; z of either
+    # sign; label sets of six, five and four points, with and without 0
     rng = random.Random(1616)
     zeros = flips = 0
-    for _ in range(300):
-        pts = {k: (rng.randint(-3, 3), rng.randint(-3, 3),
-                   rng.choice((-3, -2, -1, 1, 2, 3))) for k in range(1, 7)}
-        signs = orientation_table(pts)
-        assert len(signs) == 120
-        assert orientation_signs(pts) == tuple(
-            signs[t] for t in combinations(pts, 3))
-        for a, b, c in permutations(pts, 3):
-            expected = sign(det3(chart_rep(pts[a]), chart_rep(pts[b]),
-                                 chart_rep(pts[c])))
-            assert signs[a, b, c] == expected
-            zeros += expected == 0
-            flips += expected != sign(det3(pts[a], pts[b], pts[c]))
+    assert sorted(slot(*t) for t in product(range(7), repeat=3)) == \
+        list(range(7 ** 3))
+    for labels in ((1, 2, 3, 4, 5, 6), (0, 1, 2, 3, 4, 5), (2, 6, 0, 4, 5),
+                   (5, 1, 3, 2)):
+        for _ in range(150):
+            pts = {k: (rng.randint(-3, 3), rng.randint(-3, 3),
+                       rng.choice((-3, -2, -1, 1, 2, 3))) for k in labels}
+            signs = orientation_table(pts)
+            assert len(signs) == 7 ** 3
+            assert orientation_signs(pts) == tuple(
+                signs[slot(*t)] for t in combinations(pts, 3))
+            for a, b, c in product(range(7), repeat=3):
+                s = signs[slot(a, b, c)]
+                if len({a, b, c}) < 3 or not {a, b, c} <= set(pts):
+                    assert s == 0
+                    continue
+                expected = sign(det3(chart_rep(pts[a]), chart_rep(pts[b]),
+                                     chart_rep(pts[c])))
+                assert s == expected
+                zeros += expected == 0
+                flips += expected != sign(det3(pts[a], pts[b], pts[c]))
     assert zeros > 1000 and flips > 1000
+
+
+def test_orientation_table_takes_labels_0_to_6():
+    with pytest.raises(ValueError, match="labels 0..6"):
+        orientation_table({k: (k, k * k, 1) for k in (1, 2, 7)})
 
 
 def test_pencil_sweep_is_cyclic_and_antipode_free():
