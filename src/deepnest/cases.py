@@ -46,6 +46,7 @@ from .orientations import (
     chain_imbalance_magnitudes,
     check_orevkov,
     check_rokhlin_mishachev,
+    compute_stats,
     print_signed,
     rm_rhs,
 )
@@ -410,8 +411,9 @@ def _prohibit(beta: int, gamma: int, known: Iterable[int],
             signed = emit_complex_scheme(case, beta)
         except InfeasibleOrientationError:
             continue
-        rm = check_rokhlin_mishachev(signed, "uniform")
-        orv = check_orevkov(signed)
+        st = compute_stats(signed, "uniform")
+        rm = check_rokhlin_mishachev(signed, "uniform", stats=st)
+        orv = check_orevkov(signed, stats=st)
         feasible.append(FeasibleScheme(case, print_signed(signed), rm, orv))
 
     verdict = "PROHIBITED" if not survivors_all else "OPEN"

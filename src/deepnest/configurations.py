@@ -17,14 +17,12 @@ instead of building or relabeling another.
 The event sequence of a valid configuration lists, in pencil order, the five
 reducible members of the cubic pencil through the six points (labeled "12".."16"
 by their line component) together with the cyclic position order of the
-remaining points on each conic component.  The event order is computed
-downstream of a quadratic transformation based at points 1, 5, 4: the
-transformed curve family becomes the pencil of conics through four points,
-whose parameter circle supplies it.  Each event's parameter is two integer
-evaluations of the pencil's generators, and the order is read from cross
-products of the parameters (`conics.conic_pencil_events`): no canonical
-conic, event record or circle sort is built.  The position orders need no
-conic:
+remaining points on each conic component.  The event order is that of the
+pencil of conics which a quadratic transformation based at points 1, 5, 4
+makes of the cubics; each of its turns is a fixed sign times a product of
+table signs (`conics.conic_pencil_events`), so no Cremona map, conic or
+pencil parameter is built.  Hence the sequence, like the classification, is
+a function of the orientation table.  The position orders need no conic:
 central projection from point 1 maps the conic missing x onto the line
 pencil at 1, and 1 itself onto its tangent.  So the other four points keep
 their pencil order a0..a3, and 1 falls between a(i-1) and a(i) iff that pair
@@ -50,7 +48,7 @@ from .geometry import (
     orientation_table,
     slot,
 )
-from .conics import conic_pencil_events, cremona
+from .conics import conic_pencil_events
 
 
 class InvalidConfigurationError(ValueError):
@@ -80,17 +78,12 @@ REFERENCE_SEQUENCES: dict[int, list[tuple[str, str]]] = {
 }
 
 # Direction calibration, frozen against the reference sequences.  The event
-# cycle's reading direction cannot be a per-class constant sign: the pencil
-# parameter (lam : mu) depends on coefficient sign normalizations that jump
-# as the configuration varies.  What IS invariant per class is the cyclic
-# order of the three singular members, so each configuration's cycle is read
-# in whichever direction reproduces that subcycle.  The per-conic position
-# cycles are read along (+1) or against (-1) the pencil at point 1.
+# cycle is read in whichever direction puts the three singular members 12,
+# 13 and 16 in their order in the class's reference sequence.  The per-conic
+# position cycles are read along (+1) or against (-1) the pencil at point 1.
 SINGULAR_CYCLES = {
-    1: ("12", "13", "16"),
-    2: ("12", "16", "13"),
-    3: ("12", "16", "13"),
-}
+    case: tuple(lab for lab, _ in seq if lab in ("12", "13", "16"))
+    for case, seq in REFERENCE_SEQUENCES.items()}
 DIGIT_DIRECTION = {
     (1, 6): +1, (1, 4): +1, (1, 2): -1, (1, 5): -1, (1, 3): -1,
     (2, 6): -1, (2, 5): -1, (2, 2): -1, (2, 4): +1, (2, 3): +1,
@@ -100,12 +93,8 @@ DIGIT_DIRECTION = {
 PRINCIPAL_TRIANGLES = ((2, 3, 4), (3, 4, 5), (4, 5, 6), (5, 6, 2), (6, 2, 3))
 
 # Canonical witness search order: adjacent triangle pairs, then skip pairs.
-_WITNESS_PAIRS = (
-    ((2, 3, 4), (3, 4, 5)), ((3, 4, 5), (4, 5, 6)), ((4, 5, 6), (5, 6, 2)),
-    ((5, 6, 2), (6, 2, 3)), ((6, 2, 3), (2, 3, 4)),
-    ((2, 3, 4), (4, 5, 6)), ((3, 4, 5), (5, 6, 2)), ((4, 5, 6), (6, 2, 3)),
-    ((5, 6, 2), (2, 3, 4)), ((6, 2, 3), (3, 4, 5)),
-)
+_WITNESS_PAIRS = tuple((PRINCIPAL_TRIANGLES[i], PRINCIPAL_TRIANGLES[(i + d) % 5])
+                       for d in (1, 2) for i in range(5))
 
 
 class Witness(NamedTuple):
@@ -235,8 +224,11 @@ def _interiors_disjoint(t1, t2, orient) -> bool:
 def find_witness(signs: tuple) -> Optional[Witness]:
     """First interior-disjoint pair of principal triangles, in canonical order,
     read from a configuration's orientation table."""
+    def orient(a, b, c):
+        return signs[slot(a, b, c)]
+
     for t1, t2 in _WITNESS_PAIRS:
-        if _interiors_disjoint(t1, t2, lambda a, b, c: signs[slot(a, b, c)]):
+        if _interiors_disjoint(t1, t2, orient):
             shared = tuple(sorted(set(t1) & set(t2)))
             return Witness(triangles=(t1, t2), shared=shared)
     return None
@@ -365,9 +357,7 @@ def _contradiction(signs, pattern, interior, relabel=0, region=None,
 
 
 # ---------------------------------------------------------------------------
-# event sequences via the quadratic transformation
-
-_SINGULAR_LABELS = {"12|34": "12", "13|24": "13", "14|23": "16"}
+# event sequences
 
 
 def _position_readings(x: int) -> tuple:
@@ -406,23 +396,15 @@ class SequenceReport(NamedTuple):
 def reducible_cubic_sequence(cfg: dict[int, Triple]) -> SequenceReport:
     """Classify, then compute the five-event sequence for a valid configuration.
 
-    The events are obtained downstream of the quadratic map based at points
-    1, 5, 4: the images of 2, 3, 6 together with the contraction image of the
-    line 45 (point 1's position) span a four-point conic pencil whose three
-    singular members and two marked-point passages give, in parameter order,
-    the five reducible cubics of the original configuration.
+    The five reducible cubics come in the order of the conic pencil that
+    the quadratic map based at points 1, 5, 4 makes of them, read from the
+    table that the classifier has relabeled (`conics.conic_pencil_events`).
     """
     _check_input(cfg)
     cl, signs = _classify_signs(orientation_table(cfg))
     if not cl.is_valid:
         return SequenceReport(classification=cl)
-    c = sigma_shift(cfg, cl.relabel_shift)
-    qt = cremona(c[1], c[5], c[4])
-    _, _, events = conic_pencil_events(
-        [c[1], *(qt.point(c[x]) for x in (2, 3, 6))],
-        [("14", c[5]), ("15", c[4])])
-    order = [_SINGULAR_LABELS.get(label, label) for _, label, _, _ in events]
-    order = _orient_events(order, cl.case)
+    order = _orient_events(conic_pencil_events(signs, cfg), cl.case)
     out = []
     for lab in order:
         x = int(lab[1])
@@ -442,13 +424,8 @@ def cyclic_equal(a, b) -> bool:
 
 def _orient_events(order: list[str], case: int) -> list[str]:
     singular = [lab for lab in order if lab in ("12", "13", "16")]
-    target = list(SINGULAR_CYCLES[case])
-    if cyclic_equal(singular, target):
-        return order
-    if cyclic_equal(singular[::-1], target):
-        return order[::-1]
-    raise DegeneratePositionError(
-        f"singular members out of class order: {singular}")
+    return (order if cyclic_equal(singular, SINGULAR_CYCLES[case])
+            else order[::-1])
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,16 @@
-"""Exact conics, conic pencils, and quadratic (Cremona) transformations.
+"""Exact conics, and Lemma 3's reducible cubics in pencil order.
 
 A conic is a canonical integer 6-tuple (a, b, c, d, e, f) representing
     a x^2 + b xy + c y^2 + d xz + e yz + f z^2 = 0,
-coprime with first nonzero entry positive (`geometry.normalize`).  Pencil
-parameters (lam : mu) live on the parameter circle RP^1 as directions mod
-pi, ordered by exact cross products of their representatives with mu >= 0.
-`conic_pencil_events` does this in integer steps on positive multiples of
-the generators, each a product of two line brackets, with no gcd and no
-sort.  A conic's value from its coefficients, canonical event records and
-the circle-sorted reference order are test oracles in `tests/chart.py`.
+coprime with first nonzero entry positive (`geometry.normalize`).
+`conic_pencil_events`, what `lemma3` runs, orders the five reducible cubics
+through six points by turns of the conic pencil that a quadratic (Cremona)
+transformation makes of them, each a fixed sign times a product of
+orientation signs: no Cremona map, conic or pencil parameter is built.
+`conic_through_5`, `polar_line` and the Cremona point map run in no command;
+the test oracles use them, and `perfbench/tracer.py` traces them by name.
+The integer pencil that gives the same order from the points, its canonical
+event records and a circle-sorted reference are in `tests/chart.py`.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .geometry import (
     det3,
     normalize,
     sign,
+    slot,
 )
 
 Conic = tuple[int, int, int, int, int, int]
@@ -77,79 +80,57 @@ def conic_through_5(pts: Sequence[Triple]) -> Conic:
 
 
 # ---------------------------------------------------------------------------
-# pencils of conics through four points
+# Lemma 3's five reducible cubics in pencil order
 
-def conic_pencil_events(base: Sequence[Triple], extras=()):
-    """The pencil of conics through four base points, in integer steps.
+# Per turn (12|34, y, x) of the events on the parameter circle: y, x, a fixed
+# sign and the table slots of the brackets whose product it multiplies
+_EVENT_TURNS = tuple((y, x, s, tuple(slot(*t) for t in brackets))
+                     for y, x, s, brackets in (
+    ("13", "16", -1, ()),
+    ("13", "14", -1, ((2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 5, 6))),
+    ("13", "15", -1, ((2, 4, 5), (2, 4, 6), (3, 4, 5), (3, 4, 6))),
+    ("16", "14", +1, ((2, 3, 5), (2, 4, 5), (3, 5, 6), (4, 5, 6))),
+    ("16", "15", +1, ((2, 3, 4), (2, 4, 5), (3, 4, 6), (4, 5, 6))),
+    ("14", "15", -1, ((2, 3, 6), (2, 4, 5), (3, 4, 5), (3, 4, 6), (3, 5, 6),
+                      (4, 5, 6))),
+))
 
-    `base` gives the four base points (positions 1..4 for labels); `extras`
-    is a sequence of (label, point) pairs.  Returns the pencil's generators
-    (l12 . X)(l34 . X) and (l13 . X)(l24 . X), each built from unreduced
-    line brackets and multiplied by the sign of its first nonzero
-    coefficient, so a positive multiple of its canonical conic, and its
-    events as (kind, label, lam, mu) in pencil order: the three singular
-    members ("singular", labeled like "12|34" by base positions) and one
-    "through-point" event per extra.  (lam : mu) is taken with respect to
-    these generators: "12|34" is (1 : 0), "13|24" is (0 : 1), and "14|23"
-    and each extra lie at (-vb : va), with va and vb the generators
-    evaluated at the diagonal point or the extra point, each as the product
-    of its two line brackets, the first one sign-fixed.  The parameters are
-    directions mod pi: stored with mu >= 0, they are ranked by cross
-    products, counterclockwise from (1 : 0).  Collinear base
-    points, a point on every member and two coincident events raise
-    `DegeneratePositionError`, checked in that order.
+
+def conic_pencil_events(signs: tuple, pts: dict) -> list[str]:
+    """The five reducible cubics through a valid configuration's six points,
+    labeled by their line components "12".."16", in pencil order from "12".
+
+    `signs` is the orientation table of the configuration relabeled to its
+    class's canonical labels, `pts` its points under any labels.  The order
+    is that of the pencil of conics through 1 and the images of 2, 3, 6
+    under the quadratic map based at 1, 5, 4, read from (1 : 0) at 12|34:
+    its singular members 12|34, 13|24 and 14|23 stand for "12", "13" and
+    "16", the members through 5 and 4 for "14" and "15".  Each turn
+    (12|34, y, x) of two events is a fixed sign times a product of table
+    signs (`_EVENT_TURNS`), and x comes after y iff it is negative.  The
+    turns through 14|23 carry C^2, where
+
+        C = [123][145][246][356] - [124][135][236][456]
+
+    vanishes iff the six points lie on one conic; C = 0 raises
+    `DegeneratePositionError`.  C's zero set does not depend on the labels.
     """
-    if len(base) != 4:
-        raise ValueError("a conic pencil needs 4 base points")
-    for i, j, k in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)):
-        if det3(base[i], base[j], base[k]) == 0:
-            raise DegeneratePositionError(
-                f"base points {i + 1},{j + 1},{k + 1} are collinear")
-    b1, b2, b3, b4 = base
-    # each generator's first line carries its lead sign
-    lines, gens = [], []
-    for l, m in ((_raw_cross(b1, b2), _raw_cross(b3, b4)),
-                 (_raw_cross(b1, b3), _raw_cross(b2, b4))):
-        g = _raw_pair(l, m)
-        if next(c for c in g if c) < 0:
-            l, g = (-l[0], -l[1], -l[2]), tuple([-c for c in g])
-        lines += l, m
-        gens.append(g)
-    ga, gb = gens
-    (u0, u1, u2), (u3, u4, u5), (w0, w1, w2), (w3, w4, w5) = lines
-    labels = ["12|34", "13|24", "14|23"]
-    points = [_raw_cross(_raw_cross(b1, b4), _raw_cross(b2, b3))]
-    for label, p in extras:
-        labels.append(label)
-        points.append(p)
-    params = [(1, 0), (0, 1)]
-    for x, y, z in points:
-        va = (u0 * x + u1 * y + u2 * z) * (u3 * x + u4 * y + u5 * z)
-        vb = (w0 * x + w1 * y + w2 * z) * (w3 * x + w4 * y + w5 * z)
-        if va == 0 and vb == 0:
-            raise DegeneratePositionError("point lies on every pencil member")
-        # mu >= 0; at mu = 0 the event is 12|34's, reported just below
-        params.append((-vb, va) if va > 0 else (vb, -va))
-    # rank[j] counts the events before event j; a zero cross product is a
-    # repeated parameter, reported for the first such pair in event order
-    rank = [0] * len(params)
-    for j in range(1, len(params)):
-        xj, yj = params[j]
-        for i in range(j):
-            xi, yi = params[i]
-            c = xi * yj - yi * xj
-            if c == 0:
-                raise DegeneratePositionError(
-                    f"coincident pencil events {labels[i]} and {labels[j]}")
-            if c > 0:
-                rank[j] += 1
-            else:
-                rank[i] += 1
-    events = [None] * len(params)
-    for i, r in enumerate(rank):
-        events[r] = ("singular" if i < 3 else "through-point", labels[i],
-                     *params[i])
-    return ga, gb, events
+    p1, p2, p3, p4, p5, p6 = (pts[k] for k in (1, 2, 3, 4, 5, 6))
+    if (det3(p1, p2, p3) * det3(p1, p4, p5) * det3(p2, p4, p6)
+            * det3(p3, p5, p6) == det3(p1, p2, p4) * det3(p1, p3, p5)
+            * det3(p2, p3, p6) * det3(p4, p5, p6)):
+        raise DegeneratePositionError(
+            "the six points lie on one conic: reducible cubics coincide")
+    # the rank of x counts the events that come between 12 and x
+    rank = dict.fromkeys(("13", "16", "14", "15"), 0)
+    for y, x, s, slots in _EVENT_TURNS:
+        for i in slots:
+            s *= signs[i]
+        if s < 0:
+            rank[x] += 1
+        else:
+            rank[y] += 1
+    return ["12"] + sorted(rank, key=rank.get)
 
 
 # ---------------------------------------------------------------------------

@@ -331,14 +331,8 @@ def classify_deep_nest(s: RealScheme) -> Optional[DeepNestProfile]:
 
 
 def _deep_child(g: OvalGroup) -> OvalGroup:
-    """A witness oval at excessive depth: descend three levels, return what
-    is still a container."""
-    node = g
-    for _ in range(3):
-        if node.body is None:
-            break
-        nxt = next((c for c in node.body if c.body is not None), None)
-        if nxt is None:
-            break
-        node = nxt
-    return node
+    """A witness oval at excessive depth: the first group at depth 4 that
+    still contains ovals, or failing one, the first such group at depth 3."""
+    walk = g._walk()
+    return next(h for d in (4, 3) for h, depth, _ in walk
+                if depth == d and h.body is not None)

@@ -1,7 +1,8 @@
-"""Affine chart helpers the test oracles share: rational points, lines,
-directions, arcs of the direction circle, the rotating line pencil with its
-J-jumps, a conic's value at a point from its coefficients (`conic_eval`),
-and canonical records of the conic pencil's events.
+"""Affine chart helpers the test oracles share: rational points, random
+orientation-preserving integer affine maps, lines, directions, arcs of the
+direction circle, the rotating line pencil with its J-jumps, a conic's value
+at a point from its coefficients (`conic_eval`), the conic pencil through
+four points in integer steps, and canonical records of its events.
 
 No command runs these.  The library decides every six-point question from
 orientation signs (`deepnest.geometry.orientation_table`); the oracles in
@@ -9,29 +10,29 @@ orientation signs (`deepnest.geometry.orientation_table`); the oracles in
 the same answers from the points through these functions.  J is the line
 z = 0, as in `deepnest.geometry`.
 
-`deepnest.conics.conic_pencil_events` returns the pencil's events as
-integer parameters on unreduced generators.  `pencil_event_records` turns
-them into `PencilEvent` records on the canonical generators, whose member
-conics are built on read.  `reference_pencil_events` is the reference for
-those records: canonical generators and parameters, a seen-dict for
-coincident events, and a circle sort of the doubled parameter angles.
+`integer_pencil_events` returns the pencil's events as integer parameters on
+unreduced generators, ranked by cross products.  On `cremona_pencil`, the
+pencil that the quadratic map based at points 1, 5, 4 makes of Lemma 3's
+reducible cubics, it gives the order that
+`deepnest.conics.conic_pencil_events` reads from orientation signs.
+`pencil_event_records` turns its events into `PencilEvent` records on the
+canonical generators, whose member conics are built on read.
+`reference_pencil_events` is the reference for those records: canonical
+generators and parameters, a seen-dict for coincident events, and a circle
+sort of the doubled parameter angles.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
-from deepnest.conics import (
-    Conic,
-    _raw_pair,
-    conic_matrix2,
-    conic_pencil_events,
-)
+from deepnest.conics import Conic, _raw_pair, conic_matrix2, cremona
 from deepnest.geometry import (
     DegeneratePositionError,
     Triple,
+    _raw_cross,
     chart_rep,
     circle_sort,
     det3,
@@ -44,6 +45,17 @@ def point(x, y) -> Triple:
     fx, fy = Fraction(x), Fraction(y)
     den = fx.denominator * fy.denominator // gcd(fx.denominator, fy.denominator)
     return normalize(int(fx * den), int(fy * den), den)
+
+
+def affine_map(rng):
+    """A random integer affine map with positive determinant, on triples."""
+    while True:
+        a, b, c, d = (rng.randint(-5, 5) for _ in range(4))
+        if a * d - b * c > 0:
+            break
+    e, f = rng.randint(-20, 20), rng.randint(-20, 20)
+    return lambda p: normalize(a * p[0] + b * p[1] + e * p[2],
+                               c * p[0] + d * p[1] + f * p[2], p[2])
 
 
 def cross(u: Triple, v: Triple) -> Triple:
@@ -145,6 +157,92 @@ def step_is_j_jump(base: Triple, px: Triple, py: Triple) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# the conic pencil through four points, in integer steps
+
+def integer_pencil_events(base: Sequence[Triple], extras=()):
+    """The pencil of conics through four base points, in integer steps.
+
+    `base` gives the four base points (positions 1..4 for labels); `extras`
+    is a sequence of (label, point) pairs.  Returns the pencil's generators
+    (l12 . X)(l34 . X) and (l13 . X)(l24 . X), each built from unreduced
+    line brackets and multiplied by the sign of its first nonzero
+    coefficient, so a positive multiple of its canonical conic, and its
+    events as (kind, label, lam, mu) in pencil order: the three singular
+    members ("singular", labeled like "12|34" by base positions) and one
+    "through-point" event per extra.  (lam : mu) is taken with respect to
+    these generators: "12|34" is (1 : 0), "13|24" is (0 : 1), and "14|23"
+    and each extra lie at (-vb : va), with va and vb the generators
+    evaluated at the diagonal point or the extra point, each as the product
+    of its two line brackets, the first one sign-fixed.  The parameters are
+    directions mod pi: stored with mu >= 0, they are ranked by cross
+    products, counterclockwise from (1 : 0).  Collinear base
+    points, a point on every member and two coincident events raise
+    `DegeneratePositionError`, checked in that order.
+    """
+    if len(base) != 4:
+        raise ValueError("a conic pencil needs 4 base points")
+    for i, j, k in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)):
+        if det3(base[i], base[j], base[k]) == 0:
+            raise DegeneratePositionError(
+                f"base points {i + 1},{j + 1},{k + 1} are collinear")
+    b1, b2, b3, b4 = base
+    # each generator's first line carries its lead sign
+    lines, gens = [], []
+    for l, m in ((_raw_cross(b1, b2), _raw_cross(b3, b4)),
+                 (_raw_cross(b1, b3), _raw_cross(b2, b4))):
+        g = _raw_pair(l, m)
+        if next(c for c in g if c) < 0:
+            l, g = (-l[0], -l[1], -l[2]), tuple([-c for c in g])
+        lines += l, m
+        gens.append(g)
+    ga, gb = gens
+    (u0, u1, u2), (u3, u4, u5), (w0, w1, w2), (w3, w4, w5) = lines
+    labels = ["12|34", "13|24", "14|23"]
+    points = [_raw_cross(_raw_cross(b1, b4), _raw_cross(b2, b3))]
+    for label, p in extras:
+        labels.append(label)
+        points.append(p)
+    params = [(1, 0), (0, 1)]
+    for x, y, z in points:
+        va = (u0 * x + u1 * y + u2 * z) * (u3 * x + u4 * y + u5 * z)
+        vb = (w0 * x + w1 * y + w2 * z) * (w3 * x + w4 * y + w5 * z)
+        if va == 0 and vb == 0:
+            raise DegeneratePositionError("point lies on every pencil member")
+        # mu >= 0; at mu = 0 the event is 12|34's, reported just below
+        params.append((-vb, va) if va > 0 else (vb, -va))
+    # rank[j] counts the events before event j; a zero cross product is a
+    # repeated parameter, reported for the first such pair in event order
+    rank = [0] * len(params)
+    for j in range(1, len(params)):
+        xj, yj = params[j]
+        for i in range(j):
+            xi, yi = params[i]
+            c = xi * yj - yi * xj
+            if c == 0:
+                raise DegeneratePositionError(
+                    f"coincident pencil events {labels[i]} and {labels[j]}")
+            if c > 0:
+                rank[j] += 1
+            else:
+                rank[i] += 1
+    events = [None] * len(params)
+    for i, r in enumerate(rank):
+        events[r] = ("singular" if i < 3 else "through-point", labels[i],
+                     *params[i])
+    return ga, gb, events
+
+
+def cremona_pencil(c: dict):
+    """The base points and marked points of the conic pencil that Lemma 3's
+    quadratic map based at points 1, 5, 4 makes of the reducible cubics
+    through a configuration `c`: 1 and the images of 2, 3, 6, then the
+    marked points 5 for "14" and 4 for "15"."""
+    qt = cremona(c[1], c[5], c[4])
+    return ([c[1], *(qt.point(c[x]) for x in (2, 3, 6))],
+            [("14", c[5]), ("15", c[4])])
+
+
+# ---------------------------------------------------------------------------
 # canonical records of the conic pencil's events
 
 def conic_eval(q: Conic, p: Triple) -> int:
@@ -191,9 +289,9 @@ def pencil_member(ga: Conic, gb: Conic, lam: int, mu: int) -> Conic:
 
 
 def pencil_event_records(base, extras=()):
-    """The events of `deepnest.conics.conic_pencil_events`, in its order and
-    with its errors, as records on the canonical generators."""
-    ga, gb, events = conic_pencil_events(base, extras)
+    """The events of `integer_pencil_events`, in its order and with its
+    errors, as records on the canonical generators."""
+    ga, gb, events = integer_pencil_events(base, extras)
     gens = tuple(normalize(*g) for g in (ga, gb))
     sa, sb = gcd(*ga), gcd(*gb)
     return [PencilEvent(kind, label, _canon_param(lam * sa, mu * sb), gens)

@@ -18,7 +18,7 @@ from deepnest.configurations import (
     sigma_shift,
 )
 from deepnest.geometry import DegeneratePositionError, normalize
-from chart import point
+from chart import affine_map, point
 from point_classifier import classify_by_points, sweep_order
 
 TEMPLATES = {**{f"case{k}": cfg for k, cfg in BASE_CONFIGURATIONS.items()},
@@ -99,17 +99,6 @@ def test_sign_table_classifier_matches_the_point_oracle():
         seen.add(want.verdict if isinstance(want, Classification) else want)
     assert seen == {"case", "contradiction", InvalidConfigurationError,
                     DegeneratePositionError}
-
-
-def affine_map(rng):
-    """A random integer affine map with positive determinant, on triples."""
-    while True:
-        a, b, c, d = (rng.randint(-5, 5) for _ in range(4))
-        if a * d - b * c > 0:
-            break
-    e, f = rng.randint(-20, 20), rng.randint(-20, 20)
-    return lambda p: normalize(a * p[0] + b * p[1] + e * p[2],
-                               c * p[0] + d * p[1] + f * p[2], p[2])
 
 
 def test_classification_is_invariant_under_positive_affine_maps():

@@ -13,6 +13,8 @@
 * ``lemma3 --case K`` with its default sample count and seed;
 * degenerate ``lemma3 --config`` files (a point on J, a collinear triple,
   a repeated point, the zero triple) and malformed ones;
+* ``parse`` of inadmissible schemes, each with its witness oval, and
+  ``check-rm --mode paper``, which reads the literal pair convention;
 * the malformed argv of the cli-cold benchmark workload.
 
 Every input file is written into a fresh directory and its path is masked
@@ -101,6 +103,11 @@ TRACES = {
 }
 
 
+# schemes that `classify_deep_nest` refuses, one per rule
+INADMISSIBLE = ["<J + 1<1<1<5>>>>", "<J + 2<1<5>>>", "<J + 1<5> + 1<1<5>>>",
+                "<J + 1<1<5> + 1<6>>>", "<J + 1<2<5>>>",
+                "<J + 1<1<1> + 1<2<1>>>>"]
+
 # a 1500-deep nest, beyond degree 9's depth bound; named DEEP in the corpus
 DEEP = "<J + " + "1<" * 1500 + "1" + ">" * 1500 + ">"
 
@@ -149,6 +156,9 @@ def corpus() -> list[list[str]]:
              if name != "points.json"]
     runs += [["--json", "lemma3", "--config", "missing.json"],
              ["--json", "audit", "--trace", "unpaired-node.json"]]
+    runs += [["--json", "parse", "--scheme", text] for text in INADMISSIBLE]
+    runs += [["--json", "check-rm", "--mode", "paper", "--scheme", text]
+             for text in (SIGNED, "<J + 1_+<2_+> + 1_-<3_+>>")]
     runs += [["--json", *argv] for argv in (
         ["parse", "--scheme", "<J + 1<4 + 1<2"],
         ["solve", "--scenario", "no-such-scenario"],
@@ -198,7 +208,7 @@ def corpus_digests(workdir: pathlib.Path) -> dict[str, str]:
 
 def test_cli_reports_match_their_digests(tmp_path):
     expected = json.loads(DIGESTS.read_text())
-    assert len(expected) == len(corpus()) == 440
+    assert len(expected) == len(corpus()) == 448
     assert corpus_digests(tmp_path) == expected
 
 

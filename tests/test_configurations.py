@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from deepnest import configurations, geometry
+from deepnest import configurations, conics, geometry
 from deepnest.cli import main
 from deepnest.configurations import (
     BASE_CONFIGURATIONS,
@@ -166,17 +166,22 @@ def test_lemma3_classifies_each_sample_once(monkeypatch, capsys):
 
     for name in calls:
         monkeypatch.setattr(configurations, name, counted(name))
-    # the circle sort must not run: replace it under every name a loaded
-    # deepnest module binds it to
-    fn = geometry.circle_sort
+    # neither the circle sort nor the Cremona map may run: replace each
+    # under every name a loaded deepnest module binds it to
+    def refusal(name):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"lemma3 --case called {name}")
+        return refuse
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("lemma3 --case called circle_sort")
-    for module in list(sys.modules.values()):
-        if getattr(module, "__name__", "").startswith("deepnest"):
-            for attr, value in list(vars(module).items()):
-                if value is fn:
-                    monkeypatch.setattr(module, attr, refuse)
+    for fn in (geometry.circle_sort, conics.cremona):
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("deepnest"):
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, attr,
+                                            refusal(fn.__name__))
+    monkeypatch.setattr(conics.CremonaMap, "point",
+                        refusal("CremonaMap.point"))
     monkeypatch.setattr(configurations, "_TEMPLATE_SIGNS", {})
     # each sign vector computed takes one chart representative per point
     reps = []

@@ -112,6 +112,8 @@ def test_inadmissible_schemes():
         ("<J + 1<5> + 1<1<5>>>", "outside the nest"),
         ("<J + 1<1<5> + 1<6>>>", "inside the outer"),
         ("<J + 1<2<5>>>", "inside the outer"),
+        # the witness is on the deep branch, not in the first container
+        ("<J + 1<1<1> + 1<2<1>>>>", "beyond depth 3: 2<1>"),
     ]
     for text, fragment in cases:
         with pytest.raises(InadmissibleSchemeError) as exc:
