@@ -12,7 +12,10 @@ configuration's 20 orientation signs.  Hence a sampled configuration whose
 table equals its template's is accepted without classifying it, comparing
 only the 20 signs of the unordered triples, and the event sequence reads
 the table that the classifier has already relabeled to canonical labels,
-instead of building or relabeling another.
+instead of building or relabeling another.  The pencil order is ranked by
+`geometry.turn_order`, and the interior labels alone fix the shift sigma^k,
+so all three classes are relabeled, shape-tested and region-tested on one
+path.
 
 The event sequence of a valid configuration lists, in pencil order, the five
 reducible members of the cubic pencil through the six points (labeled "12".."16"
@@ -21,8 +24,9 @@ remaining points on each conic component.  The event order is that of the
 pencil of conics which a quadratic transformation based at points 1, 5, 4
 makes of the cubics; each of its turns is a fixed sign times a product of
 table signs (`conics.conic_pencil_events`), so no Cremona map, conic or
-pencil parameter is built.  Hence the sequence, like the classification, is
-a function of the orientation table.  The position orders need no conic:
+pencil parameter is built, and the direction in which it is read is fixed
+per class.  Hence the sequence, like the classification, is a function of
+the orientation table.  The position orders need no conic:
 central projection from point 1 maps the conic missing x onto the line
 pencil at 1, and 1 itself onto its tangent.  So the other four points keep
 their pencil order a0..a3, and 1 falls between a(i-1) and a(i) iff that pair
@@ -47,6 +51,7 @@ from .geometry import (
     orientation_signs,
     orientation_table,
     slot,
+    turn_order,
 )
 from .conics import conic_pencil_events
 
@@ -77,18 +82,18 @@ REFERENCE_SEQUENCES: dict[int, list[tuple[str, str]]] = {
         ("13", "14265"), ("12", "14365")],
 }
 
-# Direction calibration, frozen against the reference sequences.  The event
-# cycle is read in whichever direction puts the three singular members 12,
-# 13 and 16 in their order in the class's reference sequence.  The per-conic
-# position cycles are read along (+1) or against (-1) the pencil at point 1.
-SINGULAR_CYCLES = {
-    case: tuple(lab for lab, _ in seq if lab in ("12", "13", "16"))
-    for case, seq in REFERENCE_SEQUENCES.items()}
+# Direction calibration, frozen against the reference sequences.  The events
+# are ranked from 12 with 13 before 16 (a constant turn); a class reads them
+# backwards iff its reference has 12, 16, 13 in cyclic order.  The position
+# cycles are read along (+1) or against (-1) the pencil at point 1.
 DIGIT_DIRECTION = {
     (1, 6): +1, (1, 4): +1, (1, 2): -1, (1, 5): -1, (1, 3): -1,
     (2, 6): -1, (2, 5): -1, (2, 2): -1, (2, 4): +1, (2, 3): +1,
     (3, 2): -1, (3, 3): -1, (3, 5): -1, (3, 4): -1, (3, 6): +1,
 }
+_BACKWARDS = {case: [lab for lab, _ in seq if lab in ("12", "13", "16")]
+              in (["12", "16", "13"], ["16", "13", "12"], ["13", "12", "16"])
+              for case, seq in REFERENCE_SEQUENCES.items()}
 
 PRINCIPAL_TRIANGLES = ((2, 3, 4), (3, 4, 5), (4, 5, 6), (5, 6, 2), (6, 2, 3))
 
@@ -175,9 +180,9 @@ def _check_input(cfg: dict[int, Triple]) -> None:
         raise InvalidConfigurationError("points must be distinct")
 
 
-# the table slots [12y], [1yx], [1x2] for the pairs y < x of 3..6: together
-# they read every [1ab]
-_PENCIL_TURNS = tuple((y, x, slot(1, 2, y), slot(1, y, x), slot(1, x, 2))
+# the turns (y, x, +1, slots of [12y], [1yx], [1x2]) for the pairs y < x
+# of 3..6: together they read every [1ab]
+_PENCIL_TURNS = tuple((y, x, +1, (slot(1, 2, y), slot(1, y, x), slot(1, x, 2)))
                       for y, x in combinations((3, 4, 5, 6), 2))
 
 
@@ -185,18 +190,11 @@ def _pencil_order(signs: tuple) -> list[int]:
     """Labels 2..6 in counterclockwise order of their lines through point 1,
     starting at 2.  The lines to a, b, c turn counterclockwise in that cyclic
     order iff [1ab][1bc][1ca] < 0."""
-    # the rank of x counts the labels y that come between 2 and x
-    rank = dict.fromkeys((3, 4, 5, 6), 0)
-    for y, x, i, j, k in _PENCIL_TURNS:
-        turn = signs[i] * signs[j] * signs[k]
-        if turn == 0:
-            raise InvalidConfigurationError(
-                "degenerate pencil at point 1: equal circular positions")
-        if turn < 0:
-            rank[x] += 1
-        else:
-            rank[y] += 1
-    return [2] + sorted(rank, key=rank.get)
+    order = turn_order(signs, 2, _PENCIL_TURNS)
+    if order is None:
+        raise InvalidConfigurationError(
+            "degenerate pencil at point 1: equal circular positions")
+    return order
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +288,24 @@ def classify_configuration(cfg: dict[int, Triple]) -> Classification:
     return _classify_signs(orientation_table(cfg))[0]
 
 
+# Per number of interior points: the valid case, its canonical interior
+# labels and hull cycle, its sub-region reader and valid sub-region, the
+# notes of a valid classification, and the note of another hull cycle
+_CASE_SHAPES = (
+    (1, (), CASE1_PATTERN, None, None, (), None),
+    (2, (2,), CASE2_QUADRANGLE, _case2_region, "T4",
+     ("region label T4 follows the figure geometry; "
+      "a text reference to T2 is a known slip",), None),
+    (3, (4, 5), CASE3_TRIANGLE, _case3_region, "T3", (),
+     "outer triangle orientation reversed"),
+)
+
+# sorted interior labels -> the k for which sigma^k makes them canonical;
+# the empty interior is canonical under every shift, and k = 0 comes last
+_INTERIOR_SHIFTS = {tuple(sorted(_SIGMA[-k % 5][x] for x in shape[1])): k
+                    for shape in _CASE_SHAPES for k in (4, 3, 2, 1, 0)}
+
+
 def _classify_signs(signs: tuple) -> tuple[Classification, tuple]:
     """The classification of a configuration with distinct points 1..6,
     from its orientation table alone, and that table relabeled by
@@ -299,47 +315,22 @@ def _classify_signs(signs: tuple) -> tuple[Classification, tuple]:
         raise InvalidConfigurationError(
             f"labels 2..6 are not consecutive under the pencil at 1: {order}")
     hull, interior = _hull_cycle(signs, (2, 3, 4, 5, 6))
-
-    if len(interior) == 0:
-        if hull == CASE1_PATTERN:
-            return Classification("case", case=1, relabel_shift=0,
-                                  pattern=hull, interior=()), signs
-        return _contradiction(signs, hull, ()), signs
-
-    if len(interior) == 1:
-        k = (2 - interior[0]) % 5
-        sc = _shift_signs(signs, k)
-        quad = _shift_cycle(hull, k)
-        if quad == CASE2_QUADRANGLE:
-            region = _case2_region(sc)
-            if region == "T4":
-                return Classification(
-                    "case", case=2, relabel_shift=k, pattern=quad,
-                    interior=(2,), region="T4",
-                    notes=("region label T4 follows the figure geometry; "
-                           "a text reference to T2 is a known slip",)), sc
-            return _contradiction(sc, quad, (2,), relabel=k,
-                                  region=region), sc
-        return _contradiction(sc, quad, (2,), relabel=k), sc
-
-    # two interior points
-    pairs = [l for l in (2, 3, 4, 5, 6) if set(interior) == {l, _SIGMA[1][l]}]
-    if not pairs:
-        cl = _contradiction(signs, hull, interior,
-                            note="interior labels not pencil-consecutive")
-        return cl, signs
-    k = (4 - pairs[0]) % 5
+    k = _INTERIOR_SHIFTS.get(interior)
+    if k is None:
+        note = "interior labels not pencil-consecutive"
+        return _contradiction(signs, hull, interior, note=note), signs
+    case, interior, shape, region_of, valid, notes, note = \
+        _CASE_SHAPES[len(interior)]
     sc = _shift_signs(signs, k)
-    tri = _shift_cycle(hull, k)
-    if tri == CASE3_TRIANGLE:
-        region = _case3_region(sc)
-        if region == "T3":
-            return Classification("case", case=3, relabel_shift=k,
-                                  pattern=tri, interior=(4, 5),
-                                  region="T3"), sc
-        return _contradiction(sc, tri, (4, 5), relabel=k, region=region), sc
-    return _contradiction(sc, tri, (4, 5), relabel=k,
-                          note="outer triangle orientation reversed"), sc
+    hull = _shift_cycle(hull, k)
+    if hull != shape:
+        return _contradiction(sc, hull, interior, relabel=k, note=note), sc
+    region = region_of and region_of(sc)
+    if region != valid:
+        return _contradiction(sc, hull, interior, relabel=k,
+                              region=region), sc
+    return Classification("case", case=case, relabel_shift=k, pattern=hull,
+                          interior=interior, region=region, notes=notes), sc
 
 
 def _contradiction(signs, pattern, interior, relabel=0, region=None,
@@ -404,7 +395,9 @@ def reducible_cubic_sequence(cfg: dict[int, Triple]) -> SequenceReport:
     cl, signs = _classify_signs(orientation_table(cfg))
     if not cl.is_valid:
         return SequenceReport(classification=cl)
-    order = _orient_events(conic_pencil_events(signs, cfg), cl.case)
+    order = conic_pencil_events(signs, cfg)
+    if _BACKWARDS[cl.case]:
+        order.reverse()
     out = []
     for lab in order:
         x = int(lab[1])
@@ -420,12 +413,6 @@ def cyclic_equal(a, b) -> bool:
     if len(a) != len(b):
         return False
     return not a or any(a[i:] + a[:i] == b for i in range(len(a)))
-
-
-def _orient_events(order: list[str], case: int) -> list[str]:
-    singular = [lab for lab in order if lab in ("12", "13", "16")]
-    return (order if cyclic_equal(singular, SINGULAR_CYCLES[case])
-            else order[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -488,10 +475,9 @@ def configuration_kind(cl: Classification) -> str:
     return "interior-" + "".join(map(str, cl.interior))
 
 
-# Excluded-pattern templates (found by search, then frozen) and the witnesses
-# their samples must produce.  Keys follow configuration_kind(); each point
-# is stored canonically relabeled, as the integer numerators of its affine
-# coordinates over the common denominator 7.
+# Excluded-pattern templates, found by search, then frozen.  Keys follow
+# configuration_kind(); each point is stored canonically relabeled, as the
+# integer numerators of its affine coordinates over the common denominator 7.
 _EXCLUSION_COORDINATES = {
     "convex-23654": {1: (-10, 20), 2: (56, 28), 3: (59, 57),
                      4: (-40, -52), 5: (-22, -19), 6: (8, 12)},
@@ -547,31 +533,3 @@ _EXCLUSION_COORDINATES = {
 EXCLUSION_TEMPLATES: dict[str, dict[int, Triple]] = {
     key: {k: normalize(x, y, 7) for k, (x, y) in pts.items()}
     for key, pts in _EXCLUSION_COORDINATES.items()}
-
-EXPECTED_WITNESSES: dict[str, tuple[str, ...]] = {
-    "convex-23654": ("234|345=[34]",),
-    "convex-23564": ("234|345=[34]",),
-    "convex-23645": ("456|562=[56]",),
-    "convex-23546": ("234|345=[34]",),
-    "convex-23465": ("345|456=[45]",),
-    "convex-23456": ("234|456={4}",),
-    "quadrangle-3456": ("562|623=[26]",),
-    "quadrangle-3465": ("345|456=[45]",),
-    "quadrangle-3564": ("345|456=[45]",),
-    "quadrangle-3654": ("562|623=[26]",),
-    "quadrangle-3645": ("456|562=[56]", "234|345=[34]"),
-    "quadrangle-A-T1": ("234|345=[34]",),
-    "quadrangle-A-T2": ("234|345=[34]",),
-    "quadrangle-A-T3": ("456|562=[56]",),
-    "interior-24": ("234|345=[34]", "345|456=[45]"),
-    "interior-25": ("345|456=[45]",),
-    "interior-35": ("234|345=[34]", "456|562=[56]"),
-    "interior-36": ("234|345=[34]",),
-    "interior-46": ("234|345=[34]",),
-    "triangle-236": ("234|345=[34]", "345|456=[45]"),
-    "triangle-263-T1": ("234|345=[34]",),
-    "triangle-263-T2": ("234|345=[34]",),
-    "triangle-263-T4": ("345|456=[45]",),
-    "triangle-263-T5": ("345|456=[45]",),
-    "triangle-263-T6": ("234|345=[34]",),
-}

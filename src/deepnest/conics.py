@@ -6,7 +6,8 @@ coprime with first nonzero entry positive (`geometry.normalize`).
 `conic_pencil_events`, what `lemma3` runs, orders the five reducible cubics
 through six points by turns of the conic pencil that a quadratic (Cremona)
 transformation makes of them, each a fixed sign times a product of
-orientation signs: no Cremona map, conic or pencil parameter is built.
+orientation signs (`geometry.turn_order`): no Cremona map, conic or pencil
+parameter is built.
 `conic_through_5`, `polar_line` and the Cremona point map run in no command;
 the test oracles use them, and `perfbench/tracer.py` traces them by name.
 The integer pencil that gives the same order from the points, its canonical
@@ -25,6 +26,7 @@ from .geometry import (
     normalize,
     sign,
     slot,
+    turn_order,
 )
 
 Conic = tuple[int, int, int, int, int, int]
@@ -107,8 +109,8 @@ def conic_pencil_events(signs: tuple, pts: dict) -> list[str]:
     its singular members 12|34, 13|24 and 14|23 stand for "12", "13" and
     "16", the members through 5 and 4 for "14" and "15".  Each turn
     (12|34, y, x) of two events is a fixed sign times a product of table
-    signs (`_EVENT_TURNS`), and x comes after y iff it is negative.  The
-    turns through 14|23 carry C^2, where
+    signs (`_EVENT_TURNS`), and x comes after y iff it is negative; a zero
+    sign raises.  The turns through 14|23 carry C^2, where
 
         C = [123][145][246][356] - [124][135][236][456]
 
@@ -121,16 +123,10 @@ def conic_pencil_events(signs: tuple, pts: dict) -> list[str]:
             * det3(p2, p3, p6) * det3(p4, p5, p6)):
         raise DegeneratePositionError(
             "the six points lie on one conic: reducible cubics coincide")
-    # the rank of x counts the events that come between 12 and x
-    rank = dict.fromkeys(("13", "16", "14", "15"), 0)
-    for y, x, s, slots in _EVENT_TURNS:
-        for i in slots:
-            s *= signs[i]
-        if s < 0:
-            rank[x] += 1
-        else:
-            rank[y] += 1
-    return ["12"] + sorted(rank, key=rank.get)
+    order = turn_order(signs, "12", _EVENT_TURNS)
+    if order is None:
+        raise DegeneratePositionError("three of the six points are collinear")
+    return order
 
 
 # ---------------------------------------------------------------------------

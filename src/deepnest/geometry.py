@@ -10,7 +10,7 @@ lie off J.  A hull (`_hull_cycle`), and every decision of the six-point
 classification, is read from a flat table of chart orientations over labels
 0..6 (`orientation_table`, [abc] at `slot(a, b, c)`), spread from the signs
 of the unordered triples, which `orientation_signs` remembers for its last
-point set.
+point set.  `turn_order` ranks labels by turns, products of table signs.
 
 `circle_sort` orders full-circle vectors exactly; with the double-angle
 embedding (dx, dy) -> (dx^2 - dy^2, 2 dx dy) of `tests/chart.py`, which is
@@ -175,6 +175,22 @@ def _hull_cycle(signs: tuple, labels: Sequence):
     while succ[cycle[-1]] != cycle[0]:
         cycle.append(succ[cycle[-1]])
     return tuple(cycle), tuple(sorted(set(labels) - set(succ)))
+
+
+def turn_order(signs: tuple, first, turns: Sequence) -> list | None:
+    """`first`, then the labels that `turns` compare pairwise in their order,
+    or None when a turn is 0.  A turn (y, x, s, slots) is s times the
+    product of `signs` at `slots`, and x comes after y iff it is negative."""
+    # the rank of x counts the labels that come between `first` and x
+    rank = {}
+    for y, x, s, slots in turns:
+        for i in slots:
+            s *= signs[i]
+        if s == 0:
+            return None
+        rank[y] = rank.get(y, 0) + (s > 0)
+        rank[x] = rank.get(x, 0) + (s < 0)
+    return [first] + sorted(rank, key=rank.get)
 
 
 def _raw_cross(u: Sequence[int], v: Sequence[int]) -> Triple:

@@ -20,6 +20,9 @@ canonical generators, whose member conics are built on read.
 `reference_pencil_events` is the reference for those records: canonical
 generators and parameters, a seen-dict for coincident events, and a circle
 sort of the doubled parameter angles.
+
+`EXPECTED_WITNESSES` names the witnesses that the samples of each
+excluded-pattern template of `deepnest.configurations` must produce.
 """
 
 from __future__ import annotations
@@ -336,3 +339,33 @@ def reference_pencil_events(base, extras=()):
                 f"coincident pencil events {seen[ev.parameter]} and {ev.label}")
         seen[ev.parameter] = ev.label
     return circle_sort(events, key=lambda ev: double_angle(ev.parameter))
+
+
+# Per excluded-pattern template, the witnesses its samples must produce
+EXPECTED_WITNESSES: dict[str, tuple[str, ...]] = {
+    "convex-23654": ("234|345=[34]",),
+    "convex-23564": ("234|345=[34]",),
+    "convex-23645": ("456|562=[56]",),
+    "convex-23546": ("234|345=[34]",),
+    "convex-23465": ("345|456=[45]",),
+    "convex-23456": ("234|456={4}",),
+    "quadrangle-3456": ("562|623=[26]",),
+    "quadrangle-3465": ("345|456=[45]",),
+    "quadrangle-3564": ("345|456=[45]",),
+    "quadrangle-3654": ("562|623=[26]",),
+    "quadrangle-3645": ("456|562=[56]", "234|345=[34]"),
+    "quadrangle-A-T1": ("234|345=[34]",),
+    "quadrangle-A-T2": ("234|345=[34]",),
+    "quadrangle-A-T3": ("456|562=[56]",),
+    "interior-24": ("234|345=[34]", "345|456=[45]"),
+    "interior-25": ("345|456=[45]",),
+    "interior-35": ("234|345=[34]", "456|562=[56]"),
+    "interior-36": ("234|345=[34]",),
+    "interior-46": ("234|345=[34]",),
+    "triangle-236": ("234|345=[34]", "345|456=[45]"),
+    "triangle-263-T1": ("234|345=[34]",),
+    "triangle-263-T2": ("234|345=[34]",),
+    "triangle-263-T4": ("345|456=[45]",),
+    "triangle-263-T5": ("345|456=[45]",),
+    "triangle-263-T6": ("234|345=[34]",),
+}

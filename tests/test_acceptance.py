@@ -30,7 +30,6 @@ from deepnest.cases import (
 from deepnest.conics import conic_through_5, cremona
 from deepnest.configurations import (
     EXCLUSION_TEMPLATES,
-    EXPECTED_WITNESSES,
     classify_configuration,
     configuration_kind,
     reducible_cubic_sequence,
@@ -47,8 +46,8 @@ from deepnest.orientations import (
     rm_rhs,
 )
 from deepnest.schemes import parse_scheme, print_scheme
-from chart import (conic_det2, conic_eval, line_pencil_sweep,
-                   pencil_event_records, point)
+from chart import (EXPECTED_WITNESSES, conic_det2, conic_eval,
+                   line_pencil_sweep, pencil_event_records, point)
 from region_walk import recount_by_region_walk
 
 

@@ -8,7 +8,6 @@ import random
 from deepnest.configurations import (
     BASE_CONFIGURATIONS,
     EXCLUSION_TEMPLATES,
-    EXPECTED_WITNESSES,
     Classification,
     InvalidConfigurationError,
     classify_configuration,
@@ -18,7 +17,7 @@ from deepnest.configurations import (
     sigma_shift,
 )
 from deepnest.geometry import DegeneratePositionError, normalize
-from chart import affine_map, point
+from chart import EXPECTED_WITNESSES, affine_map, point
 from point_classifier import classify_by_points, sweep_order
 
 TEMPLATES = {**{f"case{k}": cfg for k, cfg in BASE_CONFIGURATIONS.items()},

@@ -13,7 +13,6 @@ from deepnest.cli import main
 from deepnest.configurations import (
     BASE_CONFIGURATIONS,
     EXCLUSION_TEMPLATES,
-    EXPECTED_WITNESSES,
     InvalidConfigurationError,
     REFERENCE_SEQUENCES,
     classify_configuration,
@@ -27,7 +26,7 @@ from deepnest.configurations import (
     verify_witness,
 )
 from deepnest.geometry import orientation_signs, orientation_table
-from chart import point
+from chart import EXPECTED_WITNESSES, point
 
 
 def test_base_configurations_classify_canonically():

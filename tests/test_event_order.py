@@ -28,6 +28,7 @@ from deepnest.configurations import (
 from deepnest.geometry import (
     DegeneratePositionError,
     _raw_cross,
+    det3,
     normalize,
     orientation_signs,
     orientation_table,
@@ -50,6 +51,15 @@ def cremona_order(cfg, case, shift):
         return order
     assert cyclic_equal(singular[::-1], target)
     return order[::-1]
+
+
+def conic_sign(cfg):
+    """C = [123][145][246][356] - [124][135][236][456] of the points as
+    given: it vanishes iff the six lie on one conic."""
+    def b(*t):
+        return det3(*(cfg[k] for k in t))
+    return (b(1, 2, 3) * b(1, 4, 5) * b(2, 4, 6) * b(3, 5, 6)
+            - b(1, 2, 4) * b(1, 3, 5) * b(2, 3, 6) * b(4, 5, 6))
 
 
 def grid_points(rng, span=40):
@@ -132,6 +142,8 @@ def test_event_order_is_the_cremona_pencil_order(monkeypatch, capsys):
                                                  cl.relabel_shift)), cfg
         # 12 is first for case 1 and last for cases 2 and 3
         assert order.index("12") == (0 if cl.case == 1 else 4)
+        # the reference sequence holds iff C < 0
+        assert rep.matches_reference == (conic_sign(cfg) < 0), cfg
         matches[cl.case, rep.matches_reference] += 1
     # the draws reach tables where the reference sequence does not hold
     assert matches[1, False] == 0
@@ -195,6 +207,15 @@ def test_six_points_on_one_conic_raise():
                 conic_pencil_events(orientation_table(cfg), cfg)
             with pytest.raises(DegeneratePositionError):
                 integer_pencil_events(*cremona_pencil(cfg))
+
+
+def test_a_zero_turn_raises():
+    # points 2, 4 and 5 are collinear; the six lie on no conic
+    cfg = {1: point(0, 0), 2: point(1, 0), 3: point(0, 5), 4: point(2, 1),
+           5: point(3, 2), 6: point(-3, 1)}
+    assert conic_sign(cfg) != 0
+    with pytest.raises(DegeneratePositionError, match="collinear"):
+        conic_pencil_events(orientation_table(cfg), cfg)
 
 
 def report(monkeypatch, tmp_path, name, points):

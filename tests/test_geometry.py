@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 import hypothesis as hyp
@@ -23,6 +23,7 @@ from deepnest.geometry import (
     orientation_table,
     sign,
     slot,
+    turn_order,
 )
 from chart import (
     chart_direction,
@@ -205,3 +206,20 @@ def test_sweep_jump_parity_is_odd():
             continue
         assert sum(flags) % 2 == 1, (base, targets)
         checked += 1
+
+
+def test_turn_order_ranks_every_order_from_its_turns():
+    # turn j of the pair y < x is (-1)^j times the signs at slots 2j, 2j + 1
+    pairs = list(combinations("abcd", 2))
+    turns = [(y, x, (-1) ** j, (2 * j, 2 * j + 1))
+             for j, (y, x) in enumerate(pairs)]
+    for order in permutations("abcd"):
+        signs = []
+        for j, (y, x) in enumerate(pairs):
+            turn = -1 if order.index(x) > order.index(y) else 1
+            first = (-1) ** (j // 2)
+            signs += [first, turn * (-1) ** j * first]
+        assert turn_order(signs, "z", turns) == ["z", *order]
+        for i in range(len(signs)):
+            assert turn_order(signs[:i] + [0] + signs[i + 1:], "z",
+                              turns) is None
