@@ -30,7 +30,10 @@ admissible cases; the pair-table identities then act as a second filter.
 Scenario domains for n are *parity-generic*: they use the parity of beta
 (and the jump-budget bound for no-jump chains) but not its size.  Size
 constraints enter only when a concrete scheme is emitted, so a verdict of
-PROHIBITED always certifies the full parity class.
+PROHIBITED always certifies the full parity class.  The parity-generic part
+of a report (scenarios, solutions, survivors, verdict) is computed once per
+class (beta = 0, odd beta, even beta >= 2) and mode, and shared between
+reports; `known` sets only `new`, and `feasible` is built per beta.
 """
 
 from __future__ import annotations
@@ -385,25 +388,32 @@ def prohibit(scheme: RealScheme, known: Iterable[int] = (),
     return _prohibit(profile.beta, profile.gamma, known, mode)
 
 
+@cache
+def _parity_class(kind: str, mode: str) -> tuple[tuple[ScenarioResult, ...],
+                                                 tuple[SignCase, ...]]:
+    """The parity-generic part of a prohibition for the class that its
+    beta-zero or no-jump kind names: each scenario with its solutions and
+    pair-table survivors, then all survivors.  3 kinds, 2 modes: 6 keys."""
+    if kind == BETA_ZERO:
+        scenarios = [Scenario(BETA_ZERO)]
+    else:
+        # parity-generic: pin beta's parity but not its size
+        scenarios = [Scenario(WITH_O1_JUMPS, parity=_KIND_PARITY[kind]),
+                     Scenario(kind)]
+    results = []
+    for scn in scenarios:
+        sols = _solve_scenario(scn, mode)
+        results.append(ScenarioResult(scn, sols, tuple(orevkov_filter(sols))))
+    return tuple(results), tuple(c for r in results for c in r.survivors)
+
+
 def _prohibit(beta: int, gamma: int, known: Iterable[int],
               mode: str) -> ProhibitReport:
     """`prohibit` on the sizes of a validated nest: beta >= 0, gamma >= 1
     and beta + gamma = 26."""
-    results = []
-    survivors_all: list[SignCase] = []
-    if beta == 0:
-        scenarios = [Scenario(BETA_ZERO)]
-    else:
-        gamma_kind = (NO_JUMPS_ODD_GAMMA if gamma % 2
-                      else NO_JUMPS_EVEN_GAMMA)
-        # parity-generic: pin beta's parity but not its size
-        scenarios = [Scenario(WITH_O1_JUMPS, parity=beta % 2),
-                     Scenario(gamma_kind)]
-    for scn in scenarios:
-        sols = solve_scenario(scn, mode)
-        surv = orevkov_filter(sols)
-        results.append(ScenarioResult(scn, tuple(sols), tuple(surv)))
-        survivors_all.extend(surv)
+    results, survivors_all = _parity_class(
+        BETA_ZERO if beta == 0
+        else NO_JUMPS_ODD_GAMMA if gamma % 2 else NO_JUMPS_EVEN_GAMMA, mode)
 
     feasible: list[FeasibleScheme] = []
     for case in survivors_all:

@@ -23,14 +23,33 @@ sort of the doubled parameter angles.
 
 `EXPECTED_WITNESSES` names the witnesses that the samples of each
 excluded-pattern template of `deepnest.configurations` must produce.
+
+`prohibit_per_call` is `deepnest.cases._prohibit` as it was before the
+parity-generic part of a report was computed once per class and mode: it
+builds the scenarios, solves them and filters the survivors on every call.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
+from deepnest.cases import (
+    BETA_ZERO,
+    NO_JUMPS_EVEN_GAMMA,
+    NO_JUMPS_ODD_GAMMA,
+    WITH_O1_JUMPS,
+    FeasibleScheme,
+    InfeasibleOrientationError,
+    ProhibitReport,
+    Scenario,
+    ScenarioResult,
+    SignCase,
+    emit_complex_scheme,
+    orevkov_filter,
+    solve_scenario,
+)
 from deepnest.conics import Conic, _raw_pair, conic_matrix2, cremona
 from deepnest.geometry import (
     DegeneratePositionError,
@@ -40,6 +59,12 @@ from deepnest.geometry import (
     circle_sort,
     det3,
     normalize,
+)
+from deepnest.orientations import (
+    check_orevkov,
+    check_rokhlin_mishachev,
+    compute_stats,
+    print_signed,
 )
 
 
@@ -369,3 +394,49 @@ EXPECTED_WITNESSES: dict[str, tuple[str, ...]] = {
     "triangle-263-T5": ("345|456=[45]",),
     "triangle-263-T6": ("234|345=[34]",),
 }
+
+
+def prohibit_per_call(beta: int, gamma: int, known: Iterable[int],
+                      mode: str) -> ProhibitReport:
+    """`prohibit` on the sizes of a validated nest: beta >= 0, gamma >= 1
+    and beta + gamma = 26."""
+    results = []
+    survivors_all: list[SignCase] = []
+    if beta == 0:
+        scenarios = [Scenario(BETA_ZERO)]
+    else:
+        gamma_kind = (NO_JUMPS_ODD_GAMMA if gamma % 2
+                      else NO_JUMPS_EVEN_GAMMA)
+        # parity-generic: pin beta's parity but not its size
+        scenarios = [Scenario(WITH_O1_JUMPS, parity=beta % 2),
+                     Scenario(gamma_kind)]
+    for scn in scenarios:
+        sols = solve_scenario(scn, mode)
+        surv = orevkov_filter(sols)
+        results.append(ScenarioResult(scn, tuple(sols), tuple(surv)))
+        survivors_all.extend(surv)
+
+    feasible: list[FeasibleScheme] = []
+    for case in survivors_all:
+        try:
+            signed = emit_complex_scheme(case, beta)
+        except InfeasibleOrientationError:
+            continue
+        st = compute_stats(signed, "uniform")
+        rm = check_rokhlin_mishachev(signed, "uniform", stats=st)
+        orv = check_orevkov(signed, stats=st)
+        feasible.append(FeasibleScheme(case, print_signed(signed), rm, orv))
+
+    verdict = "PROHIBITED" if not survivors_all else "OPEN"
+    return ProhibitReport(
+        # print_scheme's spelling: at beta = 0 the median oval holds only
+        # the inner nest oval
+        scheme=(f"<J + 1<{beta} + 1<{gamma}>>>" if beta
+                else f"<J + 1<1<{gamma}>>>"),
+        beta=beta, gamma=gamma, mode=mode,
+        results=tuple(results),
+        verdict=verdict,
+        new=(beta not in set(known)) if verdict == "PROHIBITED" else None,
+        real_scheme_forbidden=(verdict == "OPEN" and not feasible),
+        feasible=tuple(feasible),
+    )

@@ -7,6 +7,8 @@ from itertools import product
 
 import pytest
 
+from chart import prohibit_per_call
+from deepnest import cases
 from deepnest.cases import (
     BETA_ZERO,
     InfeasibleOrientationError,
@@ -20,6 +22,7 @@ from deepnest.cases import (
     TheoremTwoRow,
     WITH_O1_JUMPS,
     _no_jump_magnitudes,
+    _parity_class,
     _prohibit,
     _solve_scenario,
     beta_zero_contradiction,
@@ -399,6 +402,56 @@ def test_size_core_matches_the_text_path(mode):
         text = f"<J + 1<{beta} + 1<{26 - beta}>>>"
         assert (_prohibit(beta, 26 - beta, (), mode)
                 == prohibit(parse_scheme(text, 9), (), mode))
+
+
+def test_parity_class_memo_matches_the_per_call_path():
+    _parity_class.cache_clear()
+    for beta, mode in product(range(26), ("uniform", "literal")):
+        knowns = ((), (beta,), range(27))
+        reports = [_prohibit(beta, 26 - beta, known, mode) for known in knowns]
+        for known, rep in zip(knowns, reports):
+            assert rep == prohibit_per_call(beta, 26 - beta, known, mode)
+        # known sets only `new`
+        assert len({rep._replace(new=None) for rep in reports}) == 1
+        assert [rep.new for rep in reports] == (
+            [True, False, False] if reports[0].verdict == "PROHIBITED"
+            else [None] * 3)
+    # one entry per parity class (beta = 0, odd, even >= 2) and mode
+    assert _parity_class.cache_info().currsize == 6
+    for bad in (lambda: _prohibit(3, 23, (), "bogus"),
+                lambda: prohibit(deep_nest_scheme(0), (), "bogus")):
+        with pytest.raises(ValueError, match="unknown mode"):
+            bad()
+    assert _parity_class.cache_info().currsize == 6
+    # a caller's solver list is its own, on a memo hit and on a miss
+    before = _prohibit(4, 22, (), "uniform")
+    for result in before.results:
+        solve_scenario(result.scenario).append(result.solutions[0])
+    assert _prohibit(4, 22, (), "uniform") == before
+    _parity_class.cache_clear()
+    assert _prohibit(4, 22, (), "uniform") == before
+
+
+def test_each_parity_class_is_filtered_once(monkeypatch):
+    calls = []
+
+    def counted(sols):
+        calls.append(sols)
+        return orevkov_filter(sols)
+
+    monkeypatch.setattr(cases, "orevkov_filter", counted)
+    _parity_class.cache_clear()
+    theorem1_report()
+    # with-o1-jumps and no-jumps-odd-gamma
+    assert len(calls) == 2
+    theorem1_report()
+    assert len(calls) == 2
+    for beta in range(0, 26, 2):
+        theorem2_report(beta)
+    for beta in range(26):
+        prohibit(deep_nest_scheme(beta))
+    # beta-zero; with-o1-jumps and no-jumps-even-gamma
+    assert len(calls) == 2 + 1 + 2
 
 
 def test_prohibit_reports_the_canonical_spelling():
