@@ -19,6 +19,9 @@ one-sided component are counted only as declared.
 Totals with distinct closed curves must be even; an odd-degree auxiliary
 curve cannot be confined to a disk, which forces a minimum of two crossings
 with any nest oval that would otherwise keep it inside one.
+
+`parse_trace` checks a trace's rules in a fixed order and reports the first
+one broken; the text of an error is built only for that rule.
 """
 
 from __future__ import annotations
@@ -27,6 +30,10 @@ import json
 from typing import Any, NamedTuple
 
 REGION = {"median": 1, "inner": 2}
+_TRACE_KEYS = frozenset({"degree", "visits", "arcs", "extras"})
+_VISIT_KEYS = frozenset({"oval", "role", "node"})
+_ARC_KEYS = frozenset({"jCrossings"})
+_EXTRA_KEYS = frozenset({"count", "tag"})
 
 
 class InvalidTraceError(ValueError):
@@ -66,16 +73,16 @@ class BudgetReport(NamedTuple):
     verdict: str  # WITHIN | SATURATED | VIOLATION
 
 
-def _require(cond: bool, msg: str):
-    if not cond:
-        raise InvalidTraceError(msg)
+def _require(cond: bool, fmt: str, *args):
+    if not cond:    # the message is built only for a rule that fails
+        raise InvalidTraceError(fmt % args)
 
 
 def parse_trace(data: Any) -> AuxCurveTrace:
     _require(isinstance(data, dict), "trace must be an object")
-    _require(set(data) <= {"degree", "visits", "arcs", "extras"},
-             "unknown keys in trace: %s"
-             % sorted(set(data) - {"degree", "visits", "arcs", "extras"}))
+    if not data.keys() <= _TRACE_KEYS:
+        raise InvalidTraceError("unknown keys in trace: %s"
+                                % sorted(set(data) - _TRACE_KEYS))
     degree = data.get("degree")
     _require(isinstance(degree, int) and not isinstance(degree, bool)
              and degree >= 1, "degree must be a positive integer")
@@ -85,17 +92,16 @@ def parse_trace(data: Any) -> AuxCurveTrace:
              "visits must be a non-empty list")
     visits = []
     for i, v in enumerate(raw_visits):
-        _require(isinstance(v, dict), f"visit {i} must be an object")
-        _require(set(v) <= {"oval", "role", "node"},
-                 f"unknown keys in visit {i}")
+        _require(isinstance(v, dict), "visit %d must be an object", i)
+        _require(v.keys() <= _VISIT_KEYS, "unknown keys in visit %d", i)
         oval = v.get("oval")
         _require(isinstance(oval, (str, int)) and not isinstance(oval, bool),
-                 f"visit {i}: oval must be a label")
+                 "visit %d: oval must be a label", i)
         role = v.get("role")
         _require(isinstance(role, str) and role in REGION,
-                 f"visit {i}: role must be median or inner")
+                 "visit %d: role must be median or inner", i)
         node = v.get("node", False)
-        _require(isinstance(node, bool), f"visit {i}: node must be a boolean")
+        _require(isinstance(node, bool), "visit %d: node must be a boolean", i)
         visits.append(Visit(str(oval), role, node))
 
     raw_arcs = data.get("arcs")
@@ -105,25 +111,25 @@ def parse_trace(data: Any) -> AuxCurveTrace:
              "visit i+1, cyclically)")
     arcs = []
     for i, a in enumerate(raw_arcs):
-        _require(isinstance(a, dict), f"arc {i} must be an object")
-        _require(set(a) <= {"jCrossings"}, f"unknown keys in arc {i}")
+        _require(isinstance(a, dict), "arc %d must be an object", i)
+        _require(a.keys() <= _ARC_KEYS, "unknown keys in arc %d", i)
         c = a.get("jCrossings", 0)
         _require(isinstance(c, int) and not isinstance(c, bool) and c >= 0,
-                 f"arc {i}: jCrossings must be a nonnegative integer")
+                 "arc %d: jCrossings must be a nonnegative integer", i)
         arcs.append(Arc(c))
 
     raw_extras = data.get("extras", [])
     _require(isinstance(raw_extras, list), "extras must be a list")
     extras = []
     for i, e in enumerate(raw_extras):
-        _require(isinstance(e, dict), f"extra {i} must be an object")
-        _require(set(e) <= {"count", "tag"}, f"unknown keys in extra {i}")
+        _require(isinstance(e, dict), "extra %d must be an object", i)
+        _require(e.keys() <= _EXTRA_KEYS, "unknown keys in extra %d", i)
         count = e.get("count")
         _require(isinstance(count, int) and not isinstance(count, bool)
-                 and count >= 0, f"extra {i}: count must be nonnegative")
+                 and count >= 0, "extra %d: count must be nonnegative", i)
         tag = e.get("tag")
         _require(isinstance(tag, str) and tag.strip() != "",
-                 f"extra {i}: untagged intersection points are not allowed")
+                 "extra %d: untagged intersection points are not allowed", i)
         extras.append(Extra(count, tag))
 
     roles: dict[str, str] = {}
@@ -131,13 +137,13 @@ def parse_trace(data: Any) -> AuxCurveTrace:
     for i, v in enumerate(visits):
         if v.oval in roles:
             _require(roles[v.oval] == v.role,
-                     f"visit {i}: oval {v.oval} appears with two roles")
+                     "visit %d: oval %s appears with two roles", i, v.oval)
         roles[v.oval] = v.role
         if v.node:
             node_counts[v.oval] = node_counts.get(v.oval, 0) + 1
     for oval, k in node_counts.items():
         _require(k % 2 == 0,
-                 f"nodal visits to oval {oval} must pair up, got {k}")
+                 "nodal visits to oval %s must pair up, got %d", oval, k)
 
     return AuxCurveTrace(degree, tuple(visits), tuple(arcs), tuple(extras))
 

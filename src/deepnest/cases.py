@@ -427,18 +427,14 @@ def _prohibit(beta: int, gamma: int, known: Iterable[int],
         feasible.append(FeasibleScheme(case, print_signed(signed), rm, orv))
 
     verdict = "PROHIBITED" if not survivors_all else "OPEN"
+    # the scheme in print_scheme's spelling (at beta = 0 the median oval
+    # holds only the inner nest oval); `known` is read only for PROHIBITED,
+    # and frozenset() returns theorem1_report's frozenset without a copy
     return ProhibitReport(
-        # print_scheme's spelling: at beta = 0 the median oval holds only
-        # the inner nest oval
-        scheme=(f"<J + 1<{beta} + 1<{gamma}>>>" if beta
-                else f"<J + 1<1<{gamma}>>>"),
-        beta=beta, gamma=gamma, mode=mode,
-        results=tuple(results),
-        verdict=verdict,
-        new=(beta not in set(known)) if verdict == "PROHIBITED" else None,
-        real_scheme_forbidden=(verdict == "OPEN" and not feasible),
-        feasible=tuple(feasible),
-    )
+        f"<J + 1<{beta} + 1<{gamma}>>>" if beta else f"<J + 1<1<{gamma}>>>",
+        beta, gamma, mode, results, verdict,
+        (beta not in frozenset(known)) if verdict == "PROHIBITED" else None,
+        verdict == "OPEN" and not feasible, tuple(feasible))
 
 
 # ---------------------------------------------------------------------------
@@ -454,16 +450,15 @@ class TheoremOneRow(NamedTuple):
 
 def theorem1_report(known: Iterable[int] = (1, 3, 25)) -> list[TheoremOneRow]:
     """Prohibition table over all odd beta."""
-    known = set(known)
+    known = frozenset(known)
     rows = []
     for beta in range(1, TOTAL_EMPTIES, 2):
         rep = _prohibit(beta, TOTAL_EMPTIES - beta, known, "uniform")
-        rows.append(TheoremOneRow(
-            beta=beta, gamma=TOTAL_EMPTIES - beta,
-            verdict=rep.verdict,
-            new=bool(rep.new),
-            solution_count=sum(len(r.solutions) for r in rep.results),
-        ))
+        count = 0
+        for r in rep.results:
+            count += len(r.solutions)
+        rows.append(TheoremOneRow(beta, rep.gamma, rep.verdict, bool(rep.new),
+                                  count))
     return rows
 
 

@@ -223,7 +223,7 @@ def find_witness(signs: tuple) -> Optional[Witness]:
     """First interior-disjoint pair of principal triangles, in canonical order,
     read from a configuration's orientation table."""
     def orient(a, b, c):
-        return signs[slot(a, b, c)]
+        return signs[49 * a + 7 * b + c]    # geometry.slot, inline
 
     for t1, t2 in _WITNESS_PAIRS:
         if _interiors_disjoint(t1, t2, orient):

@@ -69,17 +69,18 @@ class OvalGroup(NamedTuple):
 
     def _walk(self) -> list:
         """(group, its depth, how many copies of it there are), every group
-        of the tree once."""
+        of the tree once, breadth first."""
         walk = [(self, 1, self.count)]
         for g, depth, copies in walk:   # the list grows as it is read
-            walk.extend((c, depth + 1, copies * c.count) for c in g.body or ())
+            for c in g.body or ():
+                walk.append((c, depth + 1, copies * c.count))
         return walk
 
     def ovals(self) -> int:
         return sum(copies for _, _, copies in self._walk())
 
     def depth(self) -> int:
-        return max(depth for _, depth, _ in self._walk())
+        return self._walk()[-1][1]      # breadth first: the last is deepest
 
 
 class RealScheme(NamedTuple):
@@ -292,11 +293,14 @@ def classify_deep_nest(s: RealScheme) -> Optional[DeepNestProfile]:
     than the two nest ovals (a transversal line or conic would then exceed
     the intersection bound with the degree-9 curve).
     """
+    deep = []
     for g in s.groups:
-        if g.depth() > 3:
+        depth = g.depth()
+        if depth > 3:
             raise InadmissibleSchemeError("oval nested beyond depth 3",
                                           _print_group(_deep_child(g)))
-    deep = [g for g in s.groups if g.depth() == 3]
+        if depth == 3:
+            deep.append(g)
     if not deep:
         return None
     if len(deep) > 1 or deep[0].count > 1:

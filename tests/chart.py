@@ -27,14 +27,28 @@ excluded-pattern template of `deepnest.configurations` must produce.
 `prohibit_per_call` is `deepnest.cases._prohibit` as it was before the
 parity-generic part of a report was computed once per class and mode: it
 builds the scenarios, solves them and filters the survivors on every call.
+
+`parse_trace_eager`, `oval_walk`, `classify_deep_nest_twice` and
+`is_m_curve_walked` are the trace and scheme readers as they were before an
+error text was built only for a rule that fails and each top-level group was
+walked once: every rule formats its message first, each node of a walk builds
+a generator, and each group is walked twice.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, NamedTuple, Sequence
+from typing import Any, Iterable, NamedTuple, Optional, Sequence
 
+from deepnest.bezout import (
+    REGION,
+    Arc,
+    AuxCurveTrace,
+    Extra,
+    InvalidTraceError,
+    Visit,
+)
 from deepnest.cases import (
     BETA_ZERO,
     NO_JUMPS_EVEN_GAMMA,
@@ -65,6 +79,14 @@ from deepnest.orientations import (
     check_rokhlin_mishachev,
     compute_stats,
     print_signed,
+)
+from deepnest.schemes import (
+    DeepNestProfile,
+    InadmissibleSchemeError,
+    OvalGroup,
+    RealScheme,
+    _print_group,
+    genus_bound,
 )
 
 
@@ -440,3 +462,154 @@ def prohibit_per_call(beta: int, gamma: int, known: Iterable[int],
         real_scheme_forbidden=(verdict == "OPEN" and not feasible),
         feasible=tuple(feasible),
     )
+
+
+# ---------------------------------------------------------------------------
+# the readers as they were before error texts were built only on failure and
+# each scheme tree was walked once per group
+
+def _require(cond: bool, msg: str):
+    if not cond:
+        raise InvalidTraceError(msg)
+
+
+def parse_trace_eager(data: Any) -> AuxCurveTrace:
+    """`deepnest.bezout.parse_trace` as it was: every rule formats its
+    message, and builds the key set it checks, before the rule is tested."""
+    _require(isinstance(data, dict), "trace must be an object")
+    _require(set(data) <= {"degree", "visits", "arcs", "extras"},
+             "unknown keys in trace: %s"
+             % sorted(set(data) - {"degree", "visits", "arcs", "extras"}))
+    degree = data.get("degree")
+    _require(isinstance(degree, int) and not isinstance(degree, bool)
+             and degree >= 1, "degree must be a positive integer")
+
+    raw_visits = data.get("visits")
+    _require(isinstance(raw_visits, list) and raw_visits,
+             "visits must be a non-empty list")
+    visits = []
+    for i, v in enumerate(raw_visits):
+        _require(isinstance(v, dict), f"visit {i} must be an object")
+        _require(set(v) <= {"oval", "role", "node"},
+                 f"unknown keys in visit {i}")
+        oval = v.get("oval")
+        _require(isinstance(oval, (str, int)) and not isinstance(oval, bool),
+                 f"visit {i}: oval must be a label")
+        role = v.get("role")
+        _require(isinstance(role, str) and role in REGION,
+                 f"visit {i}: role must be median or inner")
+        node = v.get("node", False)
+        _require(isinstance(node, bool), f"visit {i}: node must be a boolean")
+        visits.append(Visit(str(oval), role, node))
+
+    raw_arcs = data.get("arcs")
+    _require(isinstance(raw_arcs, list), "arcs must be a list")
+    _require(len(raw_arcs) == len(visits),
+             "need exactly one arc per visit (arc i runs from visit i to "
+             "visit i+1, cyclically)")
+    arcs = []
+    for i, a in enumerate(raw_arcs):
+        _require(isinstance(a, dict), f"arc {i} must be an object")
+        _require(set(a) <= {"jCrossings"}, f"unknown keys in arc {i}")
+        c = a.get("jCrossings", 0)
+        _require(isinstance(c, int) and not isinstance(c, bool) and c >= 0,
+                 f"arc {i}: jCrossings must be a nonnegative integer")
+        arcs.append(Arc(c))
+
+    raw_extras = data.get("extras", [])
+    _require(isinstance(raw_extras, list), "extras must be a list")
+    extras = []
+    for i, e in enumerate(raw_extras):
+        _require(isinstance(e, dict), f"extra {i} must be an object")
+        _require(set(e) <= {"count", "tag"}, f"unknown keys in extra {i}")
+        count = e.get("count")
+        _require(isinstance(count, int) and not isinstance(count, bool)
+                 and count >= 0, f"extra {i}: count must be nonnegative")
+        tag = e.get("tag")
+        _require(isinstance(tag, str) and tag.strip() != "",
+                 f"extra {i}: untagged intersection points are not allowed")
+        extras.append(Extra(count, tag))
+
+    roles: dict[str, str] = {}
+    node_counts: dict[str, int] = {}
+    for i, v in enumerate(visits):
+        if v.oval in roles:
+            _require(roles[v.oval] == v.role,
+                     f"visit {i}: oval {v.oval} appears with two roles")
+        roles[v.oval] = v.role
+        if v.node:
+            node_counts[v.oval] = node_counts.get(v.oval, 0) + 1
+    for oval, k in node_counts.items():
+        _require(k % 2 == 0,
+                 f"nodal visits to oval {oval} must pair up, got {k}")
+
+    return AuxCurveTrace(degree, tuple(visits), tuple(arcs), tuple(extras))
+
+
+def oval_walk(self: OvalGroup) -> list:
+    """`OvalGroup._walk` as it was, with a generator per node: (group, its
+    depth, how many copies of it there are), every group of the tree once."""
+    walk = [(self, 1, self.count)]
+    for g, depth, copies in walk:   # the list grows as it is read
+        walk.extend((c, depth + 1, copies * c.count) for c in g.body or ())
+    return walk
+
+
+def _depth(g: OvalGroup) -> int:
+    return max(depth for _, depth, _ in oval_walk(g))
+
+
+def is_m_curve_walked(s: RealScheme) -> bool:
+    """`deepnest.schemes.is_m_curve`, counting ovals through `oval_walk`."""
+    ovals = sum(copies for g in s.groups for _, _, copies in oval_walk(g))
+    return ovals + s.pseudoline == genus_bound(s.degree) + 1
+
+
+def classify_deep_nest_twice(s: RealScheme) -> Optional[DeepNestProfile]:
+    """`deepnest.schemes.classify_deep_nest` as it was, walking each
+    top-level group twice; `g.depth()` and `g._walk()` are read through
+    `oval_walk`."""
+    for g in s.groups:
+        if _depth(g) > 3:
+            raise InadmissibleSchemeError("oval nested beyond depth 3",
+                                          _print_group(_deep_child(g)))
+    deep = [g for g in s.groups if _depth(g) == 3]
+    if not deep:
+        return None
+    if len(deep) > 1 or deep[0].count > 1:
+        raise InadmissibleSchemeError("two disjoint depth-3 nests",
+                                      _print_group(deep[0]))
+    outer = deep[0]
+    alpha = 0
+    for g in s.groups:
+        if g is outer:
+            continue
+        if g.body is not None:
+            raise InadmissibleSchemeError(
+                "non-empty oval outside the nest", _print_group(g))
+        alpha += g.count
+    beta = 0
+    inner = None
+    for g in outer.body:
+        if g.body is None:
+            beta += g.count
+        elif inner is None and g.count == 1:
+            inner = g
+        else:
+            raise InadmissibleSchemeError(
+                "second non-empty oval inside the outer nest oval",
+                _print_group(g))
+    assert inner is not None  # depth()==3 guarantees a depth-2 child
+    gamma = 0
+    for g in inner.body:
+        assert g.body is None  # depth bound already enforced
+        gamma += g.count
+    return DeepNestProfile(alpha=alpha, beta=beta, gamma=gamma)
+
+
+def _deep_child(g: OvalGroup) -> OvalGroup:
+    """A witness oval at excessive depth: the first group at depth 4 that
+    still contains ovals, or failing one, the first such group at depth 3."""
+    walk = oval_walk(g)
+    return next(h for d in (4, 3) for h, depth, _ in walk
+                if depth == d and h.body is not None)

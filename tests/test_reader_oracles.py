@@ -1,0 +1,296 @@
+"""The trace and scheme readers against their earlier forms in `chart`.
+
+`parse_trace` builds an error text only for the rule that fails, and
+`classify_deep_nest` walks each top-level group once.  The earlier readers
+built every text first and walked each group twice; on every input, valid or
+broken in one or two places, both must give the same records, or the same
+exception class with the same message and witness.
+"""
+
+from __future__ import annotations
+
+import copy
+import itertools
+import json
+import pathlib
+import random
+
+from chart import (
+    classify_deep_nest_twice,
+    is_m_curve_walked,
+    oval_walk,
+    parse_trace_eager,
+)
+from deepnest.bezout import parse_trace
+from deepnest.schemes import (
+    OvalGroup,
+    RealScheme,
+    classify_deep_nest,
+    is_m_curve,
+    parse_scheme,
+)
+
+GOLDEN_TRACE = pathlib.Path(__file__).parent / "golden" / "trace.json"
+
+
+def outcome(read, arg):
+    """(exception class, message, witness oval) if `read` raises, else
+    (None, its result, None)."""
+    try:
+        return None, read(arg), None
+    except Exception as exc:  # the class itself is compared
+        return type(exc), str(exc), getattr(exc, "oval", None)
+
+
+# ---------------------------------------------------------------------------
+# traces
+
+def random_trace(rng) -> dict:
+    """A valid trace: distinct ovals, optionally one nodal pair, integer or
+    string labels, and "node"/"jCrossings"/"extras" left out at times."""
+    visits = []
+    for k in range(rng.randint(1, 8)):
+        visit = {"oval": rng.choice((f"o{k}", 100 + k)),
+                 "role": rng.choice(("median", "inner"))}
+        if rng.random() < 0.3:
+            visit["node"] = False
+        visits.append(visit)
+    if rng.random() < 0.5:
+        role = rng.choice(("median", "inner"))
+        first, second = sorted(rng.sample(range(len(visits) + 1), 2))
+        visits.insert(first, {"oval": "n", "role": role, "node": True})
+        visits.insert(second + 1, {"oval": "n", "role": role, "node": True})
+    arcs = [{"jCrossings": rng.choice((0, 1, 2))} if rng.random() < 0.8
+            else {} for _ in visits]
+    trace = {"degree": rng.randint(1, 5), "visits": visits, "arcs": arcs}
+    if rng.random() < 0.7:
+        trace["extras"] = [{"count": rng.randint(0, 3), "tag": f"t{k}"}
+                           for k in range(rng.randint(0, 3))]
+    return trace
+
+
+def _item(rng, trace, key):
+    """A random element of trace[key], or None when there is none."""
+    items = trace.get(key)
+    return rng.choice(items) if isinstance(items, list) and items else None
+
+
+def _set(rng, trace, key, field, value):
+    item = _item(rng, trace, key)
+    if isinstance(item, dict):
+        item[field] = value
+
+
+def _replace(rng, trace, key, value):
+    items = trace.get(key)
+    if isinstance(items, list) and items:
+        items[rng.randrange(len(items))] = value
+
+
+def _two_roles(rng, trace):
+    visits = [v for v in trace.get("visits", []) if isinstance(v, dict)]
+    if len(visits) >= 2:
+        a, b = rng.sample(visits, 2)
+        a.update(oval="x", role="median")
+        b.update(oval="x", role="inner")
+
+
+def _resize_arcs(trace, step):
+    arcs = trace.get("arcs")
+    if isinstance(arcs, list):
+        trace["arcs"] = arcs + [{}] if step > 0 else arcs[:-1]
+
+
+def _unpaired_node(rng, trace):
+    _set(rng, trace, "visits", "node", True)
+
+
+# one way of breaking each rule of a trace, by kind of fault
+BREAKERS = {
+    "wrong type": [
+        lambda rng, t: t.update(degree="3"),
+        lambda rng, t: t.update(visits={"oval": "a"}),
+        lambda rng, t: t.update(arcs=None),
+        lambda rng, t: t.update(extras=5),
+        lambda rng, t: _replace(rng, t, "visits", ["median"]),
+        lambda rng, t: _replace(rng, t, "arcs", 0),
+        lambda rng, t: _replace(rng, t, "extras", "tag"),
+        lambda rng, t: _set(rng, t, "visits", "oval", 1.5),
+        lambda rng, t: _set(rng, t, "visits", "oval", None),
+        lambda rng, t: _set(rng, t, "visits", "role", ["inner"]),
+        lambda rng, t: _set(rng, t, "visits", "role", "outer"),
+        lambda rng, t: _set(rng, t, "visits", "node", 1),
+        lambda rng, t: _set(rng, t, "arcs", "jCrossings", 1.0),
+        lambda rng, t: _set(rng, t, "extras", "count", "2"),
+        lambda rng, t: _set(rng, t, "extras", "tag", 7),
+    ],
+    "unknown key": [
+        lambda rng, t: t.update(surplus=1, another=2),
+        lambda rng, t: _set(rng, t, "visits", "label", "a"),
+        lambda rng, t: _set(rng, t, "arcs", "crossings", 1),
+        lambda rng, t: _set(rng, t, "extras", "note", "x"),
+    ],
+    "bool for an int": [
+        lambda rng, t: t.update(degree=True),
+        lambda rng, t: _set(rng, t, "visits", "oval", True),
+        lambda rng, t: _set(rng, t, "arcs", "jCrossings", False),
+        lambda rng, t: _set(rng, t, "extras", "count", True),
+    ],
+    "negative count": [
+        lambda rng, t: t.update(degree=rng.choice((0, -3))),
+        lambda rng, t: _set(rng, t, "arcs", "jCrossings", -1),
+        lambda rng, t: _set(rng, t, "extras", "count", -2),
+    ],
+    "empty tag": [
+        lambda rng, t: _set(rng, t, "extras", "tag", rng.choice(("", " "))),
+    ],
+    "two roles": [_two_roles],
+    "unpaired node": [_unpaired_node],
+    "missing or mismatched list": [
+        lambda rng, t: t.pop("visits", None),
+        lambda rng, t: t.update(visits=[]),
+        lambda rng, t: _resize_arcs(t, +1),
+        lambda rng, t: _resize_arcs(t, -1),
+        lambda rng, t: t.pop("degree", None),
+    ],
+}
+ALL_BREAKERS = [b for group in BREAKERS.values() for b in group]
+
+
+def assert_same_trace_outcome(data):
+    old = outcome(parse_trace_eager, copy.deepcopy(data))
+    new = outcome(parse_trace, copy.deepcopy(data))
+    assert new == old, data
+    return old
+
+
+def test_golden_and_random_valid_traces_read_the_same():
+    traces = [json.loads(GOLDEN_TRACE.read_text())]
+    rng = random.Random(2601)
+    traces += [random_trace(rng) for _ in range(300)]
+    for data in traces:
+        assert assert_same_trace_outcome(data)[0] is None, data
+
+
+def test_each_broken_rule_reports_the_same_error():
+    golden = json.loads(GOLDEN_TRACE.read_text())
+    rng = random.Random(2602)
+    seen: dict[str, int] = {}
+    for kind, breakers in BREAKERS.items():
+        for breaker in breakers:
+            for base in [golden] + [random_trace(rng) for _ in range(20)]:
+                data = copy.deepcopy(base)
+                breaker(rng, data)
+                cls = assert_same_trace_outcome(data)[0]
+                if cls is not None:
+                    seen[kind] = seen.get(kind, 0) + 1
+    # every kind of fault was actually reported, not only tried
+    assert set(seen) == set(BREAKERS), seen
+
+
+def test_the_first_of_two_broken_rules_is_reported():
+    golden = json.loads(GOLDEN_TRACE.read_text())
+    rng = random.Random(2603)
+    raised = 0
+    for k in range(600):
+        data = copy.deepcopy(golden if k % 5 == 0 else random_trace(rng))
+        for breaker in rng.sample(ALL_BREAKERS, 2):
+            breaker(rng, data)
+        raised += assert_same_trace_outcome(data)[0] is not None
+    assert raised > 500
+
+
+# faults of one item, or of the trace itself, as (list key or None, update)
+ITEM_FAULTS = [
+    ("visits", {"oval": 1.5}), ("visits", {"role": "outer"}),
+    ("visits", {"node": 1}), ("visits", {"label": "x"}),
+    ("arcs", {"jCrossings": -1}), ("arcs", {"crossings": 1}),
+    ("extras", {"count": -1}), ("extras", {"tag": ""}),
+    ("extras", {"note": 1}),
+    (None, {"degree": 0}), (None, {"surplus": 1}), (None, {"extras": 5}),
+]
+
+
+def test_two_faults_in_one_item_or_level_report_the_first_rule():
+    """Every ordered pair of faults, put into the same visit, arc or extra
+    (or into the trace) where both apply, so that only the order of the
+    rules decides which one is reported."""
+    base = json.loads(GOLDEN_TRACE.read_text())
+    base["extras"] = [{"count": 1, "tag": "t"}]
+    for (key1, fault1), (key2, fault2) in itertools.permutations(
+            ITEM_FAULTS, 2):
+        for k in range(3):
+            data = copy.deepcopy(base)
+            for key, fault in ((key1, fault1), (key2, fault2)):
+                items = data.get(key)
+                if key is None:
+                    data.update(fault)
+                elif isinstance(items, list):
+                    items[k % len(items)].update(fault)
+            assert assert_same_trace_outcome(data)[0] is not None
+
+
+def test_a_non_object_trace_and_mixed_unknown_keys():
+    for data in ([], "trace", None, 3, {"zeta": 1, "alpha": 2, "degree": 1}):
+        assert assert_same_trace_outcome(data)[0] is not None
+
+
+# ---------------------------------------------------------------------------
+# scheme trees
+
+def random_group(rng, depth: int) -> OvalGroup:
+    count = rng.choice((1, 1, 1, 2, 3))
+    if depth <= 1 or rng.random() < 0.35:
+        return OvalGroup(count)
+    body = tuple(random_group(rng, depth - 1)
+                 for _ in range(rng.randint(1, 3)))
+    return OvalGroup(count, body)
+
+
+def random_scheme(rng) -> RealScheme:
+    """A degree-9 scheme: a deep nest in the paper's shape, sometimes with
+    one extra group or one level more, or a random forest of depth up to 6
+    (mostly inadmissible)."""
+    if rng.random() < 0.5:
+        alpha = rng.choice((0, 0, 1))
+        beta = rng.randint(0, 25 - alpha)
+        text = f"<J + {alpha} + 1<{beta} + 1<{26 - beta - alpha}>>>"
+        groups = list(parse_scheme(text, 9).groups)
+        if rng.random() < 0.5:
+            groups.insert(rng.randrange(len(groups) + 1),
+                          random_group(rng, rng.randint(1, 5)))
+        return RealScheme(9, True, tuple(groups))
+    groups = tuple(random_group(rng, rng.randint(1, 6))
+                   for _ in range(rng.randint(0, 4)))
+    return RealScheme(9, True, groups)
+
+
+def test_random_trees_classify_and_count_the_same():
+    rng = random.Random(2604)
+    kinds = set()
+    for _ in range(3000):
+        s = random_scheme(rng)
+        for g in s.groups:
+            assert g._walk() == oval_walk(g)
+        old = outcome(classify_deep_nest_twice, s)
+        assert outcome(classify_deep_nest, s) == old, s
+        assert is_m_curve(s) == is_m_curve_walked(s), s
+        kinds.add(old[1].split(":")[0] if old[0] else type(old[1]).__name__)
+        kinds.add(is_m_curve(s))
+    # profiles, no nest, each inadmissibility, and both is_m_curve answers
+    assert kinds >= {"DeepNestProfile", "NoneType", True, False,
+                     "oval nested beyond depth 3",
+                     "two disjoint depth-3 nests",
+                     "non-empty oval outside the nest",
+                     "second non-empty oval inside the outer nest oval"}
+
+
+def test_a_1501_deep_nest_classifies_without_recursion():
+    depth = 1501
+    text = "<J + " + "1<" * (depth - 1) + "1" + ">" * (depth - 1) + ">"
+    s = parse_scheme(text, 2 * depth + 1)
+    (g,) = s.groups
+    assert g.depth() == depth and g.ovals() == depth
+    assert outcome(classify_deep_nest, s) == outcome(
+        classify_deep_nest_twice, s)
+    assert is_m_curve(s) == is_m_curve_walked(s) is False
