@@ -73,77 +73,90 @@ class BudgetReport(NamedTuple):
     verdict: str  # WITHIN | SATURATED | VIOLATION
 
 
-def _require(cond: bool, fmt: str, *args):
-    if not cond:    # the message is built only for a rule that fails
-        raise InvalidTraceError(fmt % args)
-
-
 def parse_trace(data: Any) -> AuxCurveTrace:
-    _require(isinstance(data, dict), "trace must be an object")
+    if not isinstance(data, dict):
+        raise InvalidTraceError("trace must be an object")
     if not data.keys() <= _TRACE_KEYS:
         raise InvalidTraceError("unknown keys in trace: %s"
                                 % sorted(set(data) - _TRACE_KEYS))
     degree = data.get("degree")
-    _require(isinstance(degree, int) and not isinstance(degree, bool)
-             and degree >= 1, "degree must be a positive integer")
+    if not (isinstance(degree, int) and not isinstance(degree, bool)
+            and degree >= 1):
+        raise InvalidTraceError("degree must be a positive integer")
 
     raw_visits = data.get("visits")
-    _require(isinstance(raw_visits, list) and raw_visits,
-             "visits must be a non-empty list")
+    if not (isinstance(raw_visits, list) and raw_visits):
+        raise InvalidTraceError("visits must be a non-empty list")
     visits = []
     for i, v in enumerate(raw_visits):
-        _require(isinstance(v, dict), "visit %d must be an object", i)
-        _require(v.keys() <= _VISIT_KEYS, "unknown keys in visit %d", i)
+        if not isinstance(v, dict):
+            raise InvalidTraceError("visit %d must be an object" % i)
+        if not v.keys() <= _VISIT_KEYS:
+            raise InvalidTraceError("unknown keys in visit %d" % i)
         oval = v.get("oval")
-        _require(isinstance(oval, (str, int)) and not isinstance(oval, bool),
-                 "visit %d: oval must be a label", i)
+        if not (isinstance(oval, (str, int)) and not isinstance(oval, bool)):
+            raise InvalidTraceError("visit %d: oval must be a label" % i)
         role = v.get("role")
-        _require(isinstance(role, str) and role in REGION,
-                 "visit %d: role must be median or inner", i)
+        if not (isinstance(role, str) and role in REGION):
+            raise InvalidTraceError(
+                "visit %d: role must be median or inner" % i)
         node = v.get("node", False)
-        _require(isinstance(node, bool), "visit %d: node must be a boolean", i)
+        if not isinstance(node, bool):
+            raise InvalidTraceError("visit %d: node must be a boolean" % i)
         visits.append(Visit(str(oval), role, node))
 
     raw_arcs = data.get("arcs")
-    _require(isinstance(raw_arcs, list), "arcs must be a list")
-    _require(len(raw_arcs) == len(visits),
-             "need exactly one arc per visit (arc i runs from visit i to "
-             "visit i+1, cyclically)")
+    if not isinstance(raw_arcs, list):
+        raise InvalidTraceError("arcs must be a list")
+    if len(raw_arcs) != len(visits):
+        raise InvalidTraceError(
+            "need exactly one arc per visit (arc i runs from visit i to "
+            "visit i+1, cyclically)")
     arcs = []
     for i, a in enumerate(raw_arcs):
-        _require(isinstance(a, dict), "arc %d must be an object", i)
-        _require(a.keys() <= _ARC_KEYS, "unknown keys in arc %d", i)
+        if not isinstance(a, dict):
+            raise InvalidTraceError("arc %d must be an object" % i)
+        if not a.keys() <= _ARC_KEYS:
+            raise InvalidTraceError("unknown keys in arc %d" % i)
         c = a.get("jCrossings", 0)
-        _require(isinstance(c, int) and not isinstance(c, bool) and c >= 0,
-                 "arc %d: jCrossings must be a nonnegative integer", i)
+        if not (isinstance(c, int) and not isinstance(c, bool) and c >= 0):
+            raise InvalidTraceError(
+                "arc %d: jCrossings must be a nonnegative integer" % i)
         arcs.append(Arc(c))
 
     raw_extras = data.get("extras", [])
-    _require(isinstance(raw_extras, list), "extras must be a list")
+    if not isinstance(raw_extras, list):
+        raise InvalidTraceError("extras must be a list")
     extras = []
     for i, e in enumerate(raw_extras):
-        _require(isinstance(e, dict), "extra %d must be an object", i)
-        _require(e.keys() <= _EXTRA_KEYS, "unknown keys in extra %d", i)
+        if not isinstance(e, dict):
+            raise InvalidTraceError("extra %d must be an object" % i)
+        if not e.keys() <= _EXTRA_KEYS:
+            raise InvalidTraceError("unknown keys in extra %d" % i)
         count = e.get("count")
-        _require(isinstance(count, int) and not isinstance(count, bool)
-                 and count >= 0, "extra %d: count must be nonnegative", i)
+        if not (isinstance(count, int) and not isinstance(count, bool)
+                and count >= 0):
+            raise InvalidTraceError(
+                "extra %d: count must be nonnegative" % i)
         tag = e.get("tag")
-        _require(isinstance(tag, str) and tag.strip() != "",
-                 "extra %d: untagged intersection points are not allowed", i)
+        if not (isinstance(tag, str) and tag.strip() != ""):
+            raise InvalidTraceError(
+                "extra %d: untagged intersection points are not allowed" % i)
         extras.append(Extra(count, tag))
 
     roles: dict[str, str] = {}
     node_counts: dict[str, int] = {}
     for i, v in enumerate(visits):
-        if v.oval in roles:
-            _require(roles[v.oval] == v.role,
-                     "visit %d: oval %s appears with two roles", i, v.oval)
+        if roles.get(v.oval, v.role) != v.role:
+            raise InvalidTraceError(
+                "visit %d: oval %s appears with two roles" % (i, v.oval))
         roles[v.oval] = v.role
         if v.node:
             node_counts[v.oval] = node_counts.get(v.oval, 0) + 1
     for oval, k in node_counts.items():
-        _require(k % 2 == 0,
-                 "nodal visits to oval %s must pair up, got %d", oval, k)
+        if k % 2:
+            raise InvalidTraceError(
+                "nodal visits to oval %s must pair up, got %d" % (oval, k))
 
     return AuxCurveTrace(degree, tuple(visits), tuple(arcs), tuple(extras))
 

@@ -27,13 +27,20 @@ beta >= 1 (plus a degenerate one for beta = 0):
 
 Solving an identity that is linear in n for each sign pattern yields the
 admissible cases; the pair-table identities then act as a second filter.
+A PROHIBITED verdict rests on both identities together with the scenario
+shapes above: the identities alone leave concrete signed schemes at every
+odd beta up to 23, and only the shapes' imbalances exclude them.  The jump
+budget bounds only the listed solutions (and so the survivors and feasible
+schemes): no verdict changes for a budget of 1, 3, 5, 7 or 25.
 Scenario domains for n are *parity-generic*: they use the parity of beta
 (and the jump-budget bound for no-jump chains) but not its size.  Size
 constraints enter only when a concrete scheme is emitted, so a verdict of
 PROHIBITED always certifies the full parity class.  The parity-generic part
 of a report (scenarios, solutions, survivors, verdict) is computed once per
 class (beta = 0, odd beta, even beta >= 2) and mode, and shared between
-reports; `known` sets only `new`, and `feasible` is built per beta.
+reports; `known` sets only `new`, and `feasible` is built per beta.  The
+13 odd-beta rows of Theorem 1 share one class, so `theorem1_report` reads
+that class once and builds no per-row report.
 """
 
 from __future__ import annotations
@@ -312,9 +319,6 @@ def emit_complex_scheme(case: SignCase, beta: int) -> SignedScheme:
         raise InfeasibleOrientationError(
             f"n={case.n} is not admissible at beta={beta}")
     m_imb, i_imb = case.imbalances()
-    if case.scenario == WITH_O1_JUMPS and case.n > min(beta, gamma):
-        raise InfeasibleOrientationError(
-            f"n={case.n} exceeds the available ovals at beta={beta}")
     groups = []
     for total, imb in ((beta, m_imb), (gamma, i_imb)):
         if (total + imb) % 2:
@@ -407,6 +411,11 @@ def _parity_class(kind: str, mode: str) -> tuple[tuple[ScenarioResult, ...],
     return tuple(results), tuple(c for r in results for c in r.survivors)
 
 
+def _verdict(survivors: tuple[SignCase, ...]) -> str:
+    """PROHIBITED when no sign case of the parity class survives."""
+    return "OPEN" if survivors else "PROHIBITED"
+
+
 def _prohibit(beta: int, gamma: int, known: Iterable[int],
               mode: str) -> ProhibitReport:
     """`prohibit` on the sizes of a validated nest: beta >= 0, gamma >= 1
@@ -426,7 +435,7 @@ def _prohibit(beta: int, gamma: int, known: Iterable[int],
         orv = check_orevkov(signed, stats=st)
         feasible.append(FeasibleScheme(case, print_signed(signed), rm, orv))
 
-    verdict = "PROHIBITED" if not survivors_all else "OPEN"
+    verdict = _verdict(survivors_all)
     # the scheme in print_scheme's spelling (at beta = 0 the median oval
     # holds only the inner nest oval); `known` is read only for PROHIBITED,
     # and frozenset() returns theorem1_report's frozenset without a copy
@@ -449,17 +458,15 @@ class TheoremOneRow(NamedTuple):
 
 
 def theorem1_report(known: Iterable[int] = (1, 3, 25)) -> list[TheoremOneRow]:
-    """Prohibition table over all odd beta."""
+    """Prohibition table over all odd beta.  The 13 rows share one parity
+    class, so one verdict and one solution count; `known` sets only `new`."""
     known = frozenset(known)
-    rows = []
-    for beta in range(1, TOTAL_EMPTIES, 2):
-        rep = _prohibit(beta, TOTAL_EMPTIES - beta, known, "uniform")
-        count = 0
-        for r in rep.results:
-            count += len(r.solutions)
-        rows.append(TheoremOneRow(beta, rep.gamma, rep.verdict, bool(rep.new),
-                                  count))
-    return rows
+    results, survivors = _parity_class(NO_JUMPS_ODD_GAMMA, "uniform")
+    verdict = _verdict(survivors)
+    count = sum(len(r.solutions) for r in results)
+    return [TheoremOneRow(beta, TOTAL_EMPTIES - beta, verdict,
+                          verdict == "PROHIBITED" and beta not in known, count)
+            for beta in range(1, TOTAL_EMPTIES, 2)]
 
 
 class TheoremTwoRow(NamedTuple):

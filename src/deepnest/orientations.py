@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Literal, NamedTuple, Optional
 
-from .schemes import SchemeSyntaxError, print_items, read_scheme, tree_hash
+from .schemes import _ItemError, print_items, read_scheme, tree_hash
 
 Mode = Literal["uniform", "literal"]
 
@@ -50,8 +50,10 @@ class SignedScheme(NamedTuple):
     ovals: tuple[SignedOval, ...]     # outermost non-empty ovals
 
     def oval_count(self) -> int:
-        return self.empties.plus + self.empties.minus + sum(
-            1 + o.empties.plus + o.empties.minus for o in _iter_ovals(self))
+        total = self.empties.plus + self.empties.minus
+        for o in _iter_ovals(self):
+            total += 1 + o.empties.plus + o.empties.minus
+        return total
 
     def component_count(self) -> int:
         return self.oval_count() + (1 if self.pseudoline else 0)
@@ -76,18 +78,16 @@ def print_signed(s: SignedScheme) -> str:
     return "<" + print_items(items + list(s.ovals), _oval_node) + ">"
 
 
-def _signed_item(count: int, sign: Optional[str], body: Optional[list],
-                 at: int):
+def _signed_item(count: int, sign: str, body: Optional[list]):
     """A signed item: SignedEmpties for empty ovals, SignedOval for a
     container, None for a bare 0."""
-    if sign is None:
+    if not sign:
         if count or body is not None:
-            raise SchemeSyntaxError(
-                "a signed count needs the suffix '_+' or '_-'", at)
+            raise _ItemError("a signed count needs the suffix '_+' or '_-'")
         return None
     if body is not None:
         if count != 1:
-            raise SchemeSyntaxError("signed containers must have count 1", at)
+            raise _ItemError("signed containers must have count 1")
         empties, ovals = _signed_body(body)
         if ovals or empties.plus or empties.minus:
             return SignedOval(1 if sign == "+" else -1, empties, ovals)
@@ -192,7 +192,8 @@ def compute_stats(s: SignedScheme, mode: Mode = "uniform") -> OrientationStats:
         pm += plus * em
         mp += minus * ep
         mm += minus * em
-        stack.extend((c, plus, minus, key_plus, key_minus) for c in o.ovals)
+        for c in o.ovals:
+            stack.append((c, plus, minus, key_plus, key_minus))
 
     return OrientationStats(
         all_plus=all_p + empty_p, all_minus=all_m + empty_m,

@@ -77,7 +77,10 @@ class OvalGroup(NamedTuple):
         return walk
 
     def ovals(self) -> int:
-        return sum(copies for _, _, copies in self._walk())
+        total = 0
+        for _, _, copies in self._walk():
+            total += copies
+        return total
 
     def depth(self) -> int:
         return self._walk()[-1][1]      # breadth first: the last is deepest
@@ -89,7 +92,10 @@ class RealScheme(NamedTuple):
     groups: tuple[OvalGroup, ...]
 
     def oval_count(self) -> int:
-        return sum(g.ovals() for g in self.groups)
+        total = 0
+        for g in self.groups:
+            total += g.ovals()
+        return total
 
     def component_count(self) -> int:
         return self.oval_count() + (1 if self.pseudoline else 0)
@@ -98,85 +104,105 @@ class RealScheme(NamedTuple):
 # ---------------------------------------------------------------------------
 # reading
 
-# a count with its optional sign suffix, or any other single character
-_TOKEN = re.compile(r"\s*(?:(\d+)(?:_([+-]))?|(\S))")
+# a count with its optional sign suffix, or any other single character;
+# counts are ASCII digits, as every integer the CLI reads
+_TOKEN = re.compile(r"\s*(?:([0-9]+)(?:_([+-]))?|(\S))")
+
+
+class _ItemError(ValueError):
+    """An item builder's complaint; `read_scheme` adds the item's position."""
+
+
+def _syntax_error(text: str, message: str, index: int,
+                  shift: int = 0) -> SchemeSyntaxError:
+    """The error at the index-th token of text, or at its end past the last
+    token: the positions are found only when a rule fails."""
+    for k, m in enumerate(_TOKEN.finditer(text)):
+        if k == index:
+            return SchemeSyntaxError(
+                message, m.start(1 if m[1] is not None else 3) + shift)
+    return SchemeSyntaxError(message, len(text) + shift)
 
 
 def read_scheme(text: str, degree: int,
                 node: Callable[..., Any]) -> tuple[bool, list]:
     """Read a scheme in either notation; return (saw J, top-level items).
 
-    node(count, sign, body, position) builds one item of the notation:
-    sign is "+", "-" or None, and body is None for a bare count, otherwise
-    the items already built for "count<body>".  An item of None holds no
-    oval and is dropped.
+    node(count, sign, body) builds one item of the notation: sign is "+",
+    "-" or "" for none, and body is None for a bare count, otherwise the
+    items already built for "count<body>".  An item of None holds no oval
+    and is dropped; node raises _ItemError for an item the notation does
+    not allow.
 
     Raises SchemeSyntaxError at the first rule broken, in text order.  A
     line through the innermost oval of a nest meets each of its ovals
     twice, so by Bezout a nest is at most degree // 2 deep; the bound is
     checked at the count that would go deeper.
     """
-    # (kind, position, digits, sign): kind is "count", "end" or the character
-    tokens = [(m[3], m.start(3), "", None) if m[1] is None
-              else ("count", m.start(1), m[1], m[2])
-              for m in _TOKEN.finditer(text)]
-    tokens.append(("end", len(text), "", None))
+    # (digits, sign, character) per token: a count has digits, any other
+    # token one character; the end of the text has neither
+    tokens = _TOKEN.findall(text)
+    tokens.append(("", "", ""))
+    if tokens[0][2] != "<":
+        raise _syntax_error(text, "expected '<'", 0)
     max_depth = degree // 2
-    kind, at = tokens[0][:2]
-    if kind != "<":
-        raise SchemeSyntaxError("expected '<'", at)
     saw_j = False
     items: list = []     # the body being read
-    open_: list = []     # (count, sign, position, enclosing body) per oval
+    open_: list = []     # (count, sign, token index, enclosing body) per oval
     i = 1
     while True:
-        kind, at, digits, sign = tokens[i]
-        i += 1
-        if kind == "J":
-            if open_:
-                raise SchemeSyntaxError(
-                    "the one-sided component cannot lie inside an oval",
-                    at + 1)
-            if saw_j:
-                raise SchemeSyntaxError("duplicate one-sided component",
-                                        at + 1)
-            saw_j = True
-        elif kind == "count":
+        digits, sign, char = tokens[i]
+        if digits:
             if digits[0] == "0" and len(digits) > 1:
-                raise SchemeSyntaxError("counts may not have leading zeros",
-                                        at)
+                raise _syntax_error(text, "counts may not have leading zeros",
+                                    i)
             count = int(digits)
-            opens = tokens[i][0] == "<"
+            opens = tokens[i + 1][2] == "<"
             if len(open_) >= max_depth and (count or opens):
-                raise SchemeSyntaxError(
-                    f"nest deeper than degree // 2 = {max_depth}", at)
+                raise _syntax_error(
+                    text, f"nest deeper than degree // 2 = {max_depth}", i)
             if opens:
-                open_.append((count, sign, at, items))
+                open_.append((count, sign, i, items))
                 items = []
-                i += 1
+                i += 2
                 continue
-            item = node(count, sign, None, at)
+            try:
+                item = node(count, sign, None)
+            except _ItemError as exc:
+                raise _syntax_error(text, str(exc), i) from None
             if item is not None:
                 items.append(item)
+        elif char == "J":
+            if open_:
+                raise _syntax_error(
+                    text, "the one-sided component cannot lie inside an oval",
+                    i, 1)
+            if saw_j:
+                raise _syntax_error(text, "duplicate one-sided component",
+                                    i, 1)
+            saw_j = True
         else:
-            raise SchemeSyntaxError("expected an item", at)
-        kind, at = tokens[i][:2]
+            raise _syntax_error(text, "expected an item", i)
         i += 1
-        while kind == ">" and open_:
+        char = tokens[i][2]
+        while char == ">" and open_:
             count, sign, start, enclosing = open_.pop()
-            item = node(count, sign, items, start)
+            try:
+                item = node(count, sign, items)
+            except _ItemError as exc:
+                raise _syntax_error(text, str(exc), start) from None
             items = enclosing
             if item is not None:
                 items.append(item)
-            kind, at = tokens[i][:2]
             i += 1
-        if kind == ">":
+            char = tokens[i][2]
+        if char == ">":
             break
-        if kind != "+":
-            raise SchemeSyntaxError("expected '>'", at)
-    kind, at = tokens[i][:2]
-    if kind != "end":
-        raise SchemeSyntaxError("trailing input after scheme", at)
+        if char != "+":
+            raise _syntax_error(text, "expected '>'", i)
+        i += 1
+    if i + 2 != len(tokens):
+        raise _syntax_error(text, "trailing input after scheme", i + 1)
     if degree % 2 == 1 and not saw_j:
         raise SchemeSyntaxError("odd-degree scheme must contain J", 0)
     if degree % 2 == 0 and saw_j:
@@ -184,10 +210,10 @@ def read_scheme(text: str, degree: int,
     return saw_j, items
 
 
-def _group(count: int, sign: Optional[str], body: Optional[list], at: int):
+def _group(count: int, sign: str, body: Optional[list]):
     """A plain item: (canonical text of its body or None, OvalGroup)."""
-    if sign is not None:
-        raise SchemeSyntaxError("a plain scheme count takes no sign", at)
+    if sign:
+        raise _ItemError("a plain scheme count takes no sign")
     if count == 0:
         return None
     if not body:  # a bare count, or "k<0>": k empty ovals

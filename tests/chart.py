@@ -33,6 +33,11 @@ builds the scenarios, solves them and filters the survivors on every call.
 error text was built only for a rule that fails and each top-level group was
 walked once: every rule formats its message first, each node of a walk builds
 a generator, and each group is walked twice.
+
+`read_scheme_stepwise`, with `parse_scheme_stepwise` and
+`parse_signed_stepwise` on top of it, is the scheme reader as it was before
+token positions were found only for a rule that fails: it keeps a match
+object and a position per token.
 """
 
 from __future__ import annotations
@@ -75,16 +80,24 @@ from deepnest.geometry import (
     normalize,
 )
 from deepnest.orientations import (
+    SignedScheme,
+    _signed_body,
+    _signed_item,
     check_orevkov,
     check_rokhlin_mishachev,
     compute_stats,
     print_signed,
 )
 from deepnest.schemes import (
+    _TOKEN,
     DeepNestProfile,
     InadmissibleSchemeError,
     OvalGroup,
     RealScheme,
+    SchemeSyntaxError,
+    _canonical_children,
+    _group,
+    _ItemError,
     _print_group,
     genus_bound,
 )
@@ -613,3 +626,99 @@ def _deep_child(g: OvalGroup) -> OvalGroup:
     walk = oval_walk(g)
     return next(h for d in (4, 3) for h, depth, _ in walk
                 if depth == d and h.body is not None)
+
+
+# ---------------------------------------------------------------------------
+# the scheme reader as it was before positions were found only on failure
+
+def read_scheme_stepwise(text: str, degree: int, node) -> tuple[bool, list]:
+    """`deepnest.schemes.read_scheme` as it was: a match object and a
+    position per token, and node(count, sign, body, position) raising
+    SchemeSyntaxError itself.  It reads the library's `_TOKEN`."""
+    # (kind, position, digits, sign): kind is "count", "end" or the character
+    tokens = [(m[3], m.start(3), "", None) if m[1] is None
+              else ("count", m.start(1), m[1], m[2])
+              for m in _TOKEN.finditer(text)]
+    tokens.append(("end", len(text), "", None))
+    max_depth = degree // 2
+    kind, at = tokens[0][:2]
+    if kind != "<":
+        raise SchemeSyntaxError("expected '<'", at)
+    saw_j = False
+    items: list = []     # the body being read
+    open_: list = []     # (count, sign, position, enclosing body) per oval
+    i = 1
+    while True:
+        kind, at, digits, sign = tokens[i]
+        i += 1
+        if kind == "J":
+            if open_:
+                raise SchemeSyntaxError(
+                    "the one-sided component cannot lie inside an oval",
+                    at + 1)
+            if saw_j:
+                raise SchemeSyntaxError("duplicate one-sided component",
+                                        at + 1)
+            saw_j = True
+        elif kind == "count":
+            if digits[0] == "0" and len(digits) > 1:
+                raise SchemeSyntaxError("counts may not have leading zeros",
+                                        at)
+            count = int(digits)
+            opens = tokens[i][0] == "<"
+            if len(open_) >= max_depth and (count or opens):
+                raise SchemeSyntaxError(
+                    f"nest deeper than degree // 2 = {max_depth}", at)
+            if opens:
+                open_.append((count, sign, at, items))
+                items = []
+                i += 1
+                continue
+            item = node(count, sign, None, at)
+            if item is not None:
+                items.append(item)
+        else:
+            raise SchemeSyntaxError("expected an item", at)
+        kind, at = tokens[i][:2]
+        i += 1
+        while kind == ">" and open_:
+            count, sign, start, enclosing = open_.pop()
+            item = node(count, sign, items, start)
+            items = enclosing
+            if item is not None:
+                items.append(item)
+            kind, at = tokens[i][:2]
+            i += 1
+        if kind == ">":
+            break
+        if kind != "+":
+            raise SchemeSyntaxError("expected '>'", at)
+    kind, at = tokens[i][:2]
+    if kind != "end":
+        raise SchemeSyntaxError("trailing input after scheme", at)
+    if degree % 2 == 1 and not saw_j:
+        raise SchemeSyntaxError("odd-degree scheme must contain J", 0)
+    if degree % 2 == 0 and saw_j:
+        raise SchemeSyntaxError("even-degree scheme cannot contain J", 0)
+    return saw_j, items
+
+
+def _placed(build):
+    """A library item builder as `read_scheme_stepwise` calls it: the sign
+    None for none, and its complaint raised at the item's position."""
+    def node(count, sign, body, at):
+        try:
+            return build(count, sign or "", body)
+        except _ItemError as exc:
+            raise SchemeSyntaxError(str(exc), at) from None
+    return node
+
+
+def parse_scheme_stepwise(text: str, degree: int) -> RealScheme:
+    saw_j, items = read_scheme_stepwise(text, degree, _placed(_group))
+    return RealScheme(degree, saw_j, _canonical_children(items)[1])
+
+
+def parse_signed_stepwise(text: str, degree: int) -> SignedScheme:
+    saw_j, items = read_scheme_stepwise(text, degree, _placed(_signed_item))
+    return SignedScheme(degree, saw_j, *_signed_body(items))

@@ -308,6 +308,32 @@ def test_emission_rejects_out_of_range():
         emit_complex_scheme(SignCase(NO_JUMPS_EVEN_GAMMA, -1, -1, 1, 4), 2)
 
 
+def test_with_o1_jumps_emission_fits_exactly_the_available_ovals():
+    """Every with-o1-jumps sign case at every beta: the case is emitted
+    exactly when n has beta's parity and 1 <= n <= min(beta, gamma), and a
+    case with n > min(beta, gamma) raises."""
+    accepted = set()
+    for signs, n, beta in product(product((1, -1), repeat=3), range(28),
+                                  range(27)):
+        case = SignCase(WITH_O1_JUMPS, *signs, n)
+        try:
+            s = emit_complex_scheme(case, beta)
+        except InfeasibleOrientationError as exc:
+            if n >= 1 and n % 2 == beta % 2:    # admissible, yet too large
+                assert "does not fit in" in str(exc)
+            continue
+        assert n <= min(beta, 26 - beta)
+        (outer,) = s.ovals
+        assert sum(outer.empties) == beta
+        assert sum(outer.ovals[0].empties) == 26 - beta
+        accepted.add((case, beta))
+    assert accepted == {
+        (SignCase(WITH_O1_JUMPS, *signs, n), beta)
+        for signs in product((1, -1), repeat=3) for beta in range(27)
+        for n in range(1, min(beta, 26 - beta) + 1) if n % 2 == beta % 2}
+    assert len(accepted) == 8 * 91
+
+
 # --- headline reports ------------------------------------------------------
 
 def test_odd_median_counts_are_prohibited():

@@ -310,6 +310,18 @@ def assert_input_error(capsys, argv):
     return captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["parse", "--scheme", "<J + \u0662\u0668>"],
+    ["parse", "--scheme", "<J + \u0660\u0667 + 21>"],
+    ["check-rm", "--scheme", "<J + \u0662\u0668_+>"],
+    ["check-orevkov", "--scheme",
+     "<J + 1_+<4_+ + 0_- + 1_-<\u0661\u0662_+ + 10_->>>"],
+    ["prohibit", "--scheme", "<J + 1<4 + 1<\u0662\u0662>>>"]])
+def test_non_ascii_scheme_counts_exit_2(capsys, argv):
+    err = assert_input_error(capsys, argv)
+    assert "expected an item (at position" in err
+
+
 NOT_M_CURVE = ("deepnest: error: prohibition argument applies to schemes "
                "with the maximal number of components\n")
 NO_NEST = "deepnest: error: scheme has no depth-3 nest\n"

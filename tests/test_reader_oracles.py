@@ -1,10 +1,12 @@
 """The trace and scheme readers against their earlier forms in `chart`.
 
-`parse_trace` builds an error text only for the rule that fails, and
-`classify_deep_nest` walks each top-level group once.  The earlier readers
-built every text first and walked each group twice; on every input, valid or
-broken in one or two places, both must give the same records, or the same
-exception class with the same message and witness.
+`parse_trace` builds an error text only for the rule that fails,
+`classify_deep_nest` walks each top-level group once, and `read_scheme`
+finds token positions only when a rule fails.  The earlier readers built
+every text first, walked each group twice and kept a position per token; on
+every input, valid or broken in a few places, both must give the same
+records, or the same exception class with the same message and witness or
+position.
 """
 
 from __future__ import annotations
@@ -19,9 +21,12 @@ from chart import (
     classify_deep_nest_twice,
     is_m_curve_walked,
     oval_walk,
+    parse_scheme_stepwise,
+    parse_signed_stepwise,
     parse_trace_eager,
 )
 from deepnest.bezout import parse_trace
+from deepnest.orientations import parse_signed
 from deepnest.schemes import (
     OvalGroup,
     RealScheme,
@@ -33,13 +38,14 @@ from deepnest.schemes import (
 GOLDEN_TRACE = pathlib.Path(__file__).parent / "golden" / "trace.json"
 
 
-def outcome(read, arg):
-    """(exception class, message, witness oval) if `read` raises, else
-    (None, its result, None)."""
+def outcome(read, *args):
+    """(exception class, message, witness oval or position) if `read`
+    raises, else (None, its result, None)."""
     try:
-        return None, read(arg), None
+        return None, read(*args), None
     except Exception as exc:  # the class itself is compared
-        return type(exc), str(exc), getattr(exc, "oval", None)
+        return (type(exc), str(exc),
+                getattr(exc, "oval", getattr(exc, "position", None)))
 
 
 # ---------------------------------------------------------------------------
@@ -294,3 +300,112 @@ def test_a_1501_deep_nest_classifies_without_recursion():
     assert outcome(classify_deep_nest, s) == outcome(
         classify_deep_nest_twice, s)
     assert is_m_curve(s) == is_m_curve_walked(s) is False
+
+
+# ---------------------------------------------------------------------------
+# scheme texts
+
+def random_body(rng, room: int, signed: bool) -> str:
+    """Items of one level, nested at most `room` levels deeper."""
+    items = []
+    for _ in range(rng.randint(1, 4)):
+        if room == 0:
+            items.append("0")
+        elif room > 1 and rng.random() < 0.35:
+            head = "1" if signed else str(rng.choice((0, 1, 1, 2, 3)))
+            if signed:
+                head += rng.choice(("_+", "_-"))
+            items.append(f"{head}<{random_body(rng, room - 1, signed)}>")
+        elif signed:
+            items.append(rng.choice(("0", f"{rng.randint(0, 12)}_+",
+                                     f"{rng.randint(0, 12)}_-")))
+        else:
+            items.append(str(rng.randint(0, 12)))
+    return rng.choice((" + ", "+", "  +\t")).join(items)
+
+
+def random_scheme_text(rng, degree: int, signed: bool) -> str:
+    """A valid text of the degree: J exactly when it is odd, anywhere at the
+    top level, and counts nested at most degree // 2 deep."""
+    body = random_body(rng, degree // 2, signed)
+    if degree % 2:
+        body = rng.choice(("J + " + body, body + " + J", "J"))
+    return rng.choice(("<", " < ")) + body + rng.choice((">", "> ", " >"))
+
+
+# what a break puts into a text: the grammar's characters, digits with and
+# without leading zeros, sign suffixes, and digits of other scripts
+INSERTS = ["<", ">", "+", "J", "0", "7", "07", "_", "_+", "_-", " ",
+           "x", "1<", ">>", "<J>", "\u0662", "\u0660\u0667", "\uff11"]
+
+
+def break_text(rng, text: str) -> str:
+    at = rng.randrange(len(text) + 1)
+    kind = rng.randrange(4)
+    if kind == 0:       # insert
+        return text[:at] + rng.choice(INSERTS) + text[at:]
+    if kind == 1:       # delete
+        return text[:at] + text[at + 1:]
+    if kind == 2:       # replace
+        return text[:at] + rng.choice(INSERTS) + text[at + 1:]
+    digits = [k for k, c in enumerate(text) if c in "0123456789"]
+    if not digits:
+        return text
+    at = rng.choice(digits)     # another count, or a leading zero
+    return text[:at] + rng.choice("0123") + text[at + 1:]
+
+
+def assert_same_scheme_outcome(text: str, degree: int):
+    """Both notations, each through both readers; the outcomes."""
+    outcomes = []
+    for new, old in ((parse_scheme, parse_scheme_stepwise),
+                     (parse_signed, parse_signed_stepwise)):
+        expected = outcome(old, text, degree)
+        assert outcome(new, text, degree) == expected, (text, degree)
+        outcomes.append(expected)
+    return outcomes
+
+
+SCHEME_RULES = {
+    "expected '<'", "expected an item", "expected '>'",
+    "trailing input after scheme", "counts may not have leading zeros",
+    "nest deeper than degree // 2",
+    "the one-sided component cannot lie inside an oval",
+    "duplicate one-sided component", "odd-degree scheme must contain J",
+    "even-degree scheme cannot contain J",
+    "a plain scheme count takes no sign",
+    "a signed count needs the suffix '_+' or '_-'",
+    "signed containers must have count 1",
+}
+
+
+def test_random_scheme_texts_read_the_same():
+    """Valid texts in both notations at degrees 1..12, each also broken in
+    one to three places, sometimes read at another degree."""
+    rng = random.Random(2701)
+    valid = broken = 0
+    rules = set()
+    for k in range(2400):
+        degree = rng.randint(1, 12)
+        text = random_scheme_text(rng, degree, signed=k % 2 == 1)
+        plain, signed = assert_same_scheme_outcome(text, degree)
+        assert (signed if k % 2 else plain)[0] is None, (text, degree)
+        valid += 1
+        for _ in range(rng.randint(1, 3)):
+            text = break_text(rng, text)
+        if rng.random() < 0.2:
+            degree = rng.randint(1, 12)
+        for cls, message, _ in assert_same_scheme_outcome(text, degree):
+            if cls is not None:
+                broken += 1
+                rules.add(message.split(" (at position")[0].split(" = ")[0])
+    assert valid == 2400 and broken > 2400
+    # every rule of the reader and of both item builders was reported
+    assert rules == SCHEME_RULES, rules ^ SCHEME_RULES
+
+
+def test_empty_and_blank_scheme_texts_read_the_same():
+    for text in ("", " ", "\t\n", "<", "<>", "< >", "J", "<J", "<J +",
+                 "<J + 1<", "<1<2>", ">", "<J>>", "<J> <J>"):
+        for degree in (1, 2, 9):
+            assert_same_scheme_outcome(text, degree)

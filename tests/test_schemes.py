@@ -50,6 +50,23 @@ def test_parse_errors_carry_positions():
             parse_scheme(text, degree)
 
 
+@pytest.mark.parametrize("text, parse", [
+    ("<J + \u0662\u0668>", parse_scheme),
+    ("<J + \u0660\u0667 + 21>", parse_scheme),
+    ("<J + 1<4 + 1<\u0662\u0662>>>", parse_scheme),
+    ("<J + \u0662\u0668_+>", parse_signed),
+    ("<J + 1_+<4_+ + 0_- + 1_-<\uff11\uff12_+ + 10_->>>", parse_signed)])
+def test_counts_are_ascii_digits(text, parse):
+    """A decimal digit of another script is no count: the reader stops at
+    it, as at any other character that is not an item."""
+    digit = next(k for k, c in enumerate(text) if c.isdigit()
+                 and not "0" <= c <= "9")
+    with pytest.raises(SchemeSyntaxError) as exc:
+        parse(text, 9)
+    assert exc.value.position == digit
+    assert str(exc.value) == f"expected an item (at position {digit})"
+
+
 @pytest.mark.parametrize("degree, parse, oval", [
     *(pytest.param(d, parse_scheme, "1", id=str(d)) for d in (2, 5, 8, 9)),
     *(pytest.param(d, parse_signed, "1_+", id=f"signed-{d}")
