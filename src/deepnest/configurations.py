@@ -12,10 +12,14 @@ configuration's 20 orientation signs.  Hence a sampled configuration whose
 table equals its template's is accepted without classifying it, comparing
 only the 20 signs of the unordered triples, and the event sequence reads
 the table that the classifier has already relabeled to canonical labels,
-instead of building or relabeling another.  The pencil order is ranked by
-`geometry.turn_order`, and the interior labels alone fix the shift sigma^k,
-so all three classes are relabeled, shape-tested and region-tested on one
-path.
+instead of building or relabeling another.  `tests/test_table_proof.py`
+enumerates every table six points can have: 496 are pencil-ordered, 26 of
+them valid (1, 10 and 15 per class), and each of the other 470 has a
+witness.  No perturbation that the sampler makes changes a sign of a base
+configuration, so `lemma3 --case` reads one table per class and samples
+nothing.  The pencil order is ranked by `geometry.turn_order`, and the
+interior labels alone fix the shift sigma^k, so all three classes are
+relabeled, shape-tested and region-tested on one path.
 
 The event sequence of a valid configuration lists, in pencil order, the five
 reducible members of the cubic pencil through the six points (labeled "12".."16"
@@ -103,14 +107,16 @@ _WITNESS_PAIRS = tuple((PRINCIPAL_TRIANGLES[i], PRINCIPAL_TRIANGLES[(i + d) % 5]
 
 
 class Witness(NamedTuple):
-    """Two principal triangles with disjoint interiors (exactly verified)."""
+    """Two principal triangles with disjoint interiors (exactly verified).
+    Any two principal triangles share a side or a vertex, as two 3-arcs of
+    a 5-cycle meet."""
 
     triangles: tuple[tuple[int, int, int], tuple[int, int, int]]
     shared: tuple[int, ...]
 
     @property
     def kind(self) -> str:
-        return {2: "segment", 1: "vertex", 0: "empty"}[len(self.shared)]
+        return "segment" if len(self.shared) == 2 else "vertex"
 
     @property
     def text(self) -> str:
@@ -118,9 +124,7 @@ class Witness(NamedTuple):
         b = "".join(map(str, self.triangles[1]))
         if len(self.shared) == 2:
             return f"{a}|{b}=[{self.shared[0]}{self.shared[1]}]"
-        if len(self.shared) == 1:
-            return f"{a}|{b}={{{self.shared[0]}}}"
-        return f"{a}|{b}=empty"
+        return f"{a}|{b}={{{self.shared[0]}}}"
 
 
 class Classification(NamedTuple):
@@ -335,16 +339,11 @@ def _classify_signs(signs: tuple) -> tuple[Classification, tuple]:
 
 def _contradiction(signs, pattern, interior, relabel=0, region=None,
                   note=None):
-    w = find_witness(signs)
-    notes = (note,) if note else ()
-    if w is None:
-        # every excluded pattern carries a witness; reaching this means the
-        # input sits outside the classified families entirely
-        raise DegeneratePositionError(
-            f"no triangle-pair witness for pattern {pattern} / {interior}")
+    # every excluded table has a witness (tests/test_table_proof.py)
     return Classification("contradiction", relabel_shift=relabel,
-                          pattern=pattern, interior=interior,
-                          region=region, witness=w, notes=notes)
+                          pattern=pattern, interior=interior, region=region,
+                          witness=find_witness(signs),
+                          notes=(note,) if note else ())
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +394,7 @@ def reducible_cubic_sequence(cfg: dict[int, Triple]) -> SequenceReport:
     cl, signs = _classify_signs(orientation_table(cfg))
     if not cl.is_valid:
         return SequenceReport(classification=cl)
-    order = conic_pencil_events(signs, cfg)
+    order = conic_pencil_events(signs)
     if _BACKWARDS[cl.case]:
         order.reverse()
     out = []

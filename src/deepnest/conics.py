@@ -4,10 +4,10 @@ A conic is a canonical integer 6-tuple (a, b, c, d, e, f) representing
     a x^2 + b xy + c y^2 + d xz + e yz + f z^2 = 0,
 coprime with first nonzero entry positive (`geometry.normalize`).
 `conic_pencil_events`, what `lemma3` runs, orders the five reducible cubics
-through six points by turns of the conic pencil that a quadratic (Cremona)
-transformation makes of them, each a fixed sign times a product of
-orientation signs (`geometry.turn_order`): no Cremona map, conic or pencil
-parameter is built.
+through the six points of a valid table by turns of the conic pencil that a
+quadratic (Cremona) transformation makes of them, each a fixed sign times a
+product of orientation signs (`geometry.turn_order`): no point, Cremona map,
+conic or pencil parameter is read or built.
 `conic_through_5`, `polar_line` and the Cremona point map run in no command;
 the test oracles use them, and `perfbench/tracer.py` traces them by name.
 The integer pencil that gives the same order from the points, its canonical
@@ -98,35 +98,27 @@ _EVENT_TURNS = tuple((y, x, s, tuple(slot(*t) for t in brackets))
 ))
 
 
-def conic_pencil_events(signs: tuple, pts: dict) -> list[str]:
+def conic_pencil_events(signs: tuple) -> list[str]:
     """The five reducible cubics through a valid configuration's six points,
     labeled by their line components "12".."16", in pencil order from "12".
 
     `signs` is the orientation table of the configuration relabeled to its
-    class's canonical labels, `pts` its points under any labels.  The order
-    is that of the pencil of conics through 1 and the images of 2, 3, 6
-    under the quadratic map based at 1, 5, 4, read from (1 : 0) at 12|34:
-    its singular members 12|34, 13|24 and 14|23 stand for "12", "13" and
-    "16", the members through 5 and 4 for "14" and "15".  Each turn
-    (12|34, y, x) of two events is a fixed sign times a product of table
-    signs (`_EVENT_TURNS`), and x comes after y iff it is negative; a zero
-    sign raises.  The turns through 14|23 carry C^2, where
+    class's canonical labels.  The order is that of the pencil of conics
+    through 1 and the images of 2, 3, 6 under the quadratic map based at
+    1, 5, 4, read from (1 : 0) at 12|34: its singular members 12|34, 13|24
+    and 14|23 stand for "12", "13" and "16", the members through 5 and 4
+    for "14" and "15".  Each turn (12|34, y, x) of two events is a fixed
+    sign times a product of table signs (`_EVENT_TURNS`), and x comes after
+    y iff it is negative.  The turns through 14|23 carry C^2, where
 
         C = [123][145][246][356] - [124][135][236][456]
 
-    vanishes iff the six points lie on one conic; C = 0 raises
-    `DegeneratePositionError`.  C's zero set does not depend on the labels.
+    vanishes iff the six points lie on one conic, under any labels.
+    `tests/test_table_proof.py` proves that neither degeneracy reaches this
+    function: a valid table has no zero sign, so no turn is 0, and it fixes
+    sign C != 0.
     """
-    p1, p2, p3, p4, p5, p6 = (pts[k] for k in (1, 2, 3, 4, 5, 6))
-    if (det3(p1, p2, p3) * det3(p1, p4, p5) * det3(p2, p4, p6)
-            * det3(p3, p5, p6) == det3(p1, p2, p4) * det3(p1, p3, p5)
-            * det3(p2, p3, p6) * det3(p4, p5, p6)):
-        raise DegeneratePositionError(
-            "the six points lie on one conic: reducible cubics coincide")
-    order = turn_order(signs, "12", _EVENT_TURNS)
-    if order is None:
-        raise DegeneratePositionError("three of the six points are collinear")
-    return order
+    return turn_order(signs, "12", _EVENT_TURNS)
 
 
 # ---------------------------------------------------------------------------

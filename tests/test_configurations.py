@@ -151,9 +151,9 @@ def test_sampler_accepts_a_new_table_of_its_kind(monkeypatch):
     assert classified == [shifted]
 
 
-def test_lemma3_classifies_each_sample_once(monkeypatch, capsys):
-    calls = {"_classify_signs": 0, "orientation_table": 0,
-             "orientation_signs": 0, "conic_pencil_events": 0}
+def test_lemma3_case_classifies_its_template_once(monkeypatch, capsys):
+    calls = {"reducible_cubic_sequence": 0, "_classify_signs": 0,
+             "orientation_table": 0, "conic_pencil_events": 0}
 
     def counted(name):
         fn = getattr(configurations, name)
@@ -165,14 +165,16 @@ def test_lemma3_classifies_each_sample_once(monkeypatch, capsys):
 
     for name in calls:
         monkeypatch.setattr(configurations, name, counted(name))
-    # neither the circle sort nor the Cremona map may run: replace each
-    # under every name a loaded deepnest module binds it to
+    # neither the sampler, nor the circle sort, nor the Cremona map may run:
+    # replace each under every name a loaded deepnest module binds it to
     def refusal(name):
         def refuse(*args, **kwargs):
             raise AssertionError(f"lemma3 --case called {name}")
         return refuse
 
-    for fn in (geometry.circle_sort, conics.cremona):
+    for fn in (configurations.sample_configuration,
+               configurations.perturb_configuration, geometry.circle_sort,
+               conics.cremona):
         for module in list(sys.modules.values()):
             if getattr(module, "__name__", "").startswith("deepnest"):
                 for attr, value in list(vars(module).items()):
@@ -181,7 +183,6 @@ def test_lemma3_classifies_each_sample_once(monkeypatch, capsys):
                                             refusal(fn.__name__))
     monkeypatch.setattr(conics.CremonaMap, "point",
                         refusal("CremonaMap.point"))
-    monkeypatch.setattr(configurations, "_TEMPLATE_SIGNS", {})
     # each sign vector computed takes one chart representative per point
     reps = []
     chart_rep = geometry.chart_rep
@@ -190,14 +191,13 @@ def test_lemma3_classifies_each_sample_once(monkeypatch, capsys):
     geometry._signs.cache_clear()
     argv = ["--json", "lemma3", "--case", "2", "--samples", "20", "--seed", "0"]
     assert main(argv) == 0
-    assert '"matchesPaper": true' in capsys.readouterr().out
-    # per sample: the sampler's 20 signs, the sequence's table, one
-    # classification and one pencil; plus the template's signs once
-    assert calls == {"_classify_signs": 20, "orientation_table": 20,
-                     "orientation_signs": 20 + 1, "conic_pencil_events": 20}
-    # the sequence's table reuses the signs the sampler has just computed:
-    # 20 samples and the template, not 2 * 20 + 1
-    assert len(reps) == 6 * (20 + 1)
+    out = capsys.readouterr().out
+    assert '"matchesPaper": true' in out
+    assert out.count('"relabelShift": 0') == 20
+    # one sequence of the template for all 20 samples: one table, one
+    # classification and one pencil, from one sign vector
+    assert calls == dict.fromkeys(calls, 1)
+    assert len(reps) == 6
 
 
 @pytest.mark.parametrize("case", [2, 3])

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import random
@@ -15,7 +16,7 @@ import pytest
 
 from deepnest import configurations
 from deepnest.cli import main
-from deepnest.conics import _EVENT_TURNS, _raw_pair, conic_pencil_events
+from deepnest.conics import _EVENT_TURNS, _raw_pair
 from deepnest.configurations import (
     BASE_CONFIGURATIONS,
     REFERENCE_SEQUENCES,
@@ -94,26 +95,22 @@ def pencil_ordered(pts, rng):
     return {1: cfg[1], **{2 + j: cfg[2 + i] for j, i in enumerate(order)}}
 
 
-def corpus_samples(monkeypatch, capsys):
-    """The configurations that the lemma3 digest corpus sequences: every
-    sample of `lemma3 --case K --seed S --samples 40`, K = 1..3, S = 0..4,
-    and the valid templates that its `--config` runs read."""
+def corpus_samples():
+    """The samples that the seeds of the lemma3 digest corpus draw: 40 per
+    `--case K --seed S`, K = 1..3, S = 0..4, each with its template's table
+    (`tests/test_table_proof.py`), and the valid templates that its
+    `--config` runs read."""
     seen = []
-    sequence = configurations.reducible_cubic_sequence
-    monkeypatch.setattr(configurations, "reducible_cubic_sequence",
-                        lambda cfg: seen.append(cfg) or sequence(cfg))
     for k in (1, 2, 3):
         for s in range(5):
-            assert main(["--json", "lemma3", "--case", str(k), "--seed",
-                         str(s), "--samples", "40"]) == 0
-    capsys.readouterr()
-    monkeypatch.undo()
+            rng = random.Random(s)
+            seen += [sample_configuration(f"case{k}", rng) for _ in range(40)]
     assert len(seen) == 600
     return seen + list(BASE_CONFIGURATIONS.values())
 
 
-def test_event_order_is_the_cremona_pencil_order(monkeypatch, capsys):
-    configs = corpus_samples(monkeypatch, capsys)
+def test_event_order_is_the_cremona_pencil_order():
+    configs = corpus_samples()
     for cfg in BASE_CONFIGURATIONS.values():
         configs += [sigma_shift(cfg, k) for k in range(5)]
     # seeded valid configurations: random pencil-ordered draws, then
@@ -173,9 +170,10 @@ def test_each_turn_is_the_raw_turn_of_the_cremona_pencil():
         try:
             ga, gb, events = integer_pencil_events(base, extras)
         except DegeneratePositionError:
-            # only six points on one conic reach an error of the pencil
-            with pytest.raises(DegeneratePositionError):
-                conic_pencil_events(orientation_table(cfg), cfg)
+            # only six points on one conic reach an error of the pencil,
+            # and they never classify as valid
+            assert conic_sign(cfg) == 0
+            assert not is_valid(cfg)
             continue
         params = {SINGULAR.get(label, label): (lam, mu)
                   for _, label, lam, mu in events}
@@ -191,31 +189,49 @@ def test_each_turn_is_the_raw_turn_of_the_cremona_pencil():
         checked += 1
 
 
-def test_six_points_on_one_conic_raise():
+def is_valid(cfg) -> bool:
+    try:
+        return configurations.classify_configuration(cfg).is_valid
+    except InvalidConfigurationError:
+        return False
+
+
+def test_six_points_on_one_conic_never_yield_events():
     # integer points of the circle x^2 + y^2 = 25 and of the ellipse
-    # x^2 + 4 y^2 = 100, in several label orders
+    # x^2 + 4 y^2 = 100, in every label order: in pencil order at point 1
+    # they classify as a contradiction, in any other they are refused
     circle = [(5, 0), (4, 3), (0, 5), (-3, 4), (-4, -3), (3, -4)]
     ellipse = [(10, 0), (8, 3), (6, 4), (0, 5), (-6, -4), (-8, 3)]
-    rng = random.Random(6)
     for pts in (circle, ellipse):
-        for _ in range(10):
-            rng.shuffle(pts)
-            cfg = {k: point(*p) for k, p in enumerate(pts, start=1)}
-            assert 0 not in orientation_signs(cfg)
-            with pytest.raises(DegeneratePositionError,
-                               match="lie on one conic"):
-                conic_pencil_events(orientation_table(cfg), cfg)
+        outcomes = {"contradiction": 0, "refused": 0}
+        for labelled in itertools.permutations(pts):
+            cfg = {k: point(*p) for k, p in enumerate(labelled, start=1)}
+            assert 0 not in orientation_signs(cfg) and conic_sign(cfg) == 0
             with pytest.raises(DegeneratePositionError):
                 integer_pencil_events(*cremona_pencil(cfg))
+            try:
+                rep = reducible_cubic_sequence(cfg)
+            except InvalidConfigurationError:
+                outcomes["refused"] += 1
+                continue
+            assert rep.classification.verdict == "contradiction"
+            assert rep.events == ()
+            outcomes["contradiction"] += 1
+        assert outcomes == {"contradiction": 30, "refused": 690}
 
 
-def test_a_zero_turn_raises():
+def test_a_collinear_triple_exits_2(tmp_path, capsys):
     # points 2, 4 and 5 are collinear; the six lie on no conic
     cfg = {1: point(0, 0), 2: point(1, 0), 3: point(0, 5), 4: point(2, 1),
            5: point(3, 2), 6: point(-3, 1)}
     assert conic_sign(cfg) != 0
-    with pytest.raises(DegeneratePositionError, match="collinear"):
-        conic_pencil_events(orientation_table(cfg), cfg)
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps(
+        [{"label": k, "point": list(p)} for k, p in cfg.items()]))
+    assert main(["--json", "lemma3", "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("deepnest: error: invalid configuration:")
 
 
 def report(monkeypatch, tmp_path, name, points):
