@@ -490,13 +490,11 @@ def theorem2_report(beta: int, gamma: Optional[int] = None) -> TheoremTwoRow:
     if gamma == 0:
         raise ValueError(_NO_NEST)
     rep = _prohibit(beta, gamma, (), "uniform")
-    skipped = []
-    for result in rep.results:
-        for case in result.survivors:
-            if not any(f.case == case for f in rep.feasible):
-                skipped.append(case)
+    fitted = {f.case for f in rep.feasible}
+    skipped = tuple(case for result in rep.results
+                    for case in result.survivors if case not in fitted)
     return TheoremTwoRow(beta=beta, gamma=gamma,
-                         schemes=rep.feasible, skipped=tuple(skipped))
+                         schemes=rep.feasible, skipped=skipped)
 
 
 # ---------------------------------------------------------------------------

@@ -8,16 +8,16 @@ five principal triangles 234, 345, 456, 562, 623 have disjoint interiors and
 the pair is reported as an exact witness.  The pencil order, the hull, the
 sub-region and the witness are each decided by signs of 3x3 determinants of
 chart points, so the classifier reads them all from one table of the
-configuration's 20 orientation signs.  Hence a sampled configuration whose
-table equals its template's is accepted without classifying it, comparing
-only the 20 signs of the unordered triples, and the event sequence reads
-the table that the classifier has already relabeled to canonical labels,
+configuration's 20 orientation signs, and the event sequence reads the
+table that the classifier has already relabeled to canonical labels,
 instead of building or relabeling another.  `tests/test_table_proof.py`
 enumerates every table six points can have: 496 are pencil-ordered, 26 of
 them valid (1, 10 and 15 per class), and each of the other 470 has a
 witness.  No perturbation that the sampler makes changes a sign of a base
 configuration, so `lemma3 --case` reads one table per class and samples
-nothing.  The pencil order is ranked by `geometry.turn_order`, and the
+nothing; nor does one make a sign of any template 0 or change its kind,
+so a sample is its template perturbed once, and is never classified.
+The pencil order is ranked by `geometry.turn_order`, and the
 interior labels alone fix the shift sigma^k, so all three classes are
 relabeled, shape-tested and region-tested on one path.
 
@@ -52,7 +52,6 @@ from .geometry import (
     _hull_cycle,
     chart_orient,
     normalize,
-    orientation_signs,
     orientation_table,
     slot,
     turn_order,
@@ -426,35 +425,19 @@ def perturb_configuration(cfg: dict[int, Triple], rng):
     return out
 
 
-# kind -> labels and orientation signs of its template, filled on first use
-_TEMPLATE_SIGNS: dict[str, tuple] = {}
-
-
 def sample_configuration(kind: str, rng):
     """A fresh configuration of the requested kind: "case1".."case3" or an
-    excluded-pattern key from EXCLUSION_TEMPLATES.  Perturbs a stored template
-    once; if the perturbed points do not classify as `kind`, returns a copy of
-    the template itself, which always does.  The classifier reads only the
-    orientation table, so a sample with its template's table (no zero sign,
-    hence distinct points) is of its template's kind without classifying:
-    with the template's labels in the template's order, equal signs of the
-    unordered triples (`orientation_signs`) mean equal tables."""
+    excluded-pattern key from EXCLUSION_TEMPLATES, its stored template
+    perturbed once.  No perturbation makes a sign of the template 0 or
+    changes its kind (`tests/test_table_proof.py`), so the sample is not
+    classified."""
     if kind in ("case1", "case2", "case3"):
         template = BASE_CONFIGURATIONS[int(kind[-1])]
     elif kind in EXCLUSION_TEMPLATES:
         template = EXCLUSION_TEMPLATES[kind]
     else:
         raise InvalidConfigurationError(f"unknown configuration kind {kind!r}")
-    if kind not in _TEMPLATE_SIGNS:
-        _TEMPLATE_SIGNS[kind] = (tuple(template), orientation_signs(template))
-    cfg = perturb_configuration(template, rng)
-    try:
-        if ((tuple(cfg), orientation_signs(cfg)) == _TEMPLATE_SIGNS[kind]
-                or configuration_kind(classify_configuration(cfg)) == kind):
-            return cfg
-    except (InvalidConfigurationError, DegeneratePositionError):
-        pass
-    return dict(template)
+    return perturb_configuration(template, rng)
 
 
 def configuration_kind(cl: Classification) -> str:

@@ -9,8 +9,8 @@ infinity of the affine chart.  Points handed to the chart predicates must
 lie off J.  A hull (`_hull_cycle`), and every decision of the six-point
 classification, is read from a flat table of chart orientations over labels
 0..6 (`orientation_table`, [abc] at `slot(a, b, c)`), spread from the signs
-of the unordered triples, which `orientation_signs` remembers for its last
-point set.  `turn_order` ranks labels by turns, products of table signs.
+of the unordered triples (`orientation_signs`).  `turn_order` ranks labels
+by turns, products of table signs.
 
 `circle_sort` orders full-circle vectors exactly; with the double-angle
 embedding (dx, dy) -> (dx^2 - dy^2, 2 dx dy) of `tests/chart.py`, which is
@@ -111,16 +111,11 @@ def slot(a: int, b: int, c: int) -> int:
 
 def orientation_signs(pts: dict) -> tuple:
     """Chart orientation of each unordered triple of labels of `pts` (label ->
-    point off J), in `combinations` order; the last result is remembered."""
-    return _signs(tuple(pts.values()))
-
-
-@lru_cache(maxsize=1)
-def _signs(pts: tuple) -> tuple:
+    point off J), in `combinations` order."""
     # one chart_rep per point and one det3, written out, per triple
     out = []
     for (ax, ay, az), (bx, by, bz), (cx, cy, cz) in \
-            combinations([chart_rep(p) for p in pts], 3):
+            combinations([chart_rep(p) for p in pts.values()], 3):
         d = (ax * (by * cz - bz * cy) - ay * (bx * cz - bz * cx)
              + az * (bx * cy - by * cx))
         out.append((d > 0) - (d < 0))

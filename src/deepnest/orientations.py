@@ -37,10 +37,14 @@ class SignedEmpties(NamedTuple):
 
 
 class SignedOval(NamedTuple):
-    sign: int  # +1 or -1
+    """A non-empty oval of sign +1 or -1, with the empty ovals and the
+    non-empty ovals directly inside it.  hash() does not recurse; `==` and
+    repr() do, and raise RecursionError a few hundred levels deep."""
+
+    sign: int
     empties: SignedEmpties
     ovals: tuple["SignedOval", ...] = ()
-    __hash__ = tree_hash    # no recursion, as for schemes.OvalGroup
+    __hash__ = tree_hash
 
 
 class SignedScheme(NamedTuple):

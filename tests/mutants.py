@@ -68,6 +68,35 @@ MUTANTS = (
      "sols = _solve_scenario(scn, mode)",
      'sols = _solve_scenario(scn, "uniform")',
      ["tests/test_cases.py::test_parity_class_memo_matches_the_per_call_path"]),
+    ("perturbations ten times wider than the zero search covers",
+     "src/deepnest/configurations.py",
+     "a, b = rng.randint(-7, 7), rng.randint(-7, 7)",
+     "a, b = rng.randint(-70, 70), rng.randint(-70, 70)",
+     ["tests/test_table_proof.py::"
+      "test_no_perturbation_changes_a_template_kind"]),
+    ("beta = 1 put in the beta = 0 class",
+     "src/deepnest/cases.py",
+     "BETA_ZERO if beta == 0",
+     "BETA_ZERO if beta <= 1",
+     ["tests/test_cases.py::test_parity_class_memo_matches_the_per_call_path"]),
+    ("pair-table residuals without their parity test",
+     "src/deepnest/cases.py",
+     "if lam % 2:",
+     "if lam % 1:",
+     ["tests/test_cases.py::"
+      "test_case_residuals_refuse_an_odd_empty_imbalance"]),
+    ("a tree hash without a node's own fields",
+     "src/deepnest/schemes.py",
+     "hashes[id(node)] = hash((*node[:-1], kids))",
+     "hashes[id(node)] = hash((kids,))",
+     ["tests/test_schemes.py::test_a_tree_hashes_as_its_plain_tuple"]),
+    # an lru_cache of size 0 keeps cache_clear, so the count fails, not
+    # the attribute
+    ("the parity-class memo without its cache",
+     "src/deepnest/cases.py",
+     "@cache\ndef _parity_class",
+     '@__import__("functools").lru_cache(maxsize=0)\ndef _parity_class',
+     ["tests/test_cases.py::test_each_parity_class_is_filtered_once"]),
 )
 
 

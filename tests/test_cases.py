@@ -38,6 +38,7 @@ from deepnest.cases import (
     theorem2_report,
 )
 from deepnest.orientations import (
+    OrientationParityError,
     chain_imbalance_magnitudes,
     check_orevkov,
     check_rokhlin_mishachev,
@@ -97,6 +98,16 @@ def test_case_residuals_vanish_on_solutions():
             assert rm_case_residual(case, mode) == 0
     for case in orevkov_filter(solve_scenario(sc, "uniform")):
         assert orevkov_case_residuals(case) == (0, 0)
+
+
+def test_case_residuals_refuse_an_odd_empty_imbalance():
+    # no concrete scheme has an odd empty-oval imbalance, so the pair-table
+    # residuals of such a census are undefined and the filter drops it
+    case = SignCase(NO_JUMPS_ODD_GAMMA, 1, 1, 1, 2, eps4=1)
+    assert case.imbalances() == (2, 1)
+    with pytest.raises(OrientationParityError, match="must be even, got 3"):
+        orevkov_case_residuals(case)
+    assert orevkov_filter([case]) == []
 
 
 def test_scenario_validation():

@@ -134,21 +134,20 @@ def test_sampler_follows_the_classifier(kind):
                 == oracle_sample(kind, random.Random(seed)))
 
 
-def test_sampler_accepts_a_new_table_of_its_kind(monkeypatch):
-    # a relabelled case 2 is still case 2, but its table is not the template's
-    shifted = sigma_shift(BASE_CONFIGURATIONS[2], 1)
-    assert orientation_table(shifted) != orientation_table(BASE_CONFIGURATIONS[2])
-    # the same points in the same order under other labels: equal signs of
-    # the unordered triples, so only the labels tell the tables apart
-    assert orientation_signs(shifted) == orientation_signs(BASE_CONFIGURATIONS[2])
-    monkeypatch.setattr(configurations, "perturb_configuration",
-                        lambda cfg, rng: dict(shifted))
-    classified = []
-    monkeypatch.setattr(configurations, "classify_configuration",
-                        lambda cfg: classified.append(cfg) or
-                        classify_configuration(cfg))
-    assert sample_configuration("case2", random.Random(0)) == shifted
-    assert classified == [shifted]
+def test_sampler_neither_classifies_nor_computes_a_sign(monkeypatch):
+    # no perturbation changes a template's kind (tests/test_table_proof.py),
+    # so a sample is one perturbation of its template and nothing more
+    def refuse(*args):
+        raise AssertionError("the sampler classified or computed a sign")
+
+    monkeypatch.setattr(configurations, "classify_configuration", refuse)
+    monkeypatch.setattr(configurations, "_classify_signs", refuse)
+    monkeypatch.setattr(geometry, "chart_rep", refuse)
+    rng = random.Random(5)
+    for kind, template in TEMPLATES.items():
+        seed = rng.getrandbits(32)
+        assert (sample_configuration(kind, random.Random(seed))
+                == perturb_configuration(template, random.Random(seed)))
 
 
 def test_lemma3_case_classifies_its_template_once(monkeypatch, capsys):
@@ -188,7 +187,6 @@ def test_lemma3_case_classifies_its_template_once(monkeypatch, capsys):
     chart_rep = geometry.chart_rep
     monkeypatch.setattr(geometry, "chart_rep",
                         lambda p: reps.append(p) or chart_rep(p))
-    geometry._signs.cache_clear()
     argv = ["--json", "lemma3", "--case", "2", "--samples", "20", "--seed", "0"]
     assert main(argv) == 0
     out = capsys.readouterr().out
@@ -231,7 +229,7 @@ def test_tables_ignore_insertion_order_and_never_mix_configurations():
             assert classify_configuration(shuffled) == cl
             assert reducible_cubic_sequence(shuffled) == rep
     # A, B, A in turn, where B is A's points under other labels (the same
-    # points in the same order, so the signs memo hits) or other points
+    # points in the same order) or other points
     a = BASE_CONFIGURATIONS[2]
     b_relabelled = sigma_shift(a, 2)
     b_other = EXCLUSION_TEMPLATES["quadrangle-A-T1"]
@@ -258,18 +256,6 @@ def test_shifted_table_is_the_table_of_the_shifted_points():
         for k in range(5):
             assert (configurations._shift_signs(orientation_table(cfg), k)
                     == orientation_table(sigma_shift(cfg, k)))
-
-
-@pytest.mark.parametrize("perturbed", [
-    {k: point(k, 2 * k) for k in range(1, 7)},  # collinear: degenerate
-    BASE_CONFIGURATIONS[2],                     # valid, but the wrong kind
-])
-def test_sampler_falls_back_to_the_template(monkeypatch, perturbed):
-    monkeypatch.setattr(configurations, "perturb_configuration",
-                        lambda cfg, rng: dict(perturbed))
-    cfg = sample_configuration("case1", random.Random(0))
-    assert cfg == BASE_CONFIGURATIONS[1]
-    assert cfg is not BASE_CONFIGURATIONS[1]
 
 
 def test_excluded_orderings_yield_witnessed_contradictions():

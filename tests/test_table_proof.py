@@ -15,20 +15,24 @@ hold for every configuration:
 * on each valid table C = [123][145][246][356] - [124][135][236][456] is
   nonzero, with a sign fixed by the table;
 * no perturbation the sampler makes changes a sign of a base template, so
-  every sample of `lemma3 --case k` has its template's table;
+  every sample of `lemma3 --case k` has its template's table; nor does one
+  make a sign of any template 0 or change its kind;
 * a table with a zero sign stops in the classifier, before the event order
   or the witness search reads it.
 
 So `conics.conic_pencil_events` needs no conic test and meets no zero turn,
-`configurations._contradiction` always finds a witness, and `lemma3 --case`
-classifies its template once.  Every integer here is exact.
+`configurations._contradiction` always finds a witness, `lemma3 --case`
+classifies its template once, and `configurations.sample_configuration`
+returns one perturbation of its template without classifying it.  Every
+integer here is exact.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from collections import Counter
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -45,11 +49,17 @@ from deepnest.configurations import (
 from deepnest.geometry import (
     DegeneratePositionError,
     _table_getter,
+    chart_orient,
+    chart_rep,
+    det3,
+    normalize,
     orientation_signs,
     slot,
 )
 
 LABELS = (1, 2, 3, 4, 5, 6)
+TEMPLATES = {**{f"case{k}": cfg for k, cfg in BASE_CONFIGURATIONS.items()},
+             **EXCLUSION_TEMPLATES}
 TRIPLES = tuple(combinations(LABELS, 3))
 INDEX = {t: i for i, t in enumerate(TRIPLES)}
 
@@ -189,11 +199,11 @@ def expand(form) -> dict:
         for a, b, c in monomial:
             det = {(3 * a - 3 + p[0], 3 * b - 3 + p[1], 3 * c - 3 + p[2]):
                    parity(p) for p in permutations(range(3))}
-            product = Counter()
+            expanded = Counter()
             for m, u in terms.items():
                 for d, w in det.items():
-                    product[tuple(sorted(m + d))] += u * w
-            terms = product
+                    expanded[tuple(sorted(m + d))] += u * w
+            terms = expanded
         poly.update(terms)
     return {m: u for m, u in poly.items() if u}
 
@@ -250,6 +260,19 @@ class CornerRng:
         return high if bit else low
 
 
+class ScriptedRng:
+    """Stands in for `random.Random` in `perturb_configuration`: its
+    `randint` calls return `offsets` in turn, and it keeps the ranges that
+    they ask for."""
+
+    def __init__(self, offsets):
+        self.offsets, self.ranges = iter(offsets), set()
+
+    def randint(self, low: int, high: int) -> int:
+        self.ranges.add((low, high))
+        return next(self.offsets)
+
+
 def flippable(template: dict) -> list:
     """The triples of `template` whose sign some perturbation can change.
     The perturbation draws two offsets per point, in label order, and adds
@@ -266,27 +289,104 @@ def flippable(template: dict) -> list:
                                 for n, i in enumerate(calls)))
             moved = perturb_configuration(template, rng)
             assert rng.calls == 12 and list(moved) == labels
-            if orientation_signs(moved)[INDEX[t]] != base[INDEX[t]]:
+            if chart_orient(*[moved[k] for k in t]) != base[INDEX[t]]:
                 out.append(t)
                 break
     return out
 
 
+@pytest.fixture(scope="module")
+def flips():
+    """The flippable triples of each template, by its kind."""
+    return {kind: flippable(cfg) for kind, cfg in TEMPLATES.items()}
+
+
 @pytest.mark.parametrize("case", [1, 2, 3])
-def test_no_perturbation_changes_a_base_template_sign(case):
+def test_no_perturbation_changes_a_base_template_sign(case, flips):
     # so every sample of `lemma3 --case` has its template's table, and is
     # its template's case with the template's event sequence
     template = BASE_CONFIGURATIONS[case]
     assert list(template) == list(LABELS)
     assert 0 not in orientation_signs(template)
-    assert flippable(template) == []
+    assert flips[f"case{case}"] == []
 
 
-def test_only_one_exclusion_template_can_flip_a_sign():
-    # where the sampler can fall back to its template
-    flips = {kind: flippable(cfg) for kind, cfg in EXCLUSION_TEMPLATES.items()}
+def test_only_one_exclusion_template_can_flip_a_sign(flips):
+    # the one template whose samples can have a table other than its own
     assert {kind: t for kind, t in flips.items() if t} \
         == {"quadrangle-3654": [(2, 3, 5)]}
+
+
+OFFSETS = range(-7, 8)
+
+
+def lifted(p, i: int, j: int) -> tuple:
+    """2000 times the affine lift of the chart point `p` moved by (i, j) /
+    2000: a positive multiple of the lift of what the perturbation makes
+    of `p` when it draws the offsets i and j."""
+    x, y, z = chart_rep(p)
+    return 2000 * x + i * z, 2000 * y + j * z, 2000 * z
+
+
+def zero_offsets(template: dict, triple, offsets=OFFSETS) -> list:
+    """The offsets in `offsets` of the points a, b, c of `triple` that make
+    [abc] 0.  With the four offsets of a and b fixed, [abc] is d + e i + f j
+    in the offsets (i, j) of c, so each i takes one division."""
+    a, b, c = (template[k] for k in triple)
+    z = chart_rep(c)[2]
+    c0 = lifted(c, 0, 0)
+    out = []
+    for ia, ja, ib, jb in product(offsets, repeat=4):
+        pa, pb = lifted(a, ia, ja), lifted(b, ib, jb)
+        d = det3(pa, pb, c0)
+        e = z * (pa[1] * pb[2] - pa[2] * pb[1])
+        f = z * (pa[2] * pb[0] - pa[0] * pb[2])
+        for ic in offsets:
+            r = -(d + e * ic)
+            if f:
+                jc, rest = divmod(r, f)
+                if not rest and jc in offsets:
+                    out.append((ia, ja, ib, jb, ic, jc))
+            elif not r:
+                out += [(ia, ja, ib, jb, ic, jc) for jc in offsets]
+    return out
+
+
+def test_no_perturbation_changes_a_template_kind(flips):
+    # the sampler draws each offset from OFFSETS and moves each point to a
+    # positive multiple of its lift, so `lifted` gives the sample's signs
+    rng = random.Random(0)
+    for template in TEMPLATES.values():
+        assert list(template) == list(LABELS)
+        offsets = [rng.choice(OFFSETS) for _ in range(12)]
+        script = ScriptedRng(offsets)
+        assert perturb_configuration(template, script) == {
+            k: normalize(*lifted(p, *offsets[2 * n:2 * n + 2]))
+            for n, (k, p) in enumerate(template.items())}
+        assert script.ranges == {(OFFSETS[0], OFFSETS[-1])}
+    # the search finds zeros where there are some: three points of the line
+    # y = x stay on a line under any common translation
+    line = {1: (0, 0, 1), 2: (1, 1, 1), 3: (3, 3, -1)}
+    near = range(-2, 3)
+    assert {(i, j) * 3 for i, j in product(near, repeat=2)} \
+        <= set(zero_offsets(line, (1, 2, 3), near))
+    # a sign that no corner changes is not 0 on the box of its offsets, and
+    # no offsets make a flippable sign 0; so a sample's table is its
+    # template's with some flippable signs negated, and no sign 0
+    assert all(zero_offsets(TEMPLATES[kind], t) == []
+               for kind, triples in flips.items() for t in triples)
+    reached = 0
+    for kind, triples in flips.items():
+        base = orientation_signs(TEMPLATES[kind])
+        for n in range(len(triples) + 1):
+            for negated in combinations(triples, n):
+                v = tuple(-s if t in negated else s
+                          for t, s in zip(TRIPLES, base))
+                assert configuration_kind(_classify_signs(table(v))[0]) == kind
+                reached += 1
+    # the 28 templates' tables, and the one of quadrangle-3654 with [235]
+    # negated
+    assert reached == 29
 
 
 def triple_of(s: int) -> frozenset:
