@@ -13,7 +13,8 @@ two independent counting identities constrain the signed census:
 The census of any candidate orientation is determined up to four or five
 sign unknowns once one fixes how sign alternation propagates along the
 fibers of a line pencil.  Three scenarios cover the possibilities for
-beta >= 1 (plus a degenerate one for beta = 0):
+beta >= 1 (plus a degenerate one for beta = 0); `_SHAPES` holds each one's
+(median, inner) imbalances, sign ranges and beta parity:
 
   with-o1-jumps        alternation breaks at the outer oval n >= 1 times;
                        medians pick up imbalance -n*eps3, inners +n*eps3.
@@ -23,10 +24,12 @@ beta >= 1 (plus a degenerate one for beta = 0):
   no-jumps-odd-gamma   as above with gamma odd, so the inners leave a
                        leftover sign eps4.
   beta-zero            no medians; the inner chain closes up and must
-                       balance, leaving only the two nest-oval signs free.
+                       balance, leaving only the two nest-oval signs free:
+                       imbalances (0, 0).
 
 Solving an identity that is linear in n for each sign pattern yields the
-admissible cases; the pair-table identities then act as a second filter.
+admissible cases (beta-zero's slope is 0, so its one candidate is n = 0);
+the pair-table identities then act as a second filter.
 A PROHIBITED verdict rests on both identities together with the scenario
 shapes above: the identities alone leave concrete signed schemes at every
 odd beta up to 23, and only the shapes' imbalances exclude them.  The jump
@@ -46,6 +49,7 @@ that class once and builds no per-row report.
 from __future__ import annotations
 
 from functools import cache
+from itertools import product
 from typing import Iterable, NamedTuple, Optional
 
 from .orientations import (
@@ -53,6 +57,7 @@ from .orientations import (
     SignedEmpties,
     SignedOval,
     SignedScheme,
+    _pair_table_residuals,
     chain_imbalance_magnitudes,
     check_orevkov,
     check_rokhlin_mishachev,
@@ -66,8 +71,18 @@ WITH_O1_JUMPS = "with-o1-jumps"
 NO_JUMPS_EVEN_GAMMA = "no-jumps-even-gamma"
 NO_JUMPS_ODD_GAMMA = "no-jumps-odd-gamma"
 BETA_ZERO = "beta-zero"
-SCENARIO_KINDS = (WITH_O1_JUMPS, NO_JUMPS_EVEN_GAMMA, NO_JUMPS_ODD_GAMMA,
-                  BETA_ZERO)
+
+# Per scenario kind: the parity of beta it fixes (None for either), the
+# values eps3 and eps4 take (None when the kind has no such sign), and its
+# census shape, the median and inner imbalances as multiples of n*eps3; a
+# set eps4 adds to the inner imbalance.  beta-zero's shape has no n.
+_SHAPES = {
+    WITH_O1_JUMPS: (None, (1, -1), (None,), -1, 1),
+    NO_JUMPS_EVEN_GAMMA: (0, (1, -1), (None,), 1, 0),
+    NO_JUMPS_ODD_GAMMA: (1, (1, -1), (1, -1), 1, 0),
+    BETA_ZERO: (0, (None,), (None,), 0, 0),
+}
+SCENARIO_KINDS = tuple(_SHAPES)
 
 # the no-jump median chain can break alternation at the one-sided component
 # at most 3 times, an odd number of them (a pencil sweep has odd total
@@ -81,8 +96,6 @@ _NOT_M_CURVE = ("prohibition argument applies to schemes with the maximal "
                 "number of components")
 _NO_NEST = "scheme has no depth-3 nest"
 _SIZE_RANGE = "beta and gamma must be integers in 0..%d" % TOTAL_EMPTIES
-# the parity of gamma, hence of beta, that each no-jump kind fixes
-_KIND_PARITY = {NO_JUMPS_EVEN_GAMMA: 0, NO_JUMPS_ODD_GAMMA: 1}
 
 
 def _is_size(v) -> bool:
@@ -118,13 +131,9 @@ class SignCase(NamedTuple):
 
     def imbalances(self) -> tuple[int, int]:
         """(median imbalance, inner imbalance) of the census."""
-        if self.scenario == WITH_O1_JUMPS:
-            return -self.n * self.eps3, self.n * self.eps3
-        if self.scenario == NO_JUMPS_EVEN_GAMMA:
-            return self.n * self.eps3, 0
-        if self.scenario == NO_JUMPS_ODD_GAMMA:
-            return self.n * self.eps3, self.eps4
-        return 0, 0
+        *_, median, inner = _SHAPES[self.scenario]
+        k = self.n * (self.eps3 or 0)
+        return median * k, inner * k + (self.eps4 or 0)
 
 
 class _ScenarioFields(NamedTuple):
@@ -160,7 +169,7 @@ class Scenario(_ScenarioFields):
             if parity not in (None, beta % 2):
                 raise ValueError("parity contradicts beta")
             parity = beta % 2
-        kind_parity = _KIND_PARITY.get(kind)
+        kind_parity = _SHAPES[kind][0]
         if kind_parity is not None:
             if parity not in (None, kind_parity):
                 raise ValueError("gamma must be %s here"
@@ -227,7 +236,8 @@ def rm_case_residual(case: SignCase, mode: str = "uniform") -> int:
 def solve_scenario(scenario: Scenario, mode: str = "uniform") -> list[SignCase]:
     """All sign cases of the scenario satisfying the signed-pair identity,
     in deterministic order.  n is solved for exactly: the identity is linear
-    in n with nonzero slope for every sign pattern.
+    in n, with nonzero slope for every sign pattern of every kind but
+    beta-zero, whose slope is 0 and whose one candidate is n = 0.
 
     Results are cached per (scenario, mode); each call returns a fresh
     list, so a caller that changes it cannot reach the cached value."""
@@ -240,28 +250,16 @@ def solve_scenario(scenario: Scenario, mode: str = "uniform") -> list[SignCase]:
 def _solve_scenario(scenario: Scenario, mode: str) -> tuple[SignCase, ...]:
     # Scenario validation bounds the keys to 120, so the cache needs no size
     # limit
+    kind = scenario.kind
+    _, eps3_values, eps4_values, _, _ = _SHAPES[kind]
     out: list[SignCase] = []
-    eps3_values = (1, -1) if scenario.kind != BETA_ZERO else (None,)
-    eps4_values = (1, -1) if scenario.kind == NO_JUMPS_ODD_GAMMA else (None,)
-    for e1 in (1, -1):
-        for e2 in (1, -1):
-            for e3 in eps3_values:
-                for e4 in eps4_values:
-                    if scenario.kind == BETA_ZERO:
-                        case = SignCase(scenario.kind, e1, e2, e3, 0, e4)
-                        if rm_case_residual(case, mode) == 0:
-                            out.append(case)
-                        continue
-                    at0 = rm_case_residual(
-                        SignCase(scenario.kind, e1, e2, e3, 0, e4), mode)
-                    at1 = rm_case_residual(
-                        SignCase(scenario.kind, e1, e2, e3, 1, e4), mode)
-                    slope = at1 - at0
-                    assert slope != 0
-                    n, rem = divmod(-at0, slope)
-                    if rem or not scenario.admits_n(n):
-                        continue
-                    out.append(SignCase(scenario.kind, e1, e2, e3, n, e4))
+    for e1, e2, e3, e4 in product((1, -1), (1, -1), eps3_values, eps4_values):
+        at0 = rm_case_residual(SignCase(kind, e1, e2, e3, 0, e4), mode)
+        slope = rm_case_residual(SignCase(kind, e1, e2, e3, 1, e4),
+                                 mode) - at0
+        n, rem = divmod(-at0, slope) if slope else (0, at0)
+        if not rem and scenario.admits_n(n):
+            out.append(SignCase(kind, e1, e2, e3, n, e4))
     out.sort(key=SignCase.sort_key)
     return tuple(out)
 
@@ -277,19 +275,12 @@ def orevkov_case_residuals(case: SignCase) -> tuple[int, int]:
     imbalance is odd (no concrete scheme could realize the census)."""
     e1, e2 = case.eps1, case.eps2
     m_imb, i_imb = case.imbalances()
-    lam = m_imb + i_imb
-    if lam % 2:
-        raise OrientationParityError(
-            "empty-oval sign imbalance must be even, got %d" % lam)
     # signed content of each non-empty oval: outer holds all empties,
     # inner holds the inners
-    d_plus = (m_imb + i_imb) * (e1 > 0) + i_imb * (e2 > 0)
-    d_minus = (m_imb + i_imb) * (e1 < 0) + i_imb * (e2 < 0)
-    l_plus = (e1 > 0) + (e2 > 0)
-    l_minus = (e1 < 0) + (e2 < 0)
-    r1 = -d_plus - l_plus * l_plus
-    r2 = d_minus + lam // 2 - l_minus * l_minus - l_minus
-    return r1, r2
+    lam = m_imb + i_imb
+    return _pair_table_residuals(
+        lam, (e1 > 0) + (e2 > 0), (e1 < 0) + (e2 < 0),
+        lam * (e1 > 0) + i_imb * (e2 > 0), lam * (e1 < 0) + i_imb * (e2 < 0))
 
 
 def orevkov_filter(cases: Iterable[SignCase]) -> list[SignCase]:
@@ -402,7 +393,7 @@ def _parity_class(kind: str, mode: str) -> tuple[tuple[ScenarioResult, ...],
         scenarios = [Scenario(BETA_ZERO)]
     else:
         # parity-generic: pin beta's parity but not its size
-        scenarios = [Scenario(WITH_O1_JUMPS, parity=_KIND_PARITY[kind]),
+        scenarios = [Scenario(WITH_O1_JUMPS, parity=_SHAPES[kind][0]),
                      Scenario(kind)]
     results = []
     for scn in scenarios:

@@ -165,6 +165,8 @@ def compute_stats(s: SignedScheme, mode: Mode = "uniform") -> OrientationStats:
     an (outer, inner) pair is signed -key(outer) * sign(inner), where the
     key is the outer oval's own sign, except in LITERAL mode for an empty
     inner oval."""
+    if mode not in ("uniform", "literal"):
+        raise ValueError(f"unknown mode {mode!r}")
     keys = _literal_keys(s) if mode == "literal" else None
     empty_p, empty_m = s.empties.plus, s.empties.minus
     all_p = all_m = 0       # non-empty ovals; the empty ones are added last
@@ -224,6 +226,8 @@ def check_rokhlin_mishachev(s: SignedScheme, mode: Mode = "uniform",
     """Residual of 2(pair_plus - pair_minus) + (all_plus - all_minus)
     against the degree's right-hand side; zero means the orientation census
     is consistent."""
+    if mode not in ("uniform", "literal"):
+        raise ValueError(f"unknown mode {mode!r}")
     st = stats or compute_stats(s, mode)
     lhs = 2 * (st.pair_plus - st.pair_minus) + (st.all_plus - st.all_minus)
     return lhs - rm_rhs(s.degree, s.component_count())
@@ -238,16 +242,22 @@ def check_orevkov(s: SignedScheme,
     identity has no integer form then).
     """
     st = stats or compute_stats(s, "uniform")
-    l_plus = st.nonempty_plus()
-    l_minus = st.nonempty_minus()
-    lam = st.empty_plus - st.empty_minus
+    (pp, pm), (mp, mm) = st.pair_table
+    return _pair_table_residuals(st.empty_plus - st.empty_minus,
+                                 st.nonempty_plus(), st.nonempty_minus(),
+                                 pp - pm, mp - mm)
+
+
+def _pair_table_residuals(lam: int, l_plus: int, l_minus: int,
+                          held_plus: int, held_minus: int) -> tuple[int, int]:
+    """The pair-table residuals from the empty-oval imbalance lam, the + and
+    - non-empty oval counts, and the empty-oval imbalance that the + ones
+    and the - ones enclose; an odd lam raises OrientationParityError."""
     if lam % 2:
         raise OrientationParityError(
             "empty-oval sign imbalance must be even, got %d" % lam)
-    r1 = st.pairs(1, -1) - st.pairs(1, 1) - l_plus * l_plus
-    r2 = (st.pairs(-1, 1) - st.pairs(-1, -1) + lam // 2
-          - l_minus * l_minus - l_minus)
-    return r1, r2
+    return (-held_plus - l_plus * l_plus,
+            held_minus + lam // 2 - l_minus * l_minus - l_minus)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ collect this file):
 Each entry is (name, file, old text, new text, test ids).  The old text must
 occur exactly once in its file, so a change that moves or rewrites the code
 must update the entry.  The script first runs every id on an unmutated copy
-of `src/`, `tests/` and `pyproject.toml`, where they must pass.  Then, per
+of `src/`, `tests/`, `perfbench/`, `README.md` and `pyproject.toml`, where
+they must pass.  Then, per
 entry, it edits a fresh copy and runs the entry's ids: the mutant is killed
 if they fail.  It prints one line per mutant and `killed k/n`, and exits 1
 unless every mutant is killed (a survivor is reported, never skipped), or 2
@@ -80,11 +81,12 @@ MUTANTS = (
      "BETA_ZERO if beta <= 1",
      ["tests/test_cases.py::test_parity_class_memo_matches_the_per_call_path"]),
     ("pair-table residuals without their parity test",
-     "src/deepnest/cases.py",
+     "src/deepnest/orientations.py",
      "if lam % 2:",
      "if lam % 1:",
      ["tests/test_cases.py::"
-      "test_case_residuals_refuse_an_odd_empty_imbalance"]),
+      "test_case_residuals_refuse_an_odd_empty_imbalance",
+      "tests/test_orientations.py::test_orevkov_rejects_odd_empty_imbalance"]),
     ("a tree hash without a node's own fields",
      "src/deepnest/schemes.py",
      "hashes[id(node)] = hash((*node[:-1], kids))",
@@ -97,14 +99,34 @@ MUTANTS = (
      "@cache\ndef _parity_class",
      '@__import__("functools").lru_cache(maxsize=0)\ndef _parity_class',
      ["tests/test_cases.py::test_each_parity_class_is_filtered_once"]),
+    ("the with-o1-jumps shape with its inner imbalance negated",
+     "src/deepnest/cases.py",
+     "WITH_O1_JUMPS: (None, (1, -1), (None,), -1, 1),",
+     "WITH_O1_JUMPS: (None, (1, -1), (None,), -1, -1),",
+     ["tests/test_cases.py::test_jump_scenario_solutions",
+      "tests/test_census_oracle.py::test_feasible_against_the_whole_census"]),
+    # no-jumps-odd-gamma has no solution with either eps4, so only the
+    # pattern count of the slope proof sees a sign range shrink
+    ("no-jumps-odd-gamma without eps4 = -1",
+     "src/deepnest/cases.py",
+     "NO_JUMPS_ODD_GAMMA: (1, (1, -1), (1, -1), 1, 0),",
+     "NO_JUMPS_ODD_GAMMA: (1, (1, -1), (1,), 1, 0),",
+     ["tests/test_cases.py::test_only_beta_zero_has_an_identity_flat_in_n"]),
+    ("case 3 reads a wrong slot",
+     "src/deepnest/configurations.py",
+     "slot(4, 3, 5))",
+     "slot(4, 3, 6))",
+     ["tests/test_classifier_oracle.py::"
+      "test_sign_table_classifier_matches_the_point_oracle"]),
 )
 
 
 def copy_tree(dst: Path) -> None:
     ignore = shutil.ignore_patterns("__pycache__", ".hypothesis")
-    for name in ("src", "tests"):
+    for name in ("src", "tests", "perfbench"):
         shutil.copytree(ROOT / name, dst / name, ignore=ignore)
-    shutil.copy2(ROOT / "pyproject.toml", dst / "pyproject.toml")
+    for name in ("README.md", "pyproject.toml"):
+        shutil.copy2(ROOT / name, dst / name)
 
 
 def passes(root: Path, ids: list[str]) -> bool:

@@ -110,6 +110,24 @@ def test_case_residuals_refuse_an_odd_empty_imbalance():
     assert orevkov_filter([case]) == []
 
 
+def test_only_beta_zero_has_an_identity_flat_in_n():
+    # the one linear solve of `_solve_scenario`: every sign pattern it tries
+    # has a nonzero slope in n, except beta-zero's, whose one candidate is
+    # then n = 0
+    patterns = 0
+    for kind, mode in product(SCENARIO_KINDS, ("uniform", "literal")):
+        _, eps3_values, eps4_values, _, _ = cases._SHAPES[kind]
+        for e1, e2, e3, e4 in product((1, -1), (1, -1), eps3_values,
+                                      eps4_values):
+            at = [rm_case_residual(SignCase(kind, e1, e2, e3, n, e4), mode)
+                  for n in range(TOTAL_EMPTIES + 1)]
+            slope = at[1] - at[0]
+            assert at == [at[0] + n * slope for n in range(len(at))]
+            assert (slope == 0) == (kind == BETA_ZERO)
+            patterns += 1
+    assert patterns == 2 * (8 + 8 + 16 + 4)
+
+
 def test_scenario_validation():
     with pytest.raises(ValueError):
         make_scenario(WITH_O1_JUMPS, beta=3, gamma=20)  # sizes must total 26

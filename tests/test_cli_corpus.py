@@ -12,7 +12,8 @@
   and with a few ``--gamma`` values;
 * ``lemma3 --case K`` with its default sample count and seed;
 * degenerate ``lemma3 --config`` files (a point on J, a collinear triple,
-  a repeated point, the zero triple) and malformed ones;
+  a repeated point, the zero triple, labels 2..6 out of pencil order) and
+  malformed ones;
 * ``parse`` of inadmissible schemes, each with its witness oval, and
   ``check-rm --mode paper``, which reads the literal pair convention;
 * the malformed argv of the cli-cold benchmark workload.
@@ -66,6 +67,10 @@ CONFIGS = {
                               [1, 10, 1], [-10, 10, 1]),
     "pencil-collinear.json": _points([0, 0, 1], [1, 0, 1], [1, 1, 1],
                                      [0, 1, 1], [-2, 0, 1], [1, -1, 1]),
+    # the README points with labels 3 and 4 swapped: the pencil at 1 meets
+    # 2..6 as 2, 4, 3, 5, 6
+    "not-consecutive.json": _points(*(README_POINTS[i]
+                                      for i in (0, 1, 3, 2, 4, 5))),
     "repeated.json": _points(*_with(4, README_POINTS[2])),
     "repeated-scaled.json": _points(*_with(4, [-2, 0, -2])),
     "zero.json": _points(*_with(2, [0, 0, 0])),
@@ -208,7 +213,7 @@ def corpus_digests(workdir: pathlib.Path) -> dict[str, str]:
 
 def test_cli_reports_match_their_digests(tmp_path):
     expected = json.loads(DIGESTS.read_text())
-    assert len(expected) == len(corpus()) == 448
+    assert len(expected) == len(corpus()) == 449
     assert corpus_digests(tmp_path) == expected
 
 

@@ -89,6 +89,20 @@ def test_literal_mode_needs_two_oval_chain():
         compute_stats(s, "literal")
 
 
+@pytest.mark.parametrize("mode", ["bogus", "paper", "Uniform", None])
+def test_an_unknown_mode_raises(mode):
+    s = parse_signed(BALANCED[0], 9)
+    st = compute_stats(s, "uniform")
+    message = f"unknown mode {mode!r}"
+    with pytest.raises(ValueError) as raised:
+        compute_stats(s, mode)
+    assert str(raised.value) == message
+    for stats in (None, st):
+        with pytest.raises(ValueError) as raised:
+            check_rokhlin_mishachev(s, mode, stats=stats)
+        assert str(raised.value) == message
+
+
 def random_signed_scheme(rng: random.Random, two_oval_nest: bool):
     def empties() -> SignedEmpties:
         return SignedEmpties(rng.randint(0, 3), rng.randint(0, 3))
