@@ -75,7 +75,9 @@ BETA_ZERO = "beta-zero"
 # Per scenario kind: the parity of beta it fixes (None for either), the
 # values eps3 and eps4 take (None when the kind has no such sign), and its
 # census shape, the median and inner imbalances as multiples of n*eps3; a
-# set eps4 adds to the inner imbalance.  beta-zero's shape has no n.
+# set eps4 adds to the inner imbalance.  beta-zero's shape has no n: its
+# eps3 is None, so n*eps3 reads 0 and its median and inner multiples are
+# never read; they stay 0 so that every row keeps the table's shape.
 _SHAPES = {
     WITH_O1_JUMPS: (None, (1, -1), (None,), -1, 1),
     NO_JUMPS_EVEN_GAMMA: (0, (1, -1), (None,), 1, 0),

@@ -114,10 +114,6 @@ class Witness(NamedTuple):
     shared: tuple[int, ...]
 
     @property
-    def kind(self) -> str:
-        return "segment" if len(self.shared) == 2 else "vertex"
-
-    @property
     def text(self) -> str:
         a = "".join(map(str, self.triangles[0]))
         b = "".join(map(str, self.triangles[1]))
@@ -134,7 +130,6 @@ class Classification(NamedTuple):
     interior: tuple = ()
     region: Optional[str] = None      # sub-region label for cases 2 and 3
     witness: Optional[Witness] = None
-    notes: tuple[str, ...] = ()
 
     @property
     def is_valid(self) -> bool:
@@ -255,8 +250,9 @@ _CASE2_SLOTS = itemgetter(slot(3, 4, 2), slot(3, 4, 5), slot(5, 6, 2),
 def _case2_region(signs: tuple) -> str:
     """Quadrant of point 2 inside the family-A quadrangle (3,5,4,6), cut by
     the diagonals [34] and [56].  T4 (between the rays toward 5 and toward 4)
-    is the valid region; T1 is opposite T4; T3 shares the [34]-side with T4;
-    T2 shares the [56]-side with T4."""
+    is the valid region, as the figure's geometry gives it (a text reference
+    to T2 is a known slip); T1 is opposite T4; T3 shares the [34]-side with
+    T4; T2 shares the [56]-side with T4."""
     s342, s345, s562, s564 = _CASE2_SLOTS(signs)
     return _CASE2_QUADRANTS[s342 == s345, s562 == s564]
 
@@ -292,15 +288,11 @@ def classify_configuration(cfg: dict[int, Triple]) -> Classification:
 
 
 # Per number of interior points: the valid case, its canonical interior
-# labels and hull cycle, its sub-region reader and valid sub-region, the
-# notes of a valid classification, and the note of another hull cycle
+# labels and hull cycle, and its sub-region reader and valid sub-region
 _CASE_SHAPES = (
-    (1, (), CASE1_PATTERN, None, None, (), None),
-    (2, (2,), CASE2_QUADRANGLE, _case2_region, "T4",
-     ("region label T4 follows the figure geometry; "
-      "a text reference to T2 is a known slip",), None),
-    (3, (4, 5), CASE3_TRIANGLE, _case3_region, "T3", (),
-     "outer triangle orientation reversed"),
+    (1, (), CASE1_PATTERN, None, None),
+    (2, (2,), CASE2_QUADRANGLE, _case2_region, "T4"),
+    (3, (4, 5), CASE3_TRIANGLE, _case3_region, "T3"),
 )
 
 # sorted interior labels -> the k for which sigma^k makes them canonical;
@@ -320,29 +312,25 @@ def _classify_signs(signs: tuple) -> tuple[Classification, tuple]:
     hull, interior = _hull_cycle(signs, (2, 3, 4, 5, 6))
     k = _INTERIOR_SHIFTS.get(interior)
     if k is None:
-        note = "interior labels not pencil-consecutive"
-        return _contradiction(signs, hull, interior, note=note), signs
-    case, interior, shape, region_of, valid, notes, note = \
-        _CASE_SHAPES[len(interior)]
+        return _contradiction(signs, hull, interior), signs
+    case, interior, shape, region_of, valid = _CASE_SHAPES[len(interior)]
     sc = _shift_signs(signs, k)
     hull = _shift_cycle(hull, k)
     if hull != shape:
-        return _contradiction(sc, hull, interior, relabel=k, note=note), sc
+        return _contradiction(sc, hull, interior, relabel=k), sc
     region = region_of and region_of(sc)
     if region != valid:
         return _contradiction(sc, hull, interior, relabel=k,
                               region=region), sc
     return Classification("case", case=case, relabel_shift=k, pattern=hull,
-                          interior=interior, region=region, notes=notes), sc
+                          interior=interior, region=region), sc
 
 
-def _contradiction(signs, pattern, interior, relabel=0, region=None,
-                  note=None):
+def _contradiction(signs, pattern, interior, relabel=0, region=None):
     # every excluded table has a witness (tests/test_table_proof.py)
     return Classification("contradiction", relabel_shift=relabel,
                           pattern=pattern, interior=interior, region=region,
-                          witness=find_witness(signs),
-                          notes=(note,) if note else ())
+                          witness=find_witness(signs))
 
 
 # ---------------------------------------------------------------------------

@@ -307,9 +307,6 @@ class DeepNestProfile(NamedTuple):
     gamma: int       # empty ovals inside the inner nest oval
     nest_depth: int = 3
 
-    def oval_count(self) -> int:
-        return self.alpha + self.beta + self.gamma + 2
-
 
 def classify_deep_nest(s: RealScheme) -> Optional[DeepNestProfile]:
     """Deep-nest profile of the scheme, None if no depth-3 nest is present.

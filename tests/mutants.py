@@ -112,6 +112,13 @@ MUTANTS = (
      "NO_JUMPS_ODD_GAMMA: (1, (1, -1), (1, -1), 1, 0),",
      "NO_JUMPS_ODD_GAMMA: (1, (1, -1), (1,), 1, 0),",
      ["tests/test_cases.py::test_only_beta_zero_has_an_identity_flat_in_n"]),
+    # every pattern count stays 16, so only the census residuals see it
+    ("no-jumps-odd-gamma with eps4 = +-2",
+     "src/deepnest/cases.py",
+     "NO_JUMPS_ODD_GAMMA: (1, (1, -1), (1, -1), 1, 0),",
+     "NO_JUMPS_ODD_GAMMA: (1, (1, -1), (2, -2), 1, 0),",
+     ["tests/test_cases.py::"
+      "test_each_odd_gamma_pattern_has_its_census_residual_and_slope"]),
     ("case 3 reads a wrong slot",
      "src/deepnest/configurations.py",
      "slot(4, 3, 5))",

@@ -215,9 +215,7 @@ def classify_by_points(cfg: dict[int, Triple]) -> Classification:
             if region == "T4":
                 return Classification(
                     "case", case=2, relabel_shift=k, pattern=quad,
-                    interior=(2,), region="T4",
-                    notes=("region label T4 follows the figure geometry; "
-                           "a text reference to T2 is a known slip",))
+                    interior=(2,), region="T4")
             return _contradiction(c, quad, (2,), relabel=k, region=region)
         return _contradiction(c, quad, (2,), relabel=k)
 
@@ -229,8 +227,7 @@ def classify_by_points(cfg: dict[int, Triple]) -> Classification:
             pair = l
             break
     if pair is None:
-        return _contradiction(cfg, hull, interior,
-                              note="interior labels not pencil-consecutive")
+        return _contradiction(cfg, hull, interior)
     k = (4 - pair) % 5
     c = sigma_shift(cfg, k)
     tri, _ = _hull_split(c, labels=(2, 3, 6))
@@ -240,16 +237,14 @@ def classify_by_points(cfg: dict[int, Triple]) -> Classification:
             return Classification("case", case=3, relabel_shift=k,
                                   pattern=tri, interior=(4, 5), region="T3")
         return _contradiction(c, tri, (4, 5), relabel=k, region=region)
-    return _contradiction(c, tri, (4, 5), relabel=k,
-                          note="outer triangle orientation reversed")
+    return _contradiction(c, tri, (4, 5), relabel=k)
 
 
-def _contradiction(cfg, pattern, interior, relabel=0, region=None, note=None):
+def _contradiction(cfg, pattern, interior, relabel=0, region=None):
     w = find_witness(cfg)
-    notes = (note,) if note else ()
     if w is None:
         raise DegeneratePositionError(
             f"no triangle-pair witness for pattern {pattern} / {interior}")
     return Classification("contradiction", relabel_shift=relabel,
                           pattern=pattern, interior=interior,
-                          region=region, witness=w, notes=notes)
+                          region=region, witness=w)

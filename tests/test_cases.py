@@ -8,6 +8,7 @@ from itertools import product
 import pytest
 
 from chart import prohibit_per_call
+from test_census_oracle import census, n_domain
 from deepnest import cases
 from deepnest.cases import (
     BETA_ZERO,
@@ -126,6 +127,36 @@ def test_only_beta_zero_has_an_identity_flat_in_n():
             assert (slope == 0) == (kind == BETA_ZERO)
             patterns += 1
     assert patterns == 2 * (8 + 8 + 16 + 4)
+
+
+@pytest.mark.parametrize("mode", ["uniform", "literal"])
+def test_each_odd_gamma_pattern_has_its_census_residual_and_slope(mode):
+    """The 16 sign patterns that the solver reads for no-jumps-odd-gamma
+    from `_SHAPES` are (e1, e2, e3, e4) in {1, -1}^4, and each has the
+    residual at n = 0 and the slope in n of the census formula of
+    `tests/test_census_oracle.py` with median imbalance n e3 and inner
+    imbalance e4.  That is why the kind has no solution: each pattern's
+    root n is negative, fractional, or 5, 7 or 11, where a chain with at
+    most 3 jumps has imbalance 1 or 3."""
+    _, eps3_values, eps4_values, _, _ = cases._SHAPES[NO_JUMPS_ODD_GAMMA]
+    solver = {}
+    for e1, e2, e3, e4 in product((1, -1), (1, -1), eps3_values,
+                                  eps4_values):
+        at0, at1 = (rm_case_residual(
+            SignCase(NO_JUMPS_ODD_GAMMA, e1, e2, e3, n, e4), mode)
+            for n in (0, 1))
+        solver[e1, e2, e3, e4] = at0, at1 - at0
+    ovals = TOTAL_EMPTIES + 2
+    pinned = {}
+    for e1, e2, e3, e4 in product((1, -1), repeat=4):
+        at0 = census(e1, e2, 0, e4, ovals, mode)[0]
+        pinned[e1, e2, e3, e4] = (
+            at0, census(e1, e2, e3, e4, ovals, mode)[0] - at0)
+    assert solver == pinned
+    assert n_domain(NO_JUMPS_ODD_GAMMA, 1, False) == (1, 3)
+    for at0, slope in pinned.values():
+        n, rem = divmod(-at0, slope)
+        assert rem or n < 0 or n in (5, 7, 11)
 
 
 def test_scenario_validation():

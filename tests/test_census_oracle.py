@@ -51,13 +51,18 @@ BETA_ZERO = "beta-zero"
 # ---------------------------------------------------------------------------
 # the closed-form census of a two-oval nest
 
-def census(e1: int, e2: int, m: int, i: int, ovals: int):
+def census(e1: int, e2: int, m: int, i: int, ovals: int,
+           mode: str = "uniform"):
     """(signed-pair residual, pair-table residuals) of a two-oval nest with
-    median imbalance m and inner imbalance i, uniform convention: the pair
-    sign of (outer, inner oval) is minus the product of their signs, and an
-    empty oval takes its enclosing oval's.  The pair-table residuals are
-    None when the empty-oval imbalance is odd."""
-    pair_diff = -e1 * e2 - e1 * (m + i) - e2 * i
+    median imbalance m and inner imbalance i.  The pair sign of (outer,
+    inner oval) is minus the product of their signs; a pair with an empty
+    oval takes, in the uniform convention, the sign of the nest oval that
+    holds it, and in the literal one that of the other nest oval.  The
+    pair-table residuals are None when the empty-oval imbalance is odd."""
+    if mode == "uniform":
+        pair_diff = -e1 * e2 - e1 * (m + i) - e2 * i
+    else:
+        pair_diff = -e1 * e2 - e2 * (m + i) - e1 * i
     lhs = 2 * pair_diff + e1 + e2 + m + i
     k = (DEGREE - 1) // 2
     rhs = (ovals + 1) - 1 - k * (k + 1)

@@ -16,7 +16,12 @@
   malformed ones;
 * ``parse`` of inadmissible schemes, each with its witness oval, and
   ``check-rm --mode paper``, which reads the literal pair convention;
-* the malformed argv of the cli-cold benchmark workload.
+* the malformed argv of the cli-cold benchmark workload;
+* the paths a command reaches that none of the above runs
+  (``more_paths``): signed ``parse`` with its item errors, each rule of
+  the scheme reader, a nest with empty ovals outside it, ``theorem2``
+  sizes that do not add up to 26, ``lemma3 --config`` with ``--case``,
+  each rule of the trace reader and the two crossing floors of ``audit``.
 
 Every input file is written into a fresh directory and its path is masked
 as the file's name, and the human form's ``elapsed`` line is masked.  An
@@ -102,9 +107,49 @@ CONFIGS = {
 
 _LONE = json.loads((GOLDEN / "trace.json").read_text(encoding="utf-8"))
 _LONE["visits"][0] = {"oval": "lone", "role": "median", "node": True}
+
+
+def _trace(**fields) -> str:
+    """A degree-1 trace with two visits inside the inner nest oval, with
+    `fields` put in or replaced."""
+    return json.dumps({"degree": 1,
+                       "visits": [{"oval": "a", "role": "inner"},
+                                  {"oval": "b", "role": "inner"}],
+                       "arcs": [{}, {}], **fields})
+
+
+_INNER = {"oval": "a", "role": "inner"}
 TRACES = {
     "trace.json": (GOLDEN / "trace.json").read_text(encoding="utf-8"),
     "unpaired-node.json": json.dumps(_LONE),
+    # an odd degree with no crossing: both floors of two crossings apply;
+    # with a median visit only the outer oval's does
+    "inner-floors.json": _trace(extras=[{"count": 3, "tag": "tangency"}]),
+    "median-floor.json": _trace(visits=[_INNER,
+                                        {"oval": "b", "role": "median"}]),
+    # one per rule of parse_trace, in its order, then load_trace's own
+    "trace-list.json": "[]",
+    "trace-key.json": _trace(colour="red"),
+    "trace-degree.json": _trace(degree=0),
+    "trace-no-visits.json": _trace(visits=[], arcs=[]),
+    "visit-list.json": _trace(visits=[[], _INNER]),
+    "visit-key.json": _trace(visits=[{**_INNER, "colour": "red"}, _INNER]),
+    "visit-oval.json": _trace(visits=[{**_INNER, "oval": True}, _INNER]),
+    "visit-role.json": _trace(visits=[{**_INNER, "role": "outer"}, _INNER]),
+    "visit-node.json": _trace(visits=[{**_INNER, "node": 1}, _INNER]),
+    "arcs-object.json": _trace(arcs={}),
+    "arcs-short.json": _trace(arcs=[{}]),
+    "arc-list.json": _trace(arcs=[{}, []]),
+    "arc-key.json": _trace(arcs=[{}, {"colour": "red"}]),
+    "arc-negative.json": _trace(arcs=[{"jCrossings": -1}, {}]),
+    "extras-object.json": _trace(extras={}),
+    "extra-list.json": _trace(extras=[[]]),
+    "trace-extra-key.json": _trace(extras=[{"count": 1, "tag": "t", "x": 0}]),
+    "extra-negative.json": _trace(extras=[{"count": -1, "tag": "t"}]),
+    "extra-untagged.json": _trace(extras=[{"count": 1, "tag": " "}]),
+    "two-roles.json": _trace(visits=[_INNER, {**_INNER, "role": "median"}]),
+    "trace-not-json.json": "{\"degree\": ",
+    "trace-deep.json": "[" * 100_000 + "]" * 100_000,
 }
 
 
@@ -180,6 +225,43 @@ def corpus() -> list[list[str]]:
         ["parse", "--degree", "-2", "--scheme", "<1>"],
         ["parse", "--degree", "-3", "--scheme", "<J + 1>"],
     )]
+    runs += more_paths()
+    return runs
+
+
+def more_paths() -> list[list[str]]:
+    """Paths that a command reaches and the argv above do not run: the
+    signed `parse` and its item errors, every rule of the scheme reader,
+    a nest with empty ovals outside it, theorem2 with sizes that do not
+    add up, lemma3 --config with --case, and every rule of the trace
+    reader, with the floors of `audit`."""
+    runs = [["--json", "parse", "--scheme", text] for text in (
+        SIGNED,
+        "<J + 0 + 1_+<0>>",             # a bare 0, an oval holding nothing
+        "<J + 1_-<3_+ + 9>>",           # a signed count without its sign
+        "<J + 2_-<3_+>>",               # a signed container of count 2
+        "J + 1>",                       # no '<'
+        "<J + 01>",                     # a leading zero
+        "<J + + 1>",                    # no item
+        "<1<J>>",                       # J inside an oval
+        "<J + J>",                      # J twice
+        "<J + 1> 2",                    # trailing input
+        "<1>",                          # no J at odd degree
+        "<J + 0 + 1<0>>",               # plain: a bare 0, "1<0>"
+        "<J + 2 + 1<3 + 1<21>>>",       # empty ovals outside the nest
+    )]
+    runs += [
+        ["--json", "parse", "--degree", "8", "--scheme", "<J + 1>"],
+        ["--json", "prohibit", "--scheme", "<J + 2 + 1<3 + 1<21>>>"],
+        ["--json", "prohibit", "--scheme", "<J + 1_+<3 + 1<23>>>"],
+        ["--json", "prohibit", "--scheme", "<J + 28>"],
+        ["--json", "theorem2", "--beta", "12", "--gamma", "13"],
+        ["--json", "theorem2", "--beta", "12", "--gamma", "27"],
+        ["--json", "lemma3", "--config", "points.json", "--case", "1"],
+        ["--json", "audit", "--trace", "missing.json"],
+    ]
+    runs += [["--json", "audit", "--trace", name] for name in TRACES
+             if name not in ("trace.json", "unpaired-node.json")]
     return runs
 
 
@@ -195,6 +277,7 @@ def _run(argv: list[str]) -> tuple[int, str, str]:
 
 def corpus_digests(workdir: pathlib.Path) -> dict[str, str]:
     """Run every corpus argv through `main`; argv text -> digest."""
+    assert not CONFIGS.keys() & TRACES.keys()
     files = {**CONFIGS, **TRACES}
     for name, text in files.items():
         (workdir / name).write_text(text, encoding="utf-8")
@@ -213,7 +296,7 @@ def corpus_digests(workdir: pathlib.Path) -> dict[str, str]:
 
 def test_cli_reports_match_their_digests(tmp_path):
     expected = json.loads(DIGESTS.read_text())
-    assert len(expected) == len(corpus()) == 449
+    assert len(expected) == len(corpus()) == 494
     assert corpus_digests(tmp_path) == expected
 
 

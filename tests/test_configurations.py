@@ -278,7 +278,7 @@ def test_witnesses_are_checkable_and_exclusive():
     for case in (1, 2, 3):
         assert find_witness(orientation_table(BASE_CONFIGURATIONS[case])) is None
     w = classify_configuration(EXCLUSION_TEMPLATES["convex-23465"]).witness
-    assert w.kind in ("segment", "vertex", "empty")
+    assert len(w.shared) in (1, 2)
     assert not verify_witness(BASE_CONFIGURATIONS[1], w)
 
 

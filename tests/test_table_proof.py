@@ -167,11 +167,12 @@ def test_every_excluded_table_has_a_witness(enumeration):
     excluded = [cl for _, cl in ordered if not cl.is_valid]
     assert len(excluded) == 470
     assert all(cl.witness is not None for cl in excluded)
-    assert Counter(cl.witness.kind for cl in excluded) \
-        == {"segment": 460, "vertex": 10}
+    # 460 witnesses share a side (two labels), 10 share a vertex (one)
+    assert Counter(len(cl.witness.shared) for cl in excluded) \
+        == {2: 460, 1: 10}
     # only a convex hull in or against pencil order needs a skip pair
     assert Counter(configuration_kind(cl) for cl in excluded
-                   if cl.witness.kind == "vertex") \
+                   if len(cl.witness.shared) == 1) \
         == {"convex-23456": 5, "convex-26543": 5}
 
 
