@@ -10,16 +10,20 @@ sub-region and the witness are each decided by signs of 3x3 determinants of
 chart points, so the classifier reads them all from one table of the
 configuration's 20 orientation signs, and the event sequence reads the
 table that the classifier has already relabeled to canonical labels,
-instead of building or relabeling another.  `tests/test_table_proof.py`
-enumerates every table six points can have: 496 are pencil-ordered, 26 of
-them valid (1, 10 and 15 per class), and each of the other 470 has a
-witness.  No perturbation that the sampler makes changes a sign of a base
-configuration, so `lemma3 --case` reads one table per class and samples
-nothing; nor does one make a sign of any template 0 or change its kind,
-so a sample is its template perturbed once, and is never classified.
-The pencil order is ranked by `geometry.turn_order`, and the
-interior labels alone fix the shift sigma^k, so all three classes are
-relabeled, shape-tested and region-tested on one path.
+instead of building or relabeling another.  The witness search reads one
+edge plan per triangle pair, built at import: per edge, its own slot and
+the slots of the other triangle's vertices off it; `verify_witness` walks
+the same plan with orientations computed from the points.
+`tests/test_table_proof.py` enumerates every table six points can have:
+496 are pencil-ordered, 26 of them valid (1, 10 and 15 per class), and
+each of the other 470 has a witness.  No perturbation that the sampler
+makes changes a sign of a base configuration, so `lemma3 --case` reads one
+table per class and samples nothing; nor does one make a sign of any
+template 0 or change its kind, so a sample is its template perturbed once,
+and is never classified.  The pencil order is ranked by
+`geometry.turn_order`, and the interior labels alone fix the shift sigma^k,
+so all three classes are relabeled, shape-tested and region-tested on one
+path.
 
 The event sequence of a valid configuration lists, in pencil order, the five
 reducible members of the cubic pencil through the six points (labeled "12".."16"
@@ -198,43 +202,56 @@ def _pencil_order(signs: tuple) -> list[int]:
 # ---------------------------------------------------------------------------
 # exact triangle-pair witnesses
 
-def _interiors_disjoint(t1, t2, orient) -> bool:
-    """Separating-axis search over the six edge lines: some edge line of one
-    triangle has the other triangle's vertices on the side away from its own
-    third vertex (or on the line).  `orient(a, b, c)` is the chart
-    orientation of the labelled points."""
+def _edge_plan(t1, t2) -> tuple:
+    """Separating-axis search over the six edge lines, per edge a -> b of
+    t1, then of t2: the slot of [abc], with c the edge's own third vertex,
+    the slots of [abv] for the other triangle's vertices v other than a and
+    b, and the labels (a, b, c) and those v.  The interiors are disjoint
+    iff some edge has no v on the side of c."""
+    plan = []
     for ta, tb in ((t1, t2), (t2, t1)):
-        for i in range(3):
-            a, b, c = ta[i], ta[(i + 1) % 3], ta[(i + 2) % 3]
-            s_own = orient(a, b, c)
-            if s_own == 0:
-                raise DegeneratePositionError("degenerate principal triangle")
-            for v in tb:
-                if v != a and v != b and orient(a, b, v) == s_own:
-                    break
-            else:
-                return True
-    return False
+        for a, b, c in (ta, ta[1:] + ta[:1], ta[2:] + ta[:2]):
+            vs = tuple(v for v in tb if v != a and v != b)
+            plan.append((slot(a, b, c), tuple(slot(a, b, v) for v in vs),
+                         (a, b, c), vs))
+    return tuple(plan)
+
+
+# per pair of _WITNESS_PAIRS, in their canonical order: its Witness, and
+# its edge plan
+_WITNESS_PLANS = {
+    (t1, t2): (Witness((t1, t2), tuple(sorted(set(t1) & set(t2)))),
+               _edge_plan(t1, t2))
+    for t1, t2 in _WITNESS_PAIRS}
 
 
 def find_witness(signs: tuple) -> Optional[Witness]:
     """First interior-disjoint pair of principal triangles, in canonical order,
     read from a configuration's orientation table."""
-    def orient(a, b, c):
-        return signs[49 * a + 7 * b + c]    # geometry.slot, inline
-
-    for t1, t2 in _WITNESS_PAIRS:
-        if _interiors_disjoint(t1, t2, orient):
-            shared = tuple(sorted(set(t1) & set(t2)))
-            return Witness(triangles=(t1, t2), shared=shared)
+    for witness, edges in _WITNESS_PLANS.values():
+        for own, others, _, _ in edges:
+            s = signs[own]
+            if s == 0:
+                raise DegeneratePositionError("degenerate principal triangle")
+            for i in others:
+                if signs[i] == s:
+                    break
+            else:
+                return witness
     return None
 
 
 def verify_witness(cfg: dict[int, Triple], w: Witness) -> bool:
-    """Recheck a witness from the points themselves, not from a sign table."""
-    return _interiors_disjoint(
-        w.triangles[0], w.triangles[1],
-        lambda a, b, c: chart_orient(cfg[a], cfg[b], cfg[c]))
+    """Recheck a witness of `find_witness` from the points themselves, not
+    from a sign table: walk the labels of its edge plan and take each
+    orientation from `chart_orient` on the labelled points."""
+    for _, _, (a, b, c), vs in _WITNESS_PLANS[w.triangles][1]:
+        s = chart_orient(cfg[a], cfg[b], cfg[c])
+        if s == 0:
+            raise DegeneratePositionError("degenerate principal triangle")
+        if all(chart_orient(cfg[a], cfg[b], cfg[v]) != s for v in vs):
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,13 @@ infinity of the affine chart.  Points handed to the chart predicates must
 lie off J.  A hull (`_hull_cycle`), and every decision of the six-point
 classification, is read from a flat table of chart orientations over labels
 0..6 (`orientation_table`, [abc] at `slot(a, b, c)`), spread from the signs
-of the unordered triples (`orientation_signs`).  `turn_order` ranks labels
-by turns, products of table signs.
+of the unordered triples of six points (`orientation_signs`).  Those are
+straight-line integer code, so a classification pays for its arithmetic
+and its table reads, not for a loop or a call per triple: each [abc] is
+a . (b x c), and b x c is one of the ten pair minors of the last five
+points.  The hull reads its collinearity test and its edge tests through
+getters cached per label order.  `turn_order` ranks labels by turns,
+products of table signs.
 
 `circle_sort` orders full-circle vectors exactly; with the double-angle
 embedding (dx, dy) -> (dx^2 - dy^2, 2 dx dy) of `tests/chart.py`, which is
@@ -110,16 +115,35 @@ def slot(a: int, b: int, c: int) -> int:
 
 
 def orientation_signs(pts: dict) -> tuple:
-    """Chart orientation of each unordered triple of labels of `pts` (label ->
-    point off J), in `combinations` order."""
-    # one chart_rep per point and one det3, written out, per triple
-    out = []
-    for (ax, ay, az), (bx, by, bz), (cx, cy, cz) in \
-            combinations([chart_rep(p) for p in pts.values()], 3):
-        d = (ax * (by * cz - bz * cy) - ay * (bx * cz - bz * cx)
-             + az * (bx * cy - by * cx))
-        out.append((d > 0) - (d < 0))
-    return tuple(out)
+    """Chart orientation of each unordered triple of the six points of `pts`
+    (label -> point off J), in `combinations` order.  Straight-line code:
+    [abc] = a . (b x c), and b x c is one of the ten pair minors of the last
+    five points, each written out once."""
+    if len(pts) != 6:
+        raise ValueError(f"orientation signs take six points, not {len(pts)}")
+    (ax, ay, az), (bx, by, bz), (cx, cy, cz), (dx, dy, dz), (ex, ey, ez), \
+        (fx, fy, fz) = map(chart_rep, pts.values())
+    bc0, bc1, bc2 = by * cz - bz * cy, bz * cx - bx * cz, bx * cy - by * cx
+    bd0, bd1, bd2 = by * dz - bz * dy, bz * dx - bx * dz, bx * dy - by * dx
+    be0, be1, be2 = by * ez - bz * ey, bz * ex - bx * ez, bx * ey - by * ex
+    bf0, bf1, bf2 = by * fz - bz * fy, bz * fx - bx * fz, bx * fy - by * fx
+    cd0, cd1, cd2 = cy * dz - cz * dy, cz * dx - cx * dz, cx * dy - cy * dx
+    ce0, ce1, ce2 = cy * ez - cz * ey, cz * ex - cx * ez, cx * ey - cy * ex
+    cf0, cf1, cf2 = cy * fz - cz * fy, cz * fx - cx * fz, cx * fy - cy * fx
+    de0, de1, de2 = dy * ez - dz * ey, dz * ex - dx * ez, dx * ey - dy * ex
+    df0, df1, df2 = dy * fz - dz * fy, dz * fx - dx * fz, dx * fy - dy * fx
+    ef0, ef1, ef2 = ey * fz - ez * fy, ez * fx - ex * fz, ex * fy - ey * fx
+    return tuple([(v > 0) - (v < 0) for v in (
+        ax * bc0 + ay * bc1 + az * bc2, ax * bd0 + ay * bd1 + az * bd2,
+        ax * be0 + ay * be1 + az * be2, ax * bf0 + ay * bf1 + az * bf2,
+        ax * cd0 + ay * cd1 + az * cd2, ax * ce0 + ay * ce1 + az * ce2,
+        ax * cf0 + ay * cf1 + az * cf2, ax * de0 + ay * de1 + az * de2,
+        ax * df0 + ay * df1 + az * df2, ax * ef0 + ay * ef1 + az * ef2,
+        bx * cd0 + by * cd1 + bz * cd2, bx * ce0 + by * ce1 + bz * ce2,
+        bx * cf0 + by * cf1 + bz * cf2, bx * de0 + by * de1 + bz * de2,
+        bx * df0 + by * df1 + bz * df2, bx * ef0 + by * ef1 + bz * ef2,
+        cx * de0 + cy * de1 + cz * de2, cx * df0 + cy * df1 + cz * df2,
+        cx * ef0 + cy * ef1 + cz * ef2, dx * ef0 + dy * ef1 + dz * ef2)])
 
 
 @lru_cache(maxsize=None)
@@ -146,10 +170,13 @@ def orientation_table(pts: dict) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _hull_rows(labels: tuple) -> list:
-    # per label a, per other label b, the getter of the slots [abc] over c
-    return [(a, [(b, itemgetter(*[slot(a, b, c) for c in labels]))
-                 for b in labels if b != a]) for a in labels]
+def _hull_plan(labels: tuple) -> tuple:
+    # the triples of `labels` in combinations order, the getter of their
+    # slots, and per label a, per other label b, the getter of [abc] over c
+    triples = list(combinations(labels, 3))
+    return (triples, itemgetter(*[slot(*t) for t in triples]),
+            [(a, [(b, itemgetter(*[slot(a, b, c) for c in labels]))
+                  for b in labels if b != a]) for a in labels])
 
 
 def _hull_cycle(signs: tuple, labels: Sequence):
@@ -157,11 +184,13 @@ def _hull_cycle(signs: tuple, labels: Sequence):
     smallest label, and their sorted interior labels, read from an
     orientation table: [ab] is a hull edge iff no other point lies to the
     right of a -> b (a repeated label reads 0, so a and b need no test)."""
-    for t in combinations(labels, 3):
-        if signs[slot(*t)] == 0:
-            raise DegeneratePositionError("collinear triple {},{},{}".format(*t))
+    triples, triple_slots, rows = _hull_plan(tuple(labels))
+    triple_signs = triple_slots(signs)
+    if 0 in triple_signs:
+        raise DegeneratePositionError(
+            "collinear triple {},{},{}".format(*triples[triple_signs.index(0)]))
     succ = {}
-    for a, row in _hull_rows(tuple(labels)):
+    for a, row in rows:
         for b, right in row:
             if -1 not in right(signs):
                 succ[a] = b

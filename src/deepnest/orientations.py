@@ -230,7 +230,9 @@ def check_rokhlin_mishachev(s: SignedScheme, mode: Mode = "uniform",
         raise ValueError(f"unknown mode {mode!r}")
     st = stats or compute_stats(s, mode)
     lhs = 2 * (st.pair_plus - st.pair_minus) + (st.all_plus - st.all_minus)
-    return lhs - rm_rhs(s.degree, s.component_count())
+    # the census counts every oval once, by its sign
+    components = st.all_plus + st.all_minus + s.pseudoline
+    return lhs - rm_rhs(s.degree, components)
 
 
 def check_orevkov(s: SignedScheme,

@@ -21,6 +21,13 @@ canonical generators, whose member conics are built on read.
 generators and parameters, a seen-dict for coincident events, and a circle
 sort of the doubled parameter angles.
 
+`orientation_signs_looped` is `deepnest.geometry.orientation_signs` as it
+was before it became straight-line code for six points: one loop over the
+triples of any number of points, which `orientation_table_looped` spreads
+into a flat table.  `find_witness_by_closure` is
+`deepnest.configurations.find_witness` as it was before its edge plans: the
+separating-axis search calls an orientation closure per table read.
+
 `EXPECTED_WITNESSES` names the witnesses that the samples of each
 excluded-pattern template of `deepnest.configurations` must produce.
 
@@ -43,6 +50,7 @@ object and a position per token.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 from typing import Any, Iterable, NamedTuple, Optional, Sequence
 
@@ -70,14 +78,17 @@ from deepnest.cases import (
     solve_scenario,
 )
 from deepnest.conics import Conic, _raw_pair, conic_matrix2, cremona
+from deepnest.configurations import _WITNESS_PAIRS, Witness
 from deepnest.geometry import (
     DegeneratePositionError,
     Triple,
     _raw_cross,
+    _table_getter,
     chart_rep,
     circle_sort,
     det3,
     normalize,
+    slot,
 )
 from deepnest.orientations import (
     SignedScheme,
@@ -217,6 +228,64 @@ def step_is_j_jump(base: Triple, px: Triple, py: Triple) -> bool:
     b = double_angle(chart_direction(base, py))
     m = double_angle(chart_direction(px, py))
     return inside_ccw_arc(a, b, m)
+
+
+# ---------------------------------------------------------------------------
+# orientation signs of any number of points, and the witness search that
+# calls an orientation per edge
+
+def orientation_signs_looped(pts: dict) -> tuple:
+    """`deepnest.geometry.orientation_signs` as it was before it took
+    exactly six points: one chart_rep per point and one determinant, written
+    out, per triple, over any number of points."""
+    out = []
+    for (ax, ay, az), (bx, by, bz), (cx, cy, cz) in \
+            combinations([chart_rep(p) for p in pts.values()], 3):
+        d = (ax * (by * cz - bz * cy) - ay * (bx * cz - bz * cx)
+             + az * (bx * cy - by * cx))
+        out.append((d > 0) - (d < 0))
+    return tuple(out)
+
+
+def orientation_table_looped(pts: dict) -> tuple:
+    """The flat orientation table of `pts` (any number of labels in 0..6),
+    spread from `orientation_signs_looped` as
+    `deepnest.geometry.orientation_table` spreads six points' signs."""
+    signs = orientation_signs_looped(pts)
+    return _table_getter(tuple(pts))((*signs, *[-s for s in signs], 0))
+
+
+def _interiors_disjoint(t1, t2, orient) -> bool:
+    """Separating-axis search over the six edge lines: some edge line of one
+    triangle has the other triangle's vertices on the side away from its own
+    third vertex (or on the line).  `orient(a, b, c)` is the chart
+    orientation of the labelled points."""
+    for ta, tb in ((t1, t2), (t2, t1)):
+        for i in range(3):
+            a, b, c = ta[i], ta[(i + 1) % 3], ta[(i + 2) % 3]
+            s_own = orient(a, b, c)
+            if s_own == 0:
+                raise DegeneratePositionError("degenerate principal triangle")
+            for v in tb:
+                if v != a and v != b and orient(a, b, v) == s_own:
+                    break
+            else:
+                return True
+    return False
+
+
+def find_witness_by_closure(signs: tuple) -> Optional[Witness]:
+    """`deepnest.configurations.find_witness` as it was before its edge
+    plans: the same canonical pair order, with one call of an orientation
+    closure per table read."""
+    def orient(a, b, c):
+        return signs[slot(a, b, c)]
+
+    for t1, t2 in _WITNESS_PAIRS:
+        if _interiors_disjoint(t1, t2, orient):
+            shared = tuple(sorted(set(t1) & set(t2)))
+            return Witness(triangles=(t1, t2), shared=shared)
+    return None
 
 
 # ---------------------------------------------------------------------------

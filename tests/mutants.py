@@ -119,6 +119,17 @@ MUTANTS = (
      "NO_JUMPS_ODD_GAMMA: (1, (1, -1), (2, -2), 1, 0),",
      ["tests/test_cases.py::"
       "test_each_odd_gamma_pattern_has_its_census_residual_and_slope"]),
+    ("a kernel pair minor with one term's sign flipped",
+     "src/deepnest/geometry.py",
+     "bd0, bd1, bd2 = by * dz - bz * dy,",
+     "bd0, bd1, bd2 = by * dz + bz * dy,",
+     ["tests/test_geometry.py::test_orientation_table_is_the_sign_of_det3"]),
+    ("witness edge plans without the second triangle's edges",
+     "src/deepnest/configurations.py",
+     "for ta, tb in ((t1, t2), (t2, t1))",
+     "for ta, tb in ((t1, t2),)",
+     ["tests/test_table_proof.py::"
+      "test_edge_plans_find_the_reference_witness"]),
     ("case 3 reads a wrong slot",
      "src/deepnest/configurations.py",
      "slot(4, 3, 5))",

@@ -32,6 +32,8 @@ from chart import (
     inside_ccw_arc,
     line_pencil_sweep,
     line_through,
+    orientation_signs_looped,
+    orientation_table_looped,
     point,
 )
 
@@ -109,7 +111,7 @@ def test_inside_ccw_arc_quarter_turns():
 def test_convex_position_hull_and_interior():
     square = {1: point(0, 0), 2: point(4, 0), 3: point(4, 4), 4: point(0, 4)}
     for pts, interior in ((square, ()), ({**square, 5: point(1, 2)}, (5,))):
-        cycle, inner = _hull_cycle(orientation_table(pts), list(pts))
+        cycle, inner = _hull_cycle(orientation_table_looped(pts), list(pts))
         # counterclockwise cycle, starting at the smallest label
         assert cycle == (1, 2, 3, 4)
         assert inner == interior
@@ -139,7 +141,8 @@ def test_convex_position_vs_float_hull():
 
 def test_orientation_table_is_the_sign_of_det3():
     # small coordinates, so that many triples are collinear; z of either
-    # sign; label sets of six, five and four points, with and without 0
+    # sign; label sets of six points, through the kernel, and of five and
+    # four, through the loop of `chart.py`, with and without 0
     rng = random.Random(1616)
     zeros = flips = 0
     assert sorted(slot(*t) for t in product(range(7), repeat=3)) == \
@@ -149,9 +152,13 @@ def test_orientation_table_is_the_sign_of_det3():
         for _ in range(150):
             pts = {k: (rng.randint(-3, 3), rng.randint(-3, 3),
                        rng.choice((-3, -2, -1, 1, 2, 3))) for k in labels}
-            signs = orientation_table(pts)
+            if len(pts) == 6:
+                signs = orientation_table(pts)
+                assert orientation_signs(pts) == orientation_signs_looped(pts)
+            else:
+                signs = orientation_table_looped(pts)
             assert len(signs) == 7 ** 3
-            assert orientation_signs(pts) == tuple(
+            assert orientation_signs_looped(pts) == tuple(
                 signs[slot(*t)] for t in combinations(pts, 3))
             for a, b, c in product(range(7), repeat=3):
                 s = signs[slot(a, b, c)]
@@ -168,7 +175,13 @@ def test_orientation_table_is_the_sign_of_det3():
 
 def test_orientation_table_takes_labels_0_to_6():
     with pytest.raises(ValueError, match="labels 0..6"):
-        orientation_table({k: (k, k * k, 1) for k in (1, 2, 7)})
+        orientation_table({k: (k, k * k, 1) for k in (1, 2, 3, 4, 5, 7)})
+
+
+def test_orientation_signs_take_six_points():
+    for labels in ((1, 2, 3), (1, 2, 3, 4, 5), (0, 1, 2, 3, 4, 5, 6)):
+        with pytest.raises(ValueError, match="six points"):
+            orientation_table({k: (k, k * k, 1) for k in labels})
 
 
 def test_pencil_sweep_is_cyclic_and_antipode_free():

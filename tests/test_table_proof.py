@@ -11,7 +11,8 @@ hold for every configuration:
 
 * 11,904 sign vectors; 496 are in pencil order at point 1, of 44 kinds; 26
   are valid (1, 10 and 15 per case), and each of the other 470 has a
-  triangle-pair witness;
+  triangle-pair witness, and the edge plans of `find_witness` find the
+  first one that the search over an orientation closure finds;
 * on each valid table C = [123][145][246][356] - [124][135][236][456] is
   nonzero, with a sign fixed by the table;
 * no perturbation the sampler makes changes a sign of a base template, so
@@ -44,6 +45,7 @@ from deepnest.configurations import (
     _WITNESS_PAIRS,
     _classify_signs,
     configuration_kind,
+    find_witness,
     perturb_configuration,
 )
 from deepnest.geometry import (
@@ -56,6 +58,7 @@ from deepnest.geometry import (
     orientation_signs,
     slot,
 )
+from chart import find_witness_by_closure
 
 LABELS = (1, 2, 3, 4, 5, 6)
 TEMPLATES = {**{f"case{k}": cfg for k, cfg in BASE_CONFIGURATIONS.items()},
@@ -174,6 +177,37 @@ def test_every_excluded_table_has_a_witness(enumeration):
     assert Counter(configuration_kind(cl) for cl in excluded
                    if len(cl.witness.shared) == 1) \
         == {"convex-23456": 5, "convex-26543": 5}
+
+
+def test_edge_plans_find_the_reference_witness(enumeration):
+    # the edge plans find the pair that the search over an orientation
+    # closure finds first: on the table that the classifier searched, which
+    # is relabelled when the interior fixes a shift, and on the table as
+    # given
+    _, ordered = enumeration
+    excluded = [(signs, cl) for signs, cl in ordered if not cl.is_valid]
+    assert len(excluded) == 470
+    for signs, cl in excluded:
+        searched = _classify_signs(signs)[1]
+        assert cl.witness == find_witness_by_closure(searched)
+        assert find_witness(signs) == find_witness_by_closure(signs)
+    # the search reads only the ten triples of 2..6, so these are all the
+    # tables without a zero that it can be given, realizable or not.  On
+    # each pencil-ordered table the edges of a pair's first triangle alone
+    # find the same pair; on 16 of these 1,024 they do not
+    found = Counter()
+    for v in product((1, -1), repeat=10):
+        signs = _table_getter((2, 3, 4, 5, 6))((*v, *[-s for s in v], 0))
+        witness = find_witness(signs)
+        assert witness == find_witness_by_closure(signs)
+        found[witness is not None] += 1
+    assert found == {True: 1002, False: 22}
+    # [234] is 0: the first edge of the first pair raises in both
+    zeroed = _table_getter((2, 3, 4, 5, 6))((0, *[1] * 9, 0, *[-1] * 9, 0))
+    for search in (find_witness, find_witness_by_closure):
+        with pytest.raises(DegeneratePositionError,
+                           match="degenerate principal triangle"):
+            search(zeroed)
 
 
 def test_principal_triangles_pairwise_share_a_vertex():
