@@ -8,12 +8,13 @@ five principal triangles 234, 345, 456, 562, 623 have disjoint interiors and
 the pair is reported as an exact witness.  The pencil order, the hull, the
 sub-region and the witness are each decided by signs of 3x3 determinants of
 chart points, so the classifier reads them all from one table of the
-configuration's 20 orientation signs, and the event sequence reads the
-table that the classifier has already relabeled to canonical labels,
-instead of building or relabeling another.  The witness search reads one
-edge plan per triangle pair, built at import: per edge, its own slot and
-the slots of the other triangle's vertices off it; `verify_witness` walks
-the same plan with orientations computed from the points.
+configuration's 20 orientation signs, those negated and 0, which a
+relabeling permutes with one getter; the event sequence reads the table
+that the classifier has already relabeled, instead of building another.
+The witness search reads one edge plan per triangle pair, built at import:
+per edge, its own slot and the slots of the other triangle's vertices off
+it; `verify_witness` walks the same plan with orientations computed from
+the points.
 `tests/test_table_proof.py` enumerates every table six points can have:
 496 are pencil-ordered, 26 of them valid (1, 10 and 15 per class), and
 each of the other 470 has a witness.  No perturbation that the sampler
@@ -51,6 +52,7 @@ from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .geometry import (
+    TABLE_KEYS,
     DegeneratePositionError,
     Triple,
     _hull_cycle,
@@ -158,7 +160,7 @@ def sigma_shift(cfg: dict[int, Triple], k: int) -> dict[int, Triple]:
 # _SHIFT_GETTERS[k] permutes an orientation table into the table under
 # sigma^k: its [abc] reads the old [a'b'c'], where m = sigma^-k takes a to a'
 _SHIFT_GETTERS = tuple(
-    itemgetter(*[slot(a, b, c) for a in m for b in m for c in m])
+    itemgetter(*[slot(m[a], m[b], m[c]) for a, b, c in TABLE_KEYS])
     for m in (_SIGMA[-k % 5] for k in range(5)))
 
 

@@ -7,9 +7,9 @@ are exact; no tolerances anywhere.
 The curve's one-sided branch J is modelled as the line z = 0, the line at
 infinity of the affine chart.  Points handed to the chart predicates must
 lie off J.  A hull (`_hull_cycle`), and every decision of the six-point
-classification, is read from a flat table of chart orientations over labels
-0..6 (`orientation_table`, [abc] at `slot(a, b, c)`), spread from the signs
-of the unordered triples of six points (`orientation_signs`).  Those are
+classification, is read from the orientation table of six points labelled
+1..6 (`orientation_table`): the signs of their 20 triples, those negated
+and 0, with [abc] at `slot(a, b, c)`.  The signs (`orientation_signs`) are
 straight-line integer code, so a classification pays for its arithmetic
 and its table reads, not for a loop or a call per triple: each [abc] is
 a . (b x c), and b x c is one of the ten pair minors of the last five
@@ -26,7 +26,7 @@ command calls it: the test oracles do.
 from __future__ import annotations
 
 from functools import cmp_to_key, lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 from operator import itemgetter
 from typing import Sequence
@@ -109,20 +109,34 @@ def circle_sort(items: list, key) -> list:
     return sorted(items, key=cmp_to_key(cmp))
 
 
+# the key (a, b, c) of each entry of an orientation table: the triples of
+# labels 1..6 in `combinations` order, the same with their first two labels
+# swapped (so their signs negated), and a repeated label, which reads 0
+TABLE_KEYS = (*combinations(range(1, 7), 3), *[
+    (b, a, c) for a, b, c in combinations(range(1, 7), 3)], (1, 1, 1))
+# (a, b, c) over labels 1..6 -> the entry of [abc]: the cyclic shifts of a
+# key read its entry, and every triple with a repeated label reads the last
+_SLOTS = {**dict.fromkeys(product(range(1, 7), repeat=3), 40),
+          **{t: i for i, (a, b, c) in enumerate(TABLE_KEYS[:40])
+             for t in ((a, b, c), (b, c, a), (c, a, b))}}
+_LABELS, _BY_LABEL = {1, 2, 3, 4, 5, 6}, itemgetter(1, 2, 3, 4, 5, 6)
+
+
 def slot(a: int, b: int, c: int) -> int:
-    """The index of [abc] in a flat orientation table over labels 0..6."""
-    return 49 * a + 7 * b + c
+    """The index of [abc] in an orientation table, for labels in 1..6."""
+    return _SLOTS[a, b, c]
 
 
 def orientation_signs(pts: dict) -> tuple:
-    """Chart orientation of each unordered triple of the six points of `pts`
-    (label -> point off J), in `combinations` order.  Straight-line code:
-    [abc] = a . (b x c), and b x c is one of the ten pair minors of the last
-    five points, each written out once."""
-    if len(pts) != 6:
-        raise ValueError(f"orientation signs take six points, not {len(pts)}")
+    """Chart orientation of each triple a < b < c of the labels 1..6 of
+    `pts` (label -> point off J), in `combinations` order.  Straight-line
+    code: [abc] = a . (b x c), and b x c is one of the ten pair minors of
+    the last five points, each written out once."""
+    if pts.keys() != _LABELS:
+        raise ValueError("orientation signs take six points labelled 1..6, "
+                         f"not labels {tuple(pts)}")
     (ax, ay, az), (bx, by, bz), (cx, cy, cz), (dx, dy, dz), (ex, ey, ez), \
-        (fx, fy, fz) = map(chart_rep, pts.values())
+        (fx, fy, fz) = map(chart_rep, _BY_LABEL(pts))
     bc0, bc1, bc2 = by * cz - bz * cy, bz * cx - bx * cz, bx * cy - by * cx
     bd0, bd1, bd2 = by * dz - bz * dy, bz * dx - bx * dz, bx * dy - by * dx
     be0, be1, be2 = by * ez - bz * ey, bz * ex - bx * ez, bx * ey - by * ex
@@ -146,27 +160,11 @@ def orientation_signs(pts: dict) -> tuple:
         cx * ef0 + cy * ef1 + cz * ef2, dx * ef0 + dy * ef1 + dz * ef2)])
 
 
-@lru_cache(maxsize=None)
-def _table_getter(labels: tuple) -> itemgetter:
-    """The getter that spreads (signs of `labels` in this order, their
-    negations, 0) over the 343 slots of a flat orientation table.  A
-    six-point configuration has at most 720 label orders."""
-    if not set(labels) <= set(range(7)):
-        raise ValueError(f"orientation tables take labels 0..6, not {labels}")
-    n = len(labels) * (len(labels) - 1) * (len(labels) - 2) // 6
-    src = [2 * n] * 343
-    for i, (a, b, c) in enumerate(combinations(labels, 3)):
-        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-            src[slot(x, y, z)], src[slot(y, x, z)] = i, n + i
-    return itemgetter(*src)
-
-
 def orientation_table(pts: dict) -> tuple:
-    """Chart orientation of every ordered triple of labels of `pts` (labels
-    in 0..6), from `orientation_signs`: a flat tuple with [abc] at
-    `slot(a, b, c)`, and 0 wherever a label repeats or is not in `pts`."""
+    """The table of six points labelled 1..6: their `orientation_signs`,
+    those negated and 0, with [abc] at `slot(a, b, c)`."""
     signs = orientation_signs(pts)
-    return _table_getter(tuple(pts))((*signs, *[-s for s in signs], 0))
+    return (*signs, *[-s for s in signs], 0)
 
 
 @lru_cache(maxsize=None)

@@ -23,8 +23,9 @@ sort of the doubled parameter angles.
 
 `orientation_signs_looped` is `deepnest.geometry.orientation_signs` as it
 was before it became straight-line code for six points: one loop over the
-triples of any number of points, which `orientation_table_looped` spreads
-into a flat table.  `find_witness_by_closure` is
+triples of any number of points, which `orientation_table_looped` lays out
+as `deepnest.geometry.orientation_table` does for any subset of the labels
+1..6.  `find_witness_by_closure` is
 `deepnest.configurations.find_witness` as it was before its edge plans: the
 separating-axis search calls an orientation closure per table read.
 
@@ -80,10 +81,10 @@ from deepnest.cases import (
 from deepnest.conics import Conic, _raw_pair, conic_matrix2, cremona
 from deepnest.configurations import _WITNESS_PAIRS, Witness
 from deepnest.geometry import (
+    TABLE_KEYS,
     DegeneratePositionError,
     Triple,
     _raw_cross,
-    _table_getter,
     chart_rep,
     circle_sort,
     det3,
@@ -248,11 +249,16 @@ def orientation_signs_looped(pts: dict) -> tuple:
 
 
 def orientation_table_looped(pts: dict) -> tuple:
-    """The flat orientation table of `pts` (any number of labels in 0..6),
-    spread from `orientation_signs_looped` as
-    `deepnest.geometry.orientation_table` spreads six points' signs."""
-    signs = orientation_signs_looped(pts)
-    return _table_getter(tuple(pts))((*signs, *[-s for s in signs], 0))
+    """The orientation table of `pts` (any subset of the labels 1..6, in
+    any order) in the layout of `deepnest.geometry.orientation_table`, from
+    `orientation_signs_looped`: each triple's sign at its slot, its negation
+    at the slot of the triple with its first two labels swapped, and 0 at
+    every triple with a label not in `pts`."""
+    table = [0] * len(TABLE_KEYS)
+    for (a, b, c), s in zip(combinations(pts, 3),
+                            orientation_signs_looped(pts)):
+        table[slot(a, b, c)], table[slot(b, a, c)] = s, -s
+    return tuple(table)
 
 
 def _interiors_disjoint(t1, t2, orient) -> bool:

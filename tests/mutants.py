@@ -136,6 +136,11 @@ MUTANTS = (
      "slot(4, 3, 6))",
      ["tests/test_classifier_oracle.py::"
       "test_sign_table_classifier_matches_the_point_oracle"]),
+    ("a swapped triple reads the unswapped sign",
+     "src/deepnest/geometry.py",
+     "**{t: i for i, (a, b, c) in enumerate(TABLE_KEYS[:40])",
+     "**{t: i % 20 for i, (a, b, c) in enumerate(TABLE_KEYS[:40])",
+     ["tests/test_geometry.py::test_orientation_table_is_the_sign_of_det3"]),
 )
 
 

@@ -368,6 +368,22 @@ def test_emission_rejects_out_of_range():
         emit_complex_scheme(SignCase(NO_JUMPS_EVEN_GAMMA, -1, -1, 1, 4), 2)
 
 
+def test_emission_refuses_what_no_solution_asks_for():
+    # no command emits these cases: no solution has an odd empty-oval
+    # imbalance, and beta-zero's one candidate n = 0 never solves; library
+    # input reaches them, so the wrong-parity raise and beta-zero's n-domain
+    # stay
+    with pytest.raises(InfeasibleOrientationError,
+                       match="imbalance 0 has the wrong parity for 23 ovals"):
+        emit_complex_scheme(SignCase(NO_JUMPS_ODD_GAMMA, 1, 1, 1, 1), 3)
+    zero = SignCase(BETA_ZERO, 1, -1, None, 0)
+    assert print_signed(emit_complex_scheme(zero, 0)) == \
+        "<J + 1_+<1_-<13_+ + 13_->>>"
+    with pytest.raises(InfeasibleOrientationError,
+                       match="n=1 is not admissible at beta=0"):
+        emit_complex_scheme(zero._replace(n=1), 0)
+
+
 def test_with_o1_jumps_emission_fits_exactly_the_available_ovals():
     """Every with-o1-jumps sign case at every beta: the case is emitted
     exactly when n has beta's parity and 1 <= n <= min(beta, gamma), and a

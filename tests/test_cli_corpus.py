@@ -19,9 +19,11 @@
 * the malformed argv of the cli-cold benchmark workload;
 * the paths a command reaches that none of the above runs
   (``more_paths``): signed ``parse`` with its item errors, each rule of
-  the scheme reader, a nest with empty ovals outside it, ``theorem2``
-  sizes that do not add up to 26, ``lemma3 --config`` with ``--case``,
-  each rule of the trace reader and the two crossing floors of ``audit``.
+  the scheme reader, a nest with empty ovals outside it, identical
+  containers merged, ``theorem2`` sizes that do not add up to 26,
+  ``lemma3 --config`` with ``--case`` and with a valid configuration whose
+  verdict is MISMATCH, each rule of the trace reader and the two crossing
+  floors of ``audit``.
 
 Every input file is written into a fresh directory and its path is masked
 as the file's name, and the human form's ``elapsed`` line is masked.  An
@@ -100,6 +102,12 @@ CONFIGS = {
          for k, p in enumerate(README_POINTS, start=1)]),
     "labels-0-5.json": json.dumps(
         [{"label": k, "point": p} for k, p in enumerate(README_POINTS)]),
+    # a valid case 2 configuration whose event sequence is not the
+    # reference's: one of the 60 mismatches among the 200 configurations of
+    # `test_position_cycles.random_valid_configurations(random.Random(7), 200)`
+    "mismatch.json": _points([632, -431, -1], [386, -75, -1], [597, -501, 1],
+                             [833, -176, -1], [492, -626, -1],
+                             [260, 387, -1]),
     "not-json.json": "[{\"label\": 1, ",
     "empty.json": "",
     "deep.json": "[" * 100_000 + "]" * 100_000,
@@ -203,7 +211,7 @@ def corpus() -> list[list[str]]:
                      for g in (-1, 0, 1, 13, 24, 25, 26, 27)]
     runs += [["--json", "lemma3", "--case", str(k)] for k in (1, 2, 3)]
     runs += [["--json", "lemma3", "--config", name] for name in CONFIGS
-             if name != "points.json"]
+             if name not in ("points.json", "mismatch.json")]
     runs += [["--json", "lemma3", "--config", "missing.json"],
              ["--json", "audit", "--trace", "unpaired-node.json"]]
     runs += [["--json", "parse", "--scheme", text] for text in INADMISSIBLE]
@@ -232,9 +240,10 @@ def corpus() -> list[list[str]]:
 def more_paths() -> list[list[str]]:
     """Paths that a command reaches and the argv above do not run: the
     signed `parse` and its item errors, every rule of the scheme reader,
-    a nest with empty ovals outside it, theorem2 with sizes that do not
-    add up, lemma3 --config with --case, and every rule of the trace
-    reader, with the floors of `audit`."""
+    a nest with empty ovals outside it, identical containers merged,
+    theorem2 with sizes that do not add up, lemma3 --config with --case
+    and with a valid configuration whose sequence is a MISMATCH, and every
+    rule of the trace reader, with the floors of `audit`."""
     runs = [["--json", "parse", "--scheme", text] for text in (
         SIGNED,
         "<J + 0 + 1_+<0>>",             # a bare 0, an oval holding nothing
@@ -249,6 +258,7 @@ def more_paths() -> list[list[str]]:
         "<1>",                          # no J at odd degree
         "<J + 0 + 1<0>>",               # plain: a bare 0, "1<0>"
         "<J + 2 + 1<3 + 1<21>>>",       # empty ovals outside the nest
+        "<J + 1<2> + 1<2> + 24>",       # identical containers, merged
     )]
     runs += [
         ["--json", "parse", "--degree", "8", "--scheme", "<J + 1>"],
@@ -258,6 +268,7 @@ def more_paths() -> list[list[str]]:
         ["--json", "theorem2", "--beta", "12", "--gamma", "13"],
         ["--json", "theorem2", "--beta", "12", "--gamma", "27"],
         ["--json", "lemma3", "--config", "points.json", "--case", "1"],
+        ["--json", "lemma3", "--config", "mismatch.json"],
         ["--json", "audit", "--trace", "missing.json"],
     ]
     runs += [["--json", "audit", "--trace", name] for name in TRACES
@@ -296,7 +307,7 @@ def corpus_digests(workdir: pathlib.Path) -> dict[str, str]:
 
 def test_cli_reports_match_their_digests(tmp_path):
     expected = json.loads(DIGESTS.read_text())
-    assert len(expected) == len(corpus()) == 494
+    assert len(expected) == len(corpus()) == 496
     assert corpus_digests(tmp_path) == expected
 
 

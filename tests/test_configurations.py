@@ -242,11 +242,12 @@ def test_tables_ignore_insertion_order_and_never_mix_configurations():
 
 
 def table_from_points(cfg):
-    """The flat orientation table, one chart orientation per slot."""
+    """The orientation table, one chart orientation per entry of its
+    layout: the triples of 1..6, those with their first two labels swapped,
+    and a repeated label, which reads 0."""
     return tuple(
         geometry.chart_orient(cfg[a], cfg[b], cfg[c])
-        if len({a, b, c}) == 3 and {a, b, c} <= set(cfg) else 0
-        for a in range(7) for b in range(7) for c in range(7))
+        if len({a, b, c}) == 3 else 0 for a, b, c in geometry.TABLE_KEYS)
 
 
 def test_shifted_table_is_the_table_of_the_shifted_points():

@@ -12,6 +12,7 @@ import hypothesis as hyp
 import hypothesis.strategies as hys
 
 from deepnest.geometry import (
+    TABLE_KEYS,
     DegeneratePositionError,
     _hull_cycle,
     chart_orient,
@@ -141,26 +142,28 @@ def test_convex_position_vs_float_hull():
 
 def test_orientation_table_is_the_sign_of_det3():
     # small coordinates, so that many triples are collinear; z of either
-    # sign; label sets of six points, through the kernel, and of five and
-    # four, through the loop of `chart.py`, with and without 0
+    # sign; label sets of six points, through the kernel (in label order
+    # and not), and of five and four, through the loop of `chart.py`
     rng = random.Random(1616)
     zeros = flips = 0
-    assert sorted(slot(*t) for t in product(range(7), repeat=3)) == \
-        list(range(7 ** 3))
-    for labels in ((1, 2, 3, 4, 5, 6), (0, 1, 2, 3, 4, 5), (2, 6, 0, 4, 5),
+    # one entry per key, and every triple of labels 1..6 reads one of them
+    assert [slot(*t) for t in TABLE_KEYS] == list(range(41))
+    assert {slot(*t) for t in product(range(1, 7), repeat=3)} == set(range(41))
+    for labels in ((1, 2, 3, 4, 5, 6), (4, 1, 6, 3, 5, 2), (2, 6, 1, 4, 5),
                    (5, 1, 3, 2)):
         for _ in range(150):
             pts = {k: (rng.randint(-3, 3), rng.randint(-3, 3),
                        rng.choice((-3, -2, -1, 1, 2, 3))) for k in labels}
             if len(pts) == 6:
                 signs = orientation_table(pts)
-                assert orientation_signs(pts) == orientation_signs_looped(pts)
+                assert orientation_signs(pts) == orientation_signs_looped(
+                    dict(sorted(pts.items())))
             else:
                 signs = orientation_table_looped(pts)
-            assert len(signs) == 7 ** 3
+            assert len(signs) == 41
             assert orientation_signs_looped(pts) == tuple(
                 signs[slot(*t)] for t in combinations(pts, 3))
-            for a, b, c in product(range(7), repeat=3):
+            for a, b, c in product(range(1, 7), repeat=3):
                 s = signs[slot(a, b, c)]
                 if len({a, b, c}) < 3 or not {a, b, c} <= set(pts):
                     assert s == 0
@@ -173,8 +176,12 @@ def test_orientation_table_is_the_sign_of_det3():
     assert zeros > 1000 and flips > 1000
 
 
-def test_orientation_table_takes_labels_0_to_6():
-    with pytest.raises(ValueError, match="labels 0..6"):
+def test_a_label_outside_1_to_6_raises():
+    # the table never reads 0 for a triple it does not hold
+    for t in ((0, 1, 2), (1, 2, 7), (3, 3, 0)):
+        with pytest.raises(KeyError):
+            slot(*t)
+    with pytest.raises(ValueError, match="labelled 1..6"):
         orientation_table({k: (k, k * k, 1) for k in (1, 2, 3, 4, 5, 7)})
 
 

@@ -68,12 +68,13 @@ def random_valid_configurations(rng, count, span=1000):
         if len(set(pts)) != 6:
             continue
         try:
-            _, interior = _hull_cycle(orientation_table(dict(enumerate(pts))),
-                                      range(6))
+            _, interior = _hull_cycle(
+                orientation_table(dict(enumerate(pts, 1))), range(1, 7))
         except DegeneratePositionError:
             continue
         for c in interior:
-            cfg = {1: pts[c], **dict(zip((2, 3, 4, 5, 6), pts[:c] + pts[c + 1:]))}
+            cfg = {1: pts[c - 1],
+                   **dict(zip((2, 3, 4, 5, 6), pts[:c - 1] + pts[c:]))}
             order = sweep_order(cfg)
             start = rng.randrange(5)
             order = order[start:] + order[:start]

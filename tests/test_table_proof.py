@@ -49,8 +49,8 @@ from deepnest.configurations import (
     perturb_configuration,
 )
 from deepnest.geometry import (
+    TABLE_KEYS,
     DegeneratePositionError,
-    _table_getter,
     chart_orient,
     chart_rep,
     det3,
@@ -133,9 +133,9 @@ def sign_vectors() -> list[tuple]:
 
 
 def table(v: tuple) -> tuple:
-    """The flat orientation table of a sign vector, as
-    `geometry.orientation_table` spreads a configuration's signs."""
-    return _table_getter(LABELS)((*v, *[-s for s in v], 0))
+    """The orientation table of a sign vector, as
+    `geometry.orientation_table` lays out a configuration's signs."""
+    return (*v, *[-s for s in v], 0)
 
 
 @pytest.fixture(scope="module")
@@ -191,19 +191,20 @@ def test_edge_plans_find_the_reference_witness(enumeration):
         searched = _classify_signs(signs)[1]
         assert cl.witness == find_witness_by_closure(searched)
         assert find_witness(signs) == find_witness_by_closure(signs)
-    # the search reads only the ten triples of 2..6, so these are all the
-    # tables without a zero that it can be given, realizable or not.  On
-    # each pencil-ordered table the edges of a pair's first triangle alone
-    # find the same pair; on 16 of these 1,024 they do not
+    # the search reads only the ten triples of 2..6, the last ten of
+    # `TRIPLES`, so these are all the tables without a zero that it can be
+    # given, realizable or not.  On each pencil-ordered table the edges of
+    # a pair's first triangle alone find the same pair; on 16 of these
+    # 1,024 they do not
     found = Counter()
     for v in product((1, -1), repeat=10):
-        signs = _table_getter((2, 3, 4, 5, 6))((*v, *[-s for s in v], 0))
+        signs = table((0,) * 10 + v)
         witness = find_witness(signs)
         assert witness == find_witness_by_closure(signs)
         found[witness is not None] += 1
     assert found == {True: 1002, False: 22}
     # [234] is 0: the first edge of the first pair raises in both
-    zeroed = _table_getter((2, 3, 4, 5, 6))((0, *[1] * 9, 0, *[-1] * 9, 0))
+    zeroed = table((0,) * 10 + (0, *[1] * 9))
     for search in (find_witness, find_witness_by_closure):
         with pytest.raises(DegeneratePositionError,
                            match="degenerate principal triangle"):
@@ -428,7 +429,7 @@ def test_no_perturbation_changes_a_template_kind(flips):
 
 
 def triple_of(s: int) -> frozenset:
-    return frozenset((s // 49, s // 7 % 7, s % 7))
+    return frozenset(TABLE_KEYS[s])
 
 
 def test_a_zero_sign_stops_in_the_classifier(enumeration):
