@@ -7,10 +7,11 @@ relabeling sigma: 2->3->4->5->6->2) or is excluded, in which case two of the
 five principal triangles 234, 345, 456, 562, 623 have disjoint interiors and
 the pair is reported as an exact witness.  The pencil order, the hull, the
 sub-region and the witness are each decided by signs of 3x3 determinants of
-chart points, so the classifier reads them all from one table of the
-configuration's 20 orientation signs, those negated and 0, which a
-relabeling permutes with one getter; the event sequence reads the table
-that the classifier has already relabeled, instead of building another.
+chart points, so the classifier reads them all, the hull of 2..6 through
+one plan built at import, from one table of the configuration's 20
+orientation signs and those negated (40 entries), which a relabeling
+permutes with one getter; the event sequence reads the table that the
+classifier has already relabeled, instead of building another.
 The witness search reads one edge plan per triangle pair, built at import:
 per edge, its own slot and the slots of the other triangle's vertices off
 it; `verify_witness` walks the same plan with orientations computed from
@@ -229,12 +230,11 @@ _WITNESS_PLANS = {
 
 def find_witness(signs: tuple) -> Optional[Witness]:
     """First interior-disjoint pair of principal triangles, in canonical order,
-    read from a configuration's orientation table."""
+    read from a configuration's orientation table, which has no zero sign:
+    the classifier stops at one first (`tests/test_table_proof.py`)."""
     for witness, edges in _WITNESS_PLANS.values():
         for own, others, _, _ in edges:
             s = signs[own]
-            if s == 0:
-                raise DegeneratePositionError("degenerate principal triangle")
             for i in others:
                 if signs[i] == s:
                     break
@@ -328,7 +328,7 @@ def _classify_signs(signs: tuple) -> tuple[Classification, tuple]:
     if order != [2, 3, 4, 5, 6]:
         raise InvalidConfigurationError(
             f"labels 2..6 are not consecutive under the pencil at 1: {order}")
-    hull, interior = _hull_cycle(signs, (2, 3, 4, 5, 6))
+    hull, interior = _hull_cycle(signs)
     k = _INTERIOR_SHIFTS.get(interior)
     if k is None:
         return _contradiction(signs, hull, interior), signs

@@ -6,16 +6,16 @@ are exact; no tolerances anywhere.
 
 The curve's one-sided branch J is modelled as the line z = 0, the line at
 infinity of the affine chart.  Points handed to the chart predicates must
-lie off J.  A hull (`_hull_cycle`), and every decision of the six-point
-classification, is read from the orientation table of six points labelled
-1..6 (`orientation_table`): the signs of their 20 triples, those negated
-and 0, with [abc] at `slot(a, b, c)`.  The signs (`orientation_signs`) are
-straight-line integer code, so a classification pays for its arithmetic
-and its table reads, not for a loop or a call per triple: each [abc] is
-a . (b x c), and b x c is one of the ten pair minors of the last five
-points.  The hull reads its collinearity test and its edge tests through
-getters cached per label order.  `turn_order` ranks labels by turns,
-products of table signs.
+lie off J.  The hull of the points 2..6 (`_hull_cycle`), and every
+decision of the six-point classification, is read from the orientation
+table of six points labelled 1..6 (`orientation_table`): the signs of
+their 20 triples and those negated, 40 entries with [abc] at
+`slot(a, b, c)`.  The signs (`orientation_signs`) are straight-line
+integer code, so a classification pays for its arithmetic and its table
+reads, not for a loop or a call per triple: each [abc] is a . (b x c), and
+b x c is one of the ten pair minors of the last five points.  The hull
+reads its edge tests through one plan built at import.  `turn_order`
+ranks labels by turns, products of table signs.
 
 `circle_sort` orders full-circle vectors exactly; with the double-angle
 embedding (dx, dy) -> (dx^2 - dy^2, 2 dx dy) of `tests/chart.py`, which is
@@ -25,8 +25,8 @@ command calls it: the test oracles do.
 
 from __future__ import annotations
 
-from functools import cmp_to_key, lru_cache
-from itertools import combinations, product
+from functools import cmp_to_key
+from itertools import combinations
 from math import gcd
 from operator import itemgetter
 from typing import Sequence
@@ -110,20 +110,19 @@ def circle_sort(items: list, key) -> list:
 
 
 # the key (a, b, c) of each entry of an orientation table: the triples of
-# labels 1..6 in `combinations` order, the same with their first two labels
-# swapped (so their signs negated), and a repeated label, which reads 0
+# labels 1..6 in `combinations` order, then the same with their first two
+# labels swapped, so their signs negated
 TABLE_KEYS = (*combinations(range(1, 7), 3), *[
-    (b, a, c) for a, b, c in combinations(range(1, 7), 3)], (1, 1, 1))
-# (a, b, c) over labels 1..6 -> the entry of [abc]: the cyclic shifts of a
-# key read its entry, and every triple with a repeated label reads the last
-_SLOTS = {**dict.fromkeys(product(range(1, 7), repeat=3), 40),
-          **{t: i for i, (a, b, c) in enumerate(TABLE_KEYS[:40])
-             for t in ((a, b, c), (b, c, a), (c, a, b))}}
+    (b, a, c) for a, b, c in combinations(range(1, 7), 3)])
+# (a, b, c) of distinct labels in 1..6 -> the entry of [abc]: the cyclic
+# shifts of a key read its entry
+_SLOTS = {t: i for i, (a, b, c) in enumerate(TABLE_KEYS)
+          for t in ((a, b, c), (b, c, a), (c, a, b))}
 _LABELS, _BY_LABEL = {1, 2, 3, 4, 5, 6}, itemgetter(1, 2, 3, 4, 5, 6)
 
 
 def slot(a: int, b: int, c: int) -> int:
-    """The index of [abc] in an orientation table, for labels in 1..6."""
+    """The index of [abc] in an orientation table, for distinct labels 1..6."""
     return _SLOTS[a, b, c]
 
 
@@ -161,34 +160,33 @@ def orientation_signs(pts: dict) -> tuple:
 
 
 def orientation_table(pts: dict) -> tuple:
-    """The table of six points labelled 1..6: their `orientation_signs`,
-    those negated and 0, with [abc] at `slot(a, b, c)`."""
+    """The table of six points labelled 1..6: their `orientation_signs`
+    and those negated, 40 entries with [abc] at `slot(a, b, c)`."""
     signs = orientation_signs(pts)
-    return (*signs, *[-s for s in signs], 0)
+    return (*signs, *[-s for s in signs])
 
 
-@lru_cache(maxsize=None)
-def _hull_plan(labels: tuple) -> tuple:
-    # the triples of `labels` in combinations order, the getter of their
-    # slots, and per label a, per other label b, the getter of [abc] over c
-    triples = list(combinations(labels, 3))
-    return (triples, itemgetter(*[slot(*t) for t in triples]),
-            [(a, [(b, itemgetter(*[slot(a, b, c) for c in labels]))
-                  for b in labels if b != a]) for a in labels])
+# per label a of 2..6, per other label b, the getter of [abc] over the
+# three other labels c
+_HULL_ROWS = tuple(
+    (a, tuple((b, itemgetter(*[slot(a, b, c) for c in range(2, 7)
+                               if c != a and c != b]))
+              for b in range(2, 7) if b != a))
+    for a in range(2, 7))
 
 
-def _hull_cycle(signs: tuple, labels: Sequence):
-    """Counterclockwise hull cycle of the points `labels`, starting at its
+def _hull_cycle(signs: tuple):
+    """Counterclockwise hull cycle of the points 2..6, starting at its
     smallest label, and their sorted interior labels, read from an
     orientation table: [ab] is a hull edge iff no other point lies to the
-    right of a -> b (a repeated label reads 0, so a and b need no test)."""
-    triples, triple_slots, rows = _hull_plan(tuple(labels))
-    triple_signs = triple_slots(signs)
+    right of a -> b.  Entries 10..19 are the triples of 2..6 in
+    `combinations` order, so the first zero among them names its triple."""
+    triple_signs = signs[10:20]
     if 0 in triple_signs:
-        raise DegeneratePositionError(
-            "collinear triple {},{},{}".format(*triples[triple_signs.index(0)]))
+        raise DegeneratePositionError("collinear triple {},{},{}".format(
+            *TABLE_KEYS[10 + triple_signs.index(0)]))
     succ = {}
-    for a, row in rows:
+    for a, row in _HULL_ROWS:
         for b, right in row:
             if -1 not in right(signs):
                 succ[a] = b
@@ -196,7 +194,7 @@ def _hull_cycle(signs: tuple, labels: Sequence):
     cycle = [min(succ)]
     while succ[cycle[-1]] != cycle[0]:
         cycle.append(succ[cycle[-1]])
-    return tuple(cycle), tuple(sorted(set(labels) - set(succ)))
+    return tuple(cycle), tuple(sorted({2, 3, 4, 5, 6}.difference(succ)))
 
 
 def turn_order(signs: tuple, first, turns: Sequence) -> list | None:

@@ -25,7 +25,9 @@ sort of the doubled parameter angles.
 was before it became straight-line code for six points: one loop over the
 triples of any number of points, which `orientation_table_looped` lays out
 as `deepnest.geometry.orientation_table` does for any subset of the labels
-1..6.  `find_witness_by_closure` is
+1..6.  `hull_cycle_looped` is `deepnest.geometry._hull_cycle` as it was
+before its plan was fixed to the points 2..6: the hull of any labels, read
+from such a table.  `find_witness_by_closure` is
 `deepnest.configurations.find_witness` as it was before its edge plans: the
 separating-axis search calls an orientation closure per table read.
 
@@ -259,6 +261,30 @@ def orientation_table_looped(pts: dict) -> tuple:
                             orientation_signs_looped(pts)):
         table[slot(a, b, c)], table[slot(b, a, c)] = s, -s
     return tuple(table)
+
+
+def hull_cycle_looped(signs: tuple, labels: Sequence):
+    """Counterclockwise hull cycle of the points `labels`, starting at its
+    smallest label, and their sorted interior labels, read from an
+    orientation table: [ab] is a hull edge iff no other point lies to the
+    right of a -> b.  The first triple of `labels`, in `combinations`
+    order, with a zero sign raises."""
+    labels = tuple(labels)
+    for t in combinations(labels, 3):
+        if signs[slot(*t)] == 0:
+            raise DegeneratePositionError(
+                "collinear triple {},{},{}".format(*t))
+    succ = {}
+    for a in labels:
+        for b in labels:
+            if b != a and all(signs[slot(a, b, c)] != -1 for c in labels
+                              if c != a and c != b):
+                succ[a] = b
+                break
+    cycle = [min(succ)]
+    while succ[cycle[-1]] != cycle[0]:
+        cycle.append(succ[cycle[-1]])
+    return tuple(cycle), tuple(sorted(set(labels) - set(succ)))
 
 
 def _interiors_disjoint(t1, t2, orient) -> bool:

@@ -243,11 +243,10 @@ def test_tables_ignore_insertion_order_and_never_mix_configurations():
 
 def table_from_points(cfg):
     """The orientation table, one chart orientation per entry of its
-    layout: the triples of 1..6, those with their first two labels swapped,
-    and a repeated label, which reads 0."""
-    return tuple(
-        geometry.chart_orient(cfg[a], cfg[b], cfg[c])
-        if len({a, b, c}) == 3 else 0 for a, b, c in geometry.TABLE_KEYS)
+    layout: the triples of 1..6, then those with their first two labels
+    swapped."""
+    return tuple(geometry.chart_orient(cfg[a], cfg[b], cfg[c])
+                 for a, b, c in geometry.TABLE_KEYS)
 
 
 def test_shifted_table_is_the_table_of_the_shifted_points():

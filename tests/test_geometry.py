@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 
 import pytest
 import hypothesis as hyp
@@ -14,7 +14,6 @@ import hypothesis.strategies as hys
 from deepnest.geometry import (
     TABLE_KEYS,
     DegeneratePositionError,
-    _hull_cycle,
     chart_orient,
     chart_rep,
     circle_sort,
@@ -30,6 +29,7 @@ from chart import (
     chart_direction,
     dot,
     double_angle,
+    hull_cycle_looped,
     inside_ccw_arc,
     line_pencil_sweep,
     line_through,
@@ -112,7 +112,8 @@ def test_inside_ccw_arc_quarter_turns():
 def test_convex_position_hull_and_interior():
     square = {1: point(0, 0), 2: point(4, 0), 3: point(4, 4), 4: point(0, 4)}
     for pts, interior in ((square, ()), ({**square, 5: point(1, 2)}, (5,))):
-        cycle, inner = _hull_cycle(orientation_table_looped(pts), list(pts))
+        cycle, inner = hull_cycle_looped(orientation_table_looped(pts),
+                                         list(pts))
         # counterclockwise cycle, starting at the smallest label
         assert cycle == (1, 2, 3, 4)
         assert inner == interior
@@ -124,7 +125,8 @@ def test_convex_position_vs_float_hull():
     for _ in range(200):
         pts = {i: rand_point(rng, span=30) for i in range(1, 7)}
         try:
-            cycle, interior = _hull_cycle(orientation_table(pts), list(pts))
+            cycle, interior = hull_cycle_looped(orientation_table(pts),
+                                                list(pts))
         except DegeneratePositionError:
             continue
         hits += 1
@@ -146,9 +148,10 @@ def test_orientation_table_is_the_sign_of_det3():
     # and not), and of five and four, through the loop of `chart.py`
     rng = random.Random(1616)
     zeros = flips = 0
-    # one entry per key, and every triple of labels 1..6 reads one of them
-    assert [slot(*t) for t in TABLE_KEYS] == list(range(41))
-    assert {slot(*t) for t in product(range(1, 7), repeat=3)} == set(range(41))
+    # one entry per key, and every triple of distinct labels 1..6 reads
+    # one of them
+    assert [slot(*t) for t in TABLE_KEYS] == list(range(40))
+    assert {slot(*t) for t in permutations(range(1, 7), 3)} == set(range(40))
     for labels in ((1, 2, 3, 4, 5, 6), (4, 1, 6, 3, 5, 2), (2, 6, 1, 4, 5),
                    (5, 1, 3, 2)):
         for _ in range(150):
@@ -160,12 +163,12 @@ def test_orientation_table_is_the_sign_of_det3():
                     dict(sorted(pts.items())))
             else:
                 signs = orientation_table_looped(pts)
-            assert len(signs) == 41
+            assert len(signs) == 40
             assert orientation_signs_looped(pts) == tuple(
                 signs[slot(*t)] for t in combinations(pts, 3))
-            for a, b, c in product(range(1, 7), repeat=3):
+            for a, b, c in permutations(range(1, 7), 3):
                 s = signs[slot(a, b, c)]
-                if len({a, b, c}) < 3 or not {a, b, c} <= set(pts):
+                if not {a, b, c} <= set(pts):
                     assert s == 0
                     continue
                 expected = sign(det3(chart_rep(pts[a]), chart_rep(pts[b]),
@@ -177,8 +180,9 @@ def test_orientation_table_is_the_sign_of_det3():
 
 
 def test_a_label_outside_1_to_6_raises():
-    # the table never reads 0 for a triple it does not hold
-    for t in ((0, 1, 2), (1, 2, 7), (3, 3, 0)):
+    # the table never reads 0 for a triple it does not hold, nor for a
+    # repeated label
+    for t in ((0, 1, 2), (1, 2, 7), (3, 3, 0), (2, 2, 3)):
         with pytest.raises(KeyError):
             slot(*t)
     with pytest.raises(ValueError, match="labelled 1..6"):

@@ -15,12 +15,11 @@ from deepnest.configurations import (
 from deepnest.conics import conic_through_5, polar_line
 from deepnest.geometry import (
     DegeneratePositionError,
-    _hull_cycle,
     circle_sort,
     normalize,
     orientation_table,
 )
-from chart import chart_direction, double_angle
+from chart import chart_direction, double_angle, hull_cycle_looped
 from point_classifier import sweep_order
 
 
@@ -68,7 +67,7 @@ def random_valid_configurations(rng, count, span=1000):
         if len(set(pts)) != 6:
             continue
         try:
-            _, interior = _hull_cycle(
+            _, interior = hull_cycle_looped(
                 orientation_table(dict(enumerate(pts, 1))), range(1, 7))
         except DegeneratePositionError:
             continue

@@ -22,6 +22,7 @@ hold for every configuration:
   or the witness search reads it.
 
 So `conics.conic_pencil_events` needs no conic test and meets no zero turn,
+`configurations.find_witness` needs no zero test and
 `configurations._contradiction` always finds a witness, `lemma3 --case`
 classifies its template once, and `configurations.sample_configuration`
 returns one perturbation of its template without classifying it.  Every
@@ -51,6 +52,7 @@ from deepnest.configurations import (
 from deepnest.geometry import (
     TABLE_KEYS,
     DegeneratePositionError,
+    _hull_cycle,
     chart_orient,
     chart_rep,
     det3,
@@ -58,7 +60,7 @@ from deepnest.geometry import (
     orientation_signs,
     slot,
 )
-from chart import find_witness_by_closure
+from chart import find_witness_by_closure, hull_cycle_looped
 
 LABELS = (1, 2, 3, 4, 5, 6)
 TEMPLATES = {**{f"case{k}": cfg for k, cfg in BASE_CONFIGURATIONS.items()},
@@ -135,7 +137,7 @@ def sign_vectors() -> list[tuple]:
 def table(v: tuple) -> tuple:
     """The orientation table of a sign vector, as
     `geometry.orientation_table` lays out a configuration's signs."""
-    return (*v, *[-s for s in v], 0)
+    return (*v, *[-s for s in v])
 
 
 @pytest.fixture(scope="module")
@@ -179,6 +181,15 @@ def test_every_excluded_table_has_a_witness(enumeration):
         == {"convex-23456": 5, "convex-26543": 5}
 
 
+def outcome(f, *args):
+    """What `f(*args)` returns, or the type and arguments of the
+    `KeyError` or `ValueError` it raises."""
+    try:
+        return f(*args)
+    except (KeyError, ValueError) as exc:
+        return type(exc).__name__, exc.args
+
+
 def test_edge_plans_find_the_reference_witness(enumeration):
     # the edge plans find the pair that the search over an orientation
     # closure finds first: on the table that the classifier searched, which
@@ -191,24 +202,37 @@ def test_edge_plans_find_the_reference_witness(enumeration):
         searched = _classify_signs(signs)[1]
         assert cl.witness == find_witness_by_closure(searched)
         assert find_witness(signs) == find_witness_by_closure(signs)
-    # the search reads only the ten triples of 2..6, the last ten of
-    # `TRIPLES`, so these are all the tables without a zero that it can be
-    # given, realizable or not.  On each pencil-ordered table the edges of
-    # a pair's first triangle alone find the same pair; on 16 of these
-    # 1,024 they do not
-    found = Counter()
+    # the search and the hull read only the ten triples of 2..6, the last
+    # ten of `TRIPLES`, so these are all the tables without a zero that
+    # they can be given, realizable or not.  On each pencil-ordered table
+    # the edges of a pair's first triangle alone find the same pair; on 16
+    # of these 1,024 they do not.  The hull's plan for 2..6 reads what the
+    # hull of any labels reads: the same cycle, or on 730 tables that no
+    # points give, the same error; and a zero among the ten raises for the
+    # same triple in both
+    assert TABLE_KEYS[10:20] == tuple(combinations(range(2, 7), 3))
+    found, hulls = Counter(), Counter()
     for v in product((1, -1), repeat=10):
         signs = table((0,) * 10 + v)
         witness = find_witness(signs)
         assert witness == find_witness_by_closure(signs)
         found[witness is not None] += 1
+        hull = outcome(_hull_cycle, signs)
+        assert hull == outcome(hull_cycle_looped, signs, range(2, 7))
+        hulls[hull[0] if isinstance(hull[0], str) else "cycle"] += 1
+        for i in range(10):
+            zeroed = table((0,) * 10 + v[:i] + (0,) + v[i + 1:])
+            error = outcome(_hull_cycle, zeroed)
+            assert error == outcome(hull_cycle_looped, zeroed, range(2, 7))
+            assert error[0] == "DegeneratePositionError"
     assert found == {True: 1002, False: 22}
-    # [234] is 0: the first edge of the first pair raises in both
-    zeroed = table((0,) * 10 + (0, *[1] * 9))
-    for search in (find_witness, find_witness_by_closure):
-        with pytest.raises(DegeneratePositionError,
-                           match="degenerate principal triangle"):
-            search(zeroed)
+    assert hulls == {"cycle": 294, "KeyError": 610, "ValueError": 120}
+    # [234] is 0: the first edge of the first pair raises in the search
+    # over a closure.  `find_witness` has no such test, since a zero sign
+    # stops in the classifier (`test_a_zero_sign_stops_in_the_classifier`)
+    with pytest.raises(DegeneratePositionError,
+                       match="degenerate principal triangle"):
+        find_witness_by_closure(table((0,) * 10 + (0, *[1] * 9)))
 
 
 def test_principal_triangles_pairwise_share_a_vertex():
