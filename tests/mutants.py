@@ -149,6 +149,15 @@ MUTANTS = (
      "triple_signs = signs[10:19]",
      ["tests/test_table_proof.py::"
       "test_edge_plans_find_the_reference_witness"]),
+    # the rows and the verdict are the parity class's, so only the call
+    # budgets see the extra prohibition
+    ("theorem1 builds a prohibition beside its parity class",
+     "src/deepnest/cases.py",
+     'results, survivors = _parity_class(NO_JUMPS_ODD_GAMMA, "uniform")',
+     'results, survivors = _prohibit(1, 25, (), "uniform") and '
+     '_parity_class(NO_JUMPS_ODD_GAMMA, "uniform")',
+     ["tests/test_reachability.py::"
+      "test_each_command_keeps_its_call_budgets"]),
 )
 
 

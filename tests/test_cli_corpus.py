@@ -21,9 +21,10 @@
   (``more_paths``): signed ``parse`` with its item errors, each rule of
   the scheme reader, a nest with empty ovals outside it, identical
   containers merged, ``theorem2`` sizes that do not add up to 26,
-  ``lemma3 --config`` with ``--case`` and with a valid configuration whose
-  verdict is MISMATCH, each rule of the trace reader and the two crossing
-  floors of ``audit``.
+  ``lemma3 --config`` with ``--case``, with a valid configuration whose
+  verdict is MISMATCH and with three configurations relabelled so that the
+  classifier reads them at relabel shift 4, each rule of the trace reader
+  and the two crossing floors of ``audit``.
 
 Every input file is written into a fresh directory and its path is masked
 as the file's name, and the human form's ``elapsed`` line is masked.  An
@@ -44,6 +45,11 @@ import re
 import tempfile
 
 from deepnest.cli import SCENARIO_KINDS, main
+from deepnest.configurations import (
+    BASE_CONFIGURATIONS,
+    EXCLUSION_TEMPLATES,
+    reducible_cubic_sequence,
+)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 DIGESTS = GOLDEN / "cli-digests.json"
@@ -58,6 +64,12 @@ README_POINTS = [[2, -1, -10], [3, -3, -10], [1, 0, 1], [1, 0, -1],
 def _points(*points) -> str:
     return json.dumps([{"label": k, "point": p}
                        for k, p in enumerate(points, start=1)])
+
+
+def _sigma(points) -> str:
+    """The six points of labels 1..6 relabelled by sigma, which takes label
+    x to x + 1 on 2..6: label 2 gets the point of label 6."""
+    return _points(*(points[i] for i in (0, 5, 1, 2, 3, 4)))
 
 
 def _with(index: int, value) -> list:
@@ -112,6 +124,16 @@ CONFIGS = {
     "empty.json": "",
     "deep.json": "[" * 100_000 + "]" * 100_000,
 }
+# the README points, case 3's base points and an excluded pattern,
+# relabelled: the classifier reads each from its table at relabel shift 4
+RELABELLED = {
+    "sigma-points.json": _sigma(README_POINTS),
+    "sigma-case3.json": _sigma([BASE_CONFIGURATIONS[3][k]
+                                for k in range(1, 7)]),
+    "sigma-quadrangle-A-T1.json": _sigma(
+        [EXCLUSION_TEMPLATES["quadrangle-A-T1"][k] for k in range(1, 7)]),
+}
+CONFIGS.update(RELABELLED)
 
 _LONE = json.loads((GOLDEN / "trace.json").read_text(encoding="utf-8"))
 _LONE["visits"][0] = {"oval": "lone", "role": "median", "node": True}
@@ -211,7 +233,7 @@ def corpus() -> list[list[str]]:
                      for g in (-1, 0, 1, 13, 24, 25, 26, 27)]
     runs += [["--json", "lemma3", "--case", str(k)] for k in (1, 2, 3)]
     runs += [["--json", "lemma3", "--config", name] for name in CONFIGS
-             if name not in ("points.json", "mismatch.json")]
+             if name not in ("points.json", "mismatch.json", *RELABELLED)]
     runs += [["--json", "lemma3", "--config", "missing.json"],
              ["--json", "audit", "--trace", "unpaired-node.json"]]
     runs += [["--json", "parse", "--scheme", text] for text in INADMISSIBLE]
@@ -241,9 +263,10 @@ def more_paths() -> list[list[str]]:
     """Paths that a command reaches and the argv above do not run: the
     signed `parse` and its item errors, every rule of the scheme reader,
     a nest with empty ovals outside it, identical containers merged,
-    theorem2 with sizes that do not add up, lemma3 --config with --case
-    and with a valid configuration whose sequence is a MISMATCH, and every
-    rule of the trace reader, with the floors of `audit`."""
+    theorem2 with sizes that do not add up, lemma3 --config with --case,
+    with a valid configuration whose sequence is a MISMATCH and with the
+    relabelled configurations, and every rule of the trace reader, with the
+    floors of `audit`."""
     runs = [["--json", "parse", "--scheme", text] for text in (
         SIGNED,
         "<J + 0 + 1_+<0>>",             # a bare 0, an oval holding nothing
@@ -269,8 +292,9 @@ def more_paths() -> list[list[str]]:
         ["--json", "theorem2", "--beta", "12", "--gamma", "27"],
         ["--json", "lemma3", "--config", "points.json", "--case", "1"],
         ["--json", "lemma3", "--config", "mismatch.json"],
-        ["--json", "audit", "--trace", "missing.json"],
     ]
+    runs += [["--json", "lemma3", "--config", name] for name in RELABELLED]
+    runs += [["--json", "audit", "--trace", "missing.json"]]
     runs += [["--json", "audit", "--trace", name] for name in TRACES
              if name not in ("trace.json", "unpaired-node.json")]
     return runs
@@ -305,9 +329,15 @@ def corpus_digests(workdir: pathlib.Path) -> dict[str, str]:
     return out
 
 
+def test_the_relabelled_configurations_are_read_at_shift_4():
+    for text in RELABELLED.values():
+        cfg = {e["label"]: tuple(e["point"]) for e in json.loads(text)}
+        assert reducible_cubic_sequence(cfg).classification.relabel_shift == 4
+
+
 def test_cli_reports_match_their_digests(tmp_path):
     expected = json.loads(DIGESTS.read_text())
-    assert len(expected) == len(corpus()) == 496
+    assert len(expected) == len(corpus()) == 499
     assert corpus_digests(tmp_path) == expected
 
 

@@ -3,13 +3,11 @@
 from __future__ import annotations
 
 import random
-import sys
 from fractions import Fraction
 
 import pytest
 
-from deepnest import configurations, conics, geometry
-from deepnest.cli import main
+from deepnest import configurations, geometry
 from deepnest.configurations import (
     BASE_CONFIGURATIONS,
     EXCLUSION_TEMPLATES,
@@ -148,54 +146,6 @@ def test_sampler_neither_classifies_nor_computes_a_sign(monkeypatch):
         seed = rng.getrandbits(32)
         assert (sample_configuration(kind, random.Random(seed))
                 == perturb_configuration(template, random.Random(seed)))
-
-
-def test_lemma3_case_classifies_its_template_once(monkeypatch, capsys):
-    calls = {"reducible_cubic_sequence": 0, "_classify_signs": 0,
-             "orientation_table": 0, "conic_pencil_events": 0}
-
-    def counted(name):
-        fn = getattr(configurations, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(configurations, name, counted(name))
-    # neither the sampler, nor the circle sort, nor the Cremona map may run:
-    # replace each under every name a loaded deepnest module binds it to
-    def refusal(name):
-        def refuse(*args, **kwargs):
-            raise AssertionError(f"lemma3 --case called {name}")
-        return refuse
-
-    for fn in (configurations.sample_configuration,
-               configurations.perturb_configuration, geometry.circle_sort,
-               conics.cremona):
-        for module in list(sys.modules.values()):
-            if getattr(module, "__name__", "").startswith("deepnest"):
-                for attr, value in list(vars(module).items()):
-                    if value is fn:
-                        monkeypatch.setattr(module, attr,
-                                            refusal(fn.__name__))
-    monkeypatch.setattr(conics.CremonaMap, "point",
-                        refusal("CremonaMap.point"))
-    # each sign vector computed takes one chart representative per point
-    reps = []
-    chart_rep = geometry.chart_rep
-    monkeypatch.setattr(geometry, "chart_rep",
-                        lambda p: reps.append(p) or chart_rep(p))
-    argv = ["--json", "lemma3", "--case", "2", "--samples", "20", "--seed", "0"]
-    assert main(argv) == 0
-    out = capsys.readouterr().out
-    assert '"matchesPaper": true' in out
-    assert out.count('"relabelShift": 0') == 20
-    # one sequence of the template for all 20 samples: one table, one
-    # classification and one pencil, from one sign vector
-    assert calls == dict.fromkeys(calls, 1)
-    assert len(reps) == 6
 
 
 @pytest.mark.parametrize("case", [2, 3])

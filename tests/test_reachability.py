@@ -1,12 +1,18 @@
-"""Every library function earns its place: the ledger of what no command runs.
+"""Every library function earns its place, and each command runs each stage
+once: the ledger of what no command runs, and the call budgets.
 
 A fresh interpreter sets `sys.setprofile` before it imports `deepnest`, so
 calls made at import time count, and runs every argv of both digest corpora
-(`tests/test_cli_corpus.py` and `tests/test_lemma3_corpus.py`).  Every
-function and method defined in `src/deepnest/*.py` (found with `ast`,
-nested ones named `outer.<locals>.inner`) that no argv enters must be an
-entry of `NEVER_RUN`, and every entry must be such a function.  Each entry
-gives one reason, of one of three kinds, and each reason is checked:
+(`tests/test_cli_corpus.py` and `tests/test_lemma3_corpus.py`).  It records
+each library code object entered and, per argv, the exit status and the
+number of calls to each library function, keyed by file and first line
+(Python 3.10 has no `co_qualname`).  One such run, cached, serves every
+test here.
+
+Every function and method defined in `src/deepnest/*.py` (found with
+`ast`, nested ones named `outer.<locals>.inner`) that no argv enters must
+be an entry of `NEVER_RUN`, and every entry must be such a function.  Each
+entry gives one reason, of one of three kinds, and each reason is checked:
 
 * `bench:<module.name>`: the benchmark calls it.  The name is one of
   `TRACED` in `perfbench/tracer.py`, or `perfbench/workloads.py` reads the
@@ -23,14 +29,25 @@ is moved out of `src/` or listed here, with its reason, in the same change.
 An entry whose function a command runs again, or whose reason stops
 holding, fails too; retire it by deleting its line.
 
+The per-argv counts are held to `BUDGETS`: each pipeline stage that no
+memo guards runs at most once per argv, `geometry.chart_rep` at most six
+times (one sign vector of six points), a `theorem1` argv never enters
+`cases._prohibit`, and an argv that exits 0 never enters
+`schemes._syntax_error`.  Memoized functions are not budgeted: one process
+runs every argv, so a memo hit of one argv enters no frame.  Call counts
+are exact and deterministic, where the time a profiler books is not.
+
 Run as a script, `PYTHONPATH=src python tests/test_reachability.py`
 prints the never-run functions with their reasons, marks any that the
-ledger does not list, and exits 1 if the ledger and the trace differ.
+ledger does not list, then prints per budget the most calls that one argv
+makes and that argv, and exits 1 if the ledger and the trace differ or a
+budget does not hold.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 import json
 import os
 import pathlib
@@ -73,29 +90,93 @@ NEVER_RUN = {
     "schemes.tree_hash": "test:tests/test_schemes.py::test_a_tree_hashes_as_its_plain_tuple",
 }
 
+# (which argv, library function, most calls per argv); the memoized
+# `cases._parity_class`, `_solve_scenario` and `_no_jump_magnitudes` have
+# none
+BUDGETS = (
+    # each pipeline stage runs at most once per command
+    *(("every argv", name, 1) for name in (
+        "geometry.orientation_signs",
+        "geometry.orientation_table",
+        "geometry._hull_cycle",
+        "configurations._classify_signs",
+        "configurations.find_witness",
+        "configurations.reducible_cubic_sequence",
+        "conics.conic_pencil_events",
+        "schemes.read_scheme",
+        "schemes.classify_deep_nest",
+        "bezout.parse_trace",
+        "cases._prohibit",
+    )),
+    # one chart representative per point of the one sign vector
+    ("every argv", "geometry.chart_rep", 6),
+    # theorem1 reads its one parity class, with no prohibition per row
+    ("theorem1", "cases._prohibit", 0),
+    # an error text is built only for a rule that fails
+    ("exit 0", "schemes._syntax_error", 0),
+)
+
+# which argv -> whether a run (argv text, exit status) is one of them
+SCOPES = {
+    "every argv": lambda text, status: True,
+    "theorem1": lambda text, status: "theorem1" in text.split(),
+    "exit 0": lambda text, status: status == 0,
+}
+
 # runs both digest corpora with a profiler set before deepnest is imported,
-# and prints [file stem, first line] of every src/deepnest code object
-# entered; argv: the repository root
+# and prints JSON: [file stem, first line] of every src/deepnest code object
+# entered, and per argv, [argv text, exit status, [[file stem, first line,
+# calls] of each src/deepnest code object it entered]]; argv: the repository
+# root.  Calls made before the first argv (imports) count only as entered.
 PROBE = """
-import pathlib, sys, tempfile
+import json, pathlib, sys, tempfile
+from collections import Counter
 root = pathlib.Path(sys.argv[1])
 src = str(root / "src" / "deepnest") + "/"
-entered = set()
+counts, runs = Counter(), []
+imports = counts
 
 def profile(frame, event, arg):
     if event == "call":
-        entered.add(frame.f_code)
+        counts[frame.f_code] += 1
+
+def traced(main, tmp):
+    def run(argv):
+        global counts
+        counts, status = Counter(), None
+        try:
+            status = main(argv)
+        except SystemExit as exc:
+            status = exc.code
+            raise
+        finally:
+            text = " ".join("DEEP" if a == test_cli_corpus.DEEP
+                            else a.replace(tmp + "/", "") for a in argv)
+            runs.append((text, status, counts))
+        return status
+    return run
 
 sys.setprofile(profile)
 sys.path.insert(0, str(root / "tests"))
 import test_cli_corpus, test_lemma3_corpus
 for corpus in (test_cli_corpus, test_lemma3_corpus):
     with tempfile.TemporaryDirectory() as tmp:
+        corpus.main = traced(corpus.main, tmp)
         corpus.corpus_digests(pathlib.Path(tmp))
 sys.setprofile(None)
-import json
-print(json.dumps(sorted({(pathlib.Path(c.co_filename).stem, c.co_firstlineno)
-                         for c in entered if c.co_filename.startswith(src)})))
+
+def ours(counter):
+    out = Counter()
+    for code, n in counter.items():
+        if code.co_filename.startswith(src):
+            out[pathlib.Path(code.co_filename).stem, code.co_firstlineno] += n
+    return out
+
+runs = [(text, status, ours(c)) for text, status, c in runs]
+entered = set(ours(imports)).union(*(c for *_, c in runs))
+print(json.dumps({"entered": sorted(entered),
+                  "runs": [[text, status, [[*k, n] for k, n in c.items()]]
+                           for text, status, c in runs]}))
 """
 
 
@@ -129,13 +210,24 @@ def _first_line(node) -> int:
     return min([node.lineno] + [d.lineno for d in node.decorator_list])
 
 
-def never_run() -> set[str]:
-    """The library functions that no argv of either corpus enters."""
+@functools.cache
+def trace() -> tuple[set, list]:
+    """One probe run: the (file stem, first line) of every library code
+    object entered, and per argv (argv text, exit status, {(file stem,
+    first line): calls})."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run([sys.executable, "-c", PROBE, str(ROOT)], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    entered = {tuple(e) for e in json.loads(done.stdout)}
+    out = json.loads(done.stdout)
+    return ({tuple(e) for e in out["entered"]},
+            [(text, status, {(stem, line): n for stem, line, n in calls})
+             for text, status, calls in out["runs"]])
+
+
+def never_run() -> set[str]:
+    """The library functions that no argv of either corpus enters."""
+    entered, _ = trace()
     return {name for name, node in library().items()
             if (name.partition(".")[0], _first_line(node)) not in entered}
 
@@ -196,6 +288,38 @@ def reason_problems() -> list[str]:
     return problems
 
 
+def budget_rows() -> list[tuple]:
+    """Per budget: (which argv, function, most calls allowed, most calls
+    that one such argv makes, the first argv that makes them); the calls
+    are None for a name that is no library function, and the argv None
+    when no argv is in scope."""
+    functions = library()
+    _, runs = trace()
+    rows = []
+    for scope, name, limit in BUDGETS:
+        node = functions.get(name)
+        key = node and (name.partition(".")[0], _first_line(node))
+        scoped = [(calls.get(key, 0), text) for text, status, calls in runs
+                  if SCOPES[scope](text, status)]
+        most, text = max(scoped, key=lambda r: r[0], default=(0, None))
+        rows.append((scope, name, limit, node and most, text))
+    return rows
+
+
+def budget_problems(rows) -> list[str]:
+    """The budgets that an argv breaks, or that hold vacuously."""
+    problems = []
+    for scope, name, limit, most, text in rows:
+        if most is None:
+            problems.append(f"{name}: not a library function")
+        elif text is None:
+            problems.append(f"{scope}: no argv of the corpora")
+        elif most > limit:
+            problems.append(f"{name}: {scope} allows {limit} calls, "
+                            f"{text} makes {most}")
+    return problems
+
+
 def test_the_functions_no_command_runs_are_the_ledger():
     unreached = never_run()
     assert {"not in the ledger": sorted(unreached - NEVER_RUN.keys()),
@@ -205,6 +329,10 @@ def test_the_functions_no_command_runs_are_the_ledger():
 
 def test_every_reason_holds():
     assert reason_problems() == []
+
+
+def test_each_command_keeps_its_call_budgets():
+    assert budget_problems(budget_rows()) == []
 
 
 def main() -> int:
@@ -221,7 +349,16 @@ def main() -> int:
         print(f"reason does not hold: {problem}")
     print(f"{len(unreached)} of {len(library())} library functions are run "
           f"by no command; the ledger lists {len(NEVER_RUN)}")
-    return int(unreached != NEVER_RUN.keys() or bool(problems))
+    rows = budget_rows()
+    print("\ncall budgets: the most calls one argv makes, and that argv")
+    width = max(len(name) for _, name, *_ in rows)
+    for scope, name, limit, most, text in rows:
+        print(f"{name:<{width}}  {most} of at most {limit} on {scope}: {text}")
+    breaches = budget_problems(rows)
+    for problem in breaches:
+        print(f"budget does not hold: {problem}")
+    return int(unreached != NEVER_RUN.keys() or bool(problems)
+               or bool(breaches))
 
 
 if __name__ == "__main__":

@@ -14,7 +14,10 @@ hold for every configuration:
   triangle-pair witness, and the edge plans of `find_witness` find the
   first one that the search over an orientation closure finds;
 * on each valid table C = [123][145][246][356] - [124][135][236][456] is
-  nonzero, with a sign fixed by the table;
+  nonzero, with a sign fixed by the table, and the sequence that
+  `reducible_cubic_sequence` computes from the table matches the reference
+  exactly where C < 0: on 11 tables (1, 5 and 5 per case), and on none of
+  the 15 with C > 0;
 * no perturbation the sampler makes changes a sign of a base template, so
   every sample of `lemma3 --case k` has its template's table; nor does one
   make a sign of any template 0 or change its kind;
@@ -38,6 +41,7 @@ from itertools import combinations, permutations, product
 
 import pytest
 
+from deepnest import configurations
 from deepnest.configurations import (
     BASE_CONFIGURATIONS,
     EXCLUSION_TEMPLATES,
@@ -48,6 +52,7 @@ from deepnest.configurations import (
     configuration_kind,
     find_witness,
     perturb_configuration,
+    reducible_cubic_sequence,
 )
 from deepnest.geometry import (
     TABLE_KEYS,
@@ -275,9 +280,34 @@ def monomial_sign(signs, monomial) -> int:
     return math.prod(signs[slot(*t)] for t in monomial)
 
 
-def test_conic_sign_is_fixed_by_each_valid_table(enumeration):
+@pytest.fixture(scope="module")
+def conic_signs(enumeration):
+    """eps per labelling pi used, and per valid table (its table, its case,
+    the number of labellings that decide it, the sign of C it fixes).
+
+    pi decides a table when the two monomials of C o pi have strictly
+    opposite signs on it; eps is +1 if C o pi = C as integer polynomials,
+    -1 if not (the proof below shows that C o pi is then -C)."""
     _, ordered = enumeration
-    valid = [(signs, cl.case) for signs, cl in ordered if cl.is_valid]
+    c = expand(C_FORM)
+    eps, rows = {}, []
+    for signs, cl in ordered:
+        if not cl.is_valid:
+            continue
+        deciding = [pi for pi in permutations(LABELS)
+                    if monomial_sign(signs, relabelled(pi)[0])
+                    == -monomial_sign(signs, relabelled(pi)[1])]
+        # one already used, if one decides this table too
+        pi = next((p for p in deciding if p in eps), deciding[0])
+        if pi not in eps:
+            eps[pi] = 1 if expand(relabelled(pi)) == c else -1
+        rows.append((signs, cl.case, len(deciding),
+                     eps[pi] * monomial_sign(signs, relabelled(pi)[0])))
+    return eps, rows
+
+
+def test_conic_sign_is_fixed_by_each_valid_table(conic_signs):
+    eps, rows = conic_signs
     c = expand(C_FORM)
     assert len(c) == 720
     # each label occurs twice in each bracket monomial, so a point's
@@ -285,28 +315,32 @@ def test_conic_sign_is_fixed_by_each_valid_table(enumeration):
     # monomial's sign: the chart signs of the table give it
     for monomial in C_FORM:
         assert Counter(k for t in monomial for k in t) == dict.fromkeys(LABELS, 2)
+    assert all(n == {1: 480, 2: 384, 3: 288}[case] for _, case, n, _ in rows)
     # per labelling pi that decides a table: C o pi = eps * C as integer
-    # polynomials, eps = +-1, so the table fixes sign C = eps * sign(C o pi)
-    eps = {}
-    conic_signs = Counter()
-    for signs, case in valid:
-        # the labellings whose two monomials have strictly opposite signs:
-        # one decides the sign of C o pi, hence of C
-        deciding = [pi for pi in permutations(LABELS)
-                    if monomial_sign(signs, relabelled(pi)[0])
-                    == -monomial_sign(signs, relabelled(pi)[1])]
-        assert len(deciding) == {1: 480, 2: 384, 3: 288}[case]
-        # one already proved, if one decides this table too
-        pi = next((p for p in deciding if p in eps), deciding[0])
-        if pi not in eps:
-            form = expand(relabelled(pi))
-            eps[pi] = 1 if form == c else -1
-            assert form == {m: eps[pi] * u for m, u in c.items()}, pi
-        conic_signs[case, eps[pi] * monomial_sign(signs, relabelled(pi)[0])] += 1
+    # polynomials, so the table fixes sign C = eps * sign(C o pi)
+    for pi, e in eps.items():
+        assert expand(relabelled(pi)) == {m: e * u for m, u in c.items()}, pi
     # four identities decide all 26 tables: C < 0 on 11 and C > 0 on 15
     assert len(eps) == 4
-    assert conic_signs == {(1, -1): 1, (2, -1): 5, (2, 1): 5, (3, -1): 5,
-                           (3, 1): 10}
+    assert Counter((case, sign) for _, case, _, sign in rows) == {
+        (1, -1): 1, (2, -1): 5, (2, 1): 5, (3, -1): 5, (3, 1): 10}
+
+
+def test_a_valid_table_matches_the_reference_where_c_is_negative(
+        conic_signs, monkeypatch):
+    # each valid table through the command's own path: the orientation
+    # table of any six distinct points is replaced by it
+    _, rows = conic_signs
+    matches = Counter()
+    for signs, case, _, sign in rows:
+        monkeypatch.setattr(configurations, "orientation_table",
+                            lambda cfg, signs=signs: signs)
+        rep = reducible_cubic_sequence(BASE_CONFIGURATIONS[1])
+        assert rep.classification.case == case
+        assert rep.matches_reference == (sign < 0)
+        matches[case, rep.matches_reference] += 1
+    assert matches == {(1, True): 1, (2, True): 5, (2, False): 5,
+                       (3, True): 5, (3, False): 10}
 
 
 class CornerRng:
