@@ -93,6 +93,7 @@ _CHAIN_JUMP_BUDGET = 3
 
 TOTAL_EMPTIES = 26
 DEGREE = 9
+_NO_EMPTIES = SignedEmpties(0, 0)   # an emitted nest has none outside it
 _RHS = rm_rhs(DEGREE, TOTAL_EMPTIES + 3)  # 28 ovals + one-sided = 29
 _NOT_M_CURVE = ("prohibition argument applies to schemes with the maximal "
                 "number of components")
@@ -312,20 +313,18 @@ def emit_complex_scheme(case: SignCase, beta: int) -> SignedScheme:
         raise InfeasibleOrientationError(
             f"n={case.n} is not admissible at beta={beta}")
     m_imb, i_imb = case.imbalances()
-    groups = []
     for total, imb in ((beta, m_imb), (gamma, i_imb)):
         if (total + imb) % 2:
             raise InfeasibleOrientationError(
                 f"imbalance {imb} has the wrong parity for {total} ovals")
-        plus, minus = (total + imb) // 2, (total - imb) // 2
-        if plus < 0 or minus < 0:
+        if abs(imb) > total:    # one sign would count fewer than 0 ovals
             raise InfeasibleOrientationError(
                 f"imbalance {imb} does not fit in {total} ovals")
-        groups.append(SignedEmpties(plus, minus))
-    medians, inners = groups
-    inner_oval = SignedOval(case.eps2, inners)
-    outer_oval = SignedOval(case.eps1, medians, (inner_oval,))
-    return SignedScheme(DEGREE, True, SignedEmpties(0, 0), (outer_oval,))
+    inner = SignedOval(case.eps2, SignedEmpties((gamma + i_imb) // 2,
+                                                (gamma - i_imb) // 2))
+    return SignedScheme(DEGREE, True, _NO_EMPTIES, (SignedOval(
+        case.eps1, SignedEmpties((beta + m_imb) // 2, (beta - m_imb) // 2),
+        (inner,)),))
 
 
 # ---------------------------------------------------------------------------

@@ -311,6 +311,8 @@ def _cmd_lemma3(args) -> tuple[dict, dict, list[str]]:
             results = {
                 "classification": "contradiction",
                 "case": None,
+                "relabelShift": cl.relabel_shift,
+                "region": cl.region,
                 "witness": cl.witness.text,
                 "matchesPaper": False,
             }
@@ -318,6 +320,8 @@ def _cmd_lemma3(args) -> tuple[dict, dict, list[str]]:
         results = {
             "classification": "case",
             "case": cl.case,
+            "relabelShift": cl.relabel_shift,
+            "region": cl.region,
             "sequence": _sequence_json(rep.events),
             "reference": _sequence_json(
                 configurations.REFERENCE_SEQUENCES[cl.case]),

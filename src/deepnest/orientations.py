@@ -83,8 +83,8 @@ def print_signed(s: SignedScheme) -> str:
 
 
 def _signed_item(count: int, sign: str, body: Optional[list]):
-    """A signed item: SignedEmpties for empty ovals, SignedOval for a
-    container, None for a bare 0."""
+    """A signed item: a (plus, minus) pair for empty ovals, SignedOval for
+    a container, None for a bare 0."""
     if not sign:
         if count or body is not None:
             raise _ItemError("a signed count needs the suffix '_+' or '_-'")
@@ -96,7 +96,7 @@ def _signed_item(count: int, sign: str, body: Optional[list]):
         if ovals or empties.plus or empties.minus:
             return SignedOval(1 if sign == "+" else -1, empties, ovals)
         # an oval containing nothing is an empty oval
-    return SignedEmpties(count, 0) if sign == "+" else SignedEmpties(0, count)
+    return (count, 0) if sign == "+" else (0, count)
 
 
 def _signed_body(items: list) -> tuple[SignedEmpties, tuple[SignedOval, ...]]:
@@ -106,8 +106,8 @@ def _signed_body(items: list) -> tuple[SignedEmpties, tuple[SignedOval, ...]]:
         if isinstance(item, SignedOval):
             ovals.append(item)
         else:
-            plus += item.plus
-            minus += item.minus
+            plus += item[0]
+            minus += item[1]
     return SignedEmpties(plus, minus), tuple(ovals)
 
 

@@ -2,12 +2,14 @@
 
 A scheme for a plane real curve is written between angle brackets: "J" is the
 one-sided component (odd degrees only), a bare count is that many empty ovals,
-and "k<body>" is k disjoint ovals each containing the body.  Whitespace is
-free; "+" separates items; "0" is no ovals, and an empty body is written "0".
-The signed notation of `orientations` is the same grammar with a sign suffix
-on each count ("1_-<4_+>").  `read_scheme` reads both with an explicit stack
-and leaves each notation only the building of its items; nothing here
-recurses on a scheme tree, so only Bezout bounds the nest depth.
+and "k<body>" is k disjoint ovals each containing the body.  "+" separates
+items; "0" is no ovals, and an empty body is written "0".  The signed notation
+of `orientations` is the same grammar with a sign suffix on each count
+("1_-<4_+>").  A token is a count with its suffix, or one other character;
+whitespace only separates tokens.  `read_scheme` reads both with an explicit
+stack and leaves each notation only the building of its items (a bare count
+is a plain number); nothing recurses on a scheme tree, so only Bezout bounds
+the nest depth.
 
 Plain parsing normalizes to a canonical tree: empty-oval counts at one level
 are merged, identical containers are grouped with a multiplicity, and
@@ -104,9 +106,9 @@ class RealScheme(NamedTuple):
 # ---------------------------------------------------------------------------
 # reading
 
-# a count with its optional sign suffix, or any other single character;
-# counts are ASCII digits, as every integer the CLI reads
-_TOKEN = re.compile(r"\s*(?:([0-9]+)(?:_([+-]))?|(\S))")
+# one string per token: a count with its optional sign suffix, or any other
+# single character; counts are ASCII digits, as every integer the CLI reads
+_TOKEN = re.compile(r"[0-9]+(?:_[+-])?|\S")
 
 
 class _ItemError(ValueError):
@@ -119,8 +121,7 @@ def _syntax_error(text: str, message: str, index: int,
     token: the positions are found only when a rule fails."""
     for k, m in enumerate(_TOKEN.finditer(text)):
         if k == index:
-            return SchemeSyntaxError(
-                message, m.start(1 if m[1] is not None else 3) + shift)
+            return SchemeSyntaxError(message, m.start() + shift)
     return SchemeSyntaxError(message, len(text) + shift)
 
 
@@ -128,22 +129,24 @@ def read_scheme(text: str, degree: int,
                 node: Callable[..., Any]) -> tuple[bool, list]:
     """Read a scheme in either notation; return (saw J, top-level items).
 
-    node(count, sign, body) builds one item of the notation: sign is "+",
-    "-" or "" for none, and body is None for a bare count, otherwise the
-    items already built for "count<body>".  An item of None holds no oval
-    and is dropped; node raises _ItemError for an item the notation does
-    not allow.
+    A token is one string: ASCII digits with their sign suffix if any
+    ("12", "1_-"), or one other non-blank character.  node(count, sign,
+    body) builds one item of the notation: sign is "+", "-" or "" for none,
+    and body is None for a bare count, otherwise the items already built
+    for "count<body>".  An item is whatever node returns, never looked
+    into here; None holds no oval and is dropped.  node raises _ItemError
+    for an item the notation does not allow.
 
     Raises SchemeSyntaxError at the first rule broken, in text order.  A
     line through the innermost oval of a nest meets each of its ovals
     twice, so by Bezout a nest is at most degree // 2 deep; the bound is
     checked at the count that would go deeper.
     """
-    # (digits, sign, character) per token: a count has digits, any other
-    # token one character; the end of the text has neither
+    # a count starts with an ASCII digit, any other token is one character,
+    # and "" stands for the end of the text
     tokens = _TOKEN.findall(text)
-    tokens.append(("", "", ""))
-    if tokens[0][2] != "<":
+    tokens.append("")
+    if tokens[0] != "<":
         raise _syntax_error(text, "expected '<'", 0)
     max_depth = degree // 2
     saw_j = False
@@ -151,13 +154,14 @@ def read_scheme(text: str, degree: int,
     open_: list = []     # (count, sign, token index, enclosing body) per oval
     i = 1
     while True:
-        digits, sign, char = tokens[i]
-        if digits:
+        tok = tokens[i]
+        if "0" <= tok < ":":
+            digits, _, sign = tok.partition("_")
             if digits[0] == "0" and len(digits) > 1:
                 raise _syntax_error(text, "counts may not have leading zeros",
                                     i)
             count = int(digits)
-            opens = tokens[i + 1][2] == "<"
+            opens = tokens[i + 1] == "<"
             if len(open_) >= max_depth and (count or opens):
                 raise _syntax_error(
                     text, f"nest deeper than degree // 2 = {max_depth}", i)
@@ -172,7 +176,7 @@ def read_scheme(text: str, degree: int,
                 raise _syntax_error(text, str(exc), i) from None
             if item is not None:
                 items.append(item)
-        elif char == "J":
+        elif tok == "J":
             if open_:
                 raise _syntax_error(
                     text, "the one-sided component cannot lie inside an oval",
@@ -184,8 +188,8 @@ def read_scheme(text: str, degree: int,
         else:
             raise _syntax_error(text, "expected an item", i)
         i += 1
-        char = tokens[i][2]
-        while char == ">" and open_:
+        tok = tokens[i]
+        while tok == ">" and open_:
             count, sign, start, enclosing = open_.pop()
             try:
                 item = node(count, sign, items)
@@ -195,10 +199,10 @@ def read_scheme(text: str, degree: int,
             if item is not None:
                 items.append(item)
             i += 1
-            char = tokens[i][2]
-        if char == ">":
+            tok = tokens[i]
+        if tok == ">":
             break
-        if char != "+":
+        if tok != "+":
             raise _syntax_error(text, "expected '>'", i)
         i += 1
     if i + 2 != len(tokens):
@@ -211,25 +215,26 @@ def read_scheme(text: str, degree: int,
 
 
 def _group(count: int, sign: str, body: Optional[list]):
-    """A plain item: (canonical text of its body or None, OvalGroup)."""
+    """A plain item: (None, count) for count empty ovals, else (canonical
+    text of its body, OvalGroup)."""
     if sign:
         raise _ItemError("a plain scheme count takes no sign")
     if count == 0:
         return None
     if not body:  # a bare count, or "k<0>": k empty ovals
-        return None, OvalGroup(count)
+        return None, count
     key, groups = _canonical_children(body)
     return key, OvalGroup(count, groups)
 
 
 def _canonical_children(items: list) -> tuple[str, tuple[OvalGroup, ...]]:
-    """Merge the empty ovals, group identical containers and order them by
-    their canonical text; return (canonical text, groups)."""
+    """Add up the bare counts of `_group`'s items, group identical containers
+    and order them by their canonical text; return (canonical text, groups)."""
     empties = 0
     containers: dict[str, OvalGroup] = {}
     for key, g in items:
         if key is None:
-            empties += g.count
+            empties += g
         else:
             seen = containers.get(key)
             containers[key] = (g if seen is None else

@@ -47,11 +47,13 @@ a generator, and each group is walked twice.
 `read_scheme_stepwise`, with `parse_scheme_stepwise` and
 `parse_signed_stepwise` on top of it, is the scheme reader as it was before
 token positions were found only for a rule that fails: it keeps a match
-object and a position per token.
+object and a position per token, read with its own copy of the token
+pattern, not the library's.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -103,7 +105,6 @@ from deepnest.orientations import (
     print_signed,
 )
 from deepnest.schemes import (
-    _TOKEN,
     DeepNestProfile,
     InadmissibleSchemeError,
     OvalGroup,
@@ -732,14 +733,21 @@ def _deep_child(g: OvalGroup) -> OvalGroup:
 # ---------------------------------------------------------------------------
 # the scheme reader as it was before positions were found only on failure
 
+# the library's token pattern as it was, with three groups: a count's
+# digits, its sign, or any other character
+_STEPWISE_TOKEN = re.compile(r"\s*(?:([0-9]+)(?:_([+-]))?|(\S))")
+
+
 def read_scheme_stepwise(text: str, degree: int, node) -> tuple[bool, list]:
     """`deepnest.schemes.read_scheme` as it was: a match object and a
     position per token, and node(count, sign, body, position) raising
-    SchemeSyntaxError itself.  It reads the library's `_TOKEN`."""
-    # (kind, position, digits, sign): kind is "count", "end" or the character
+    SchemeSyntaxError itself.  A token is (kind, position, digits, sign).
+    It keeps its own copy of the token pattern, `_STEPWISE_TOKEN`: an oracle
+    that read the library's `_TOKEN` could not see a fault in it."""
+    # kind is "count", "end" or the character
     tokens = [(m[3], m.start(3), "", None) if m[1] is None
               else ("count", m.start(1), m[1], m[2])
-              for m in _TOKEN.finditer(text)]
+              for m in _STEPWISE_TOKEN.finditer(text)]
     tokens.append(("end", len(text), "", None))
     max_depth = degree // 2
     kind, at = tokens[0][:2]

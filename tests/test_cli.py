@@ -198,6 +198,8 @@ def test_lemma3_config_file(tmp_path, capsys):
     assert code == 0
     assert rep["verdicts"] == ["MATCHES"]
     assert rep["results"]["case"] == 2
+    assert (rep["results"]["relabelShift"], rep["results"]["region"]) == (
+        0, "T4")
 
     # the same points listed in reverse give the same results
     path.write_text(json.dumps(entries[::-1]))
@@ -210,6 +212,7 @@ def test_lemma3_config_file(tmp_path, capsys):
     assert code == 0
     assert rep["verdicts"] == ["CONTRADICTION"]
     assert rep["results"]["witness"] == "345|456=[45]"
+    assert rep["results"]["region"] is None    # a hull with no sub-region
 
     path.write_text("[]")
     assert main(["lemma3", "--config", str(path)]) == 2

@@ -329,10 +329,22 @@ def corpus_digests(workdir: pathlib.Path) -> dict[str, str]:
     return out
 
 
-def test_the_relabelled_configurations_are_read_at_shift_4():
-    for text in RELABELLED.values():
+def test_the_relabelled_configurations_are_read_at_shift_4(tmp_path, capsys):
+    """The library reads each at shift 4, and both verdicts of `lemma3
+    --config` report that shift and the region, the excluded pattern the
+    region it failed in."""
+    regions = {"sigma-points.json": "T4", "sigma-case3.json": "T3",
+               "sigma-quadrangle-A-T1.json": "T1"}
+    assert regions.keys() == RELABELLED.keys()
+    for name, text in RELABELLED.items():
         cfg = {e["label"]: tuple(e["point"]) for e in json.loads(text)}
         assert reducible_cubic_sequence(cfg).classification.relabel_shift == 4
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["--json", "lemma3", "--config", str(path)]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert (results["relabelShift"], results["region"]) == (
+            4, regions[name])
 
 
 def test_cli_reports_match_their_digests(tmp_path):

@@ -6,7 +6,9 @@ finds token positions only when a rule fails.  The earlier readers built
 every text first, walked each group twice and kept a position per token; on
 every input, valid or broken in a few places, both must give the same
 records, or the same exception class with the same message and witness or
-position.
+position.  The scheme oracle keeps its own token pattern, and fixed token
+edge cases (blanks inside a count, stray suffixes, digits of other scripts,
+other blanks, a sign where a notation takes none) pin what both read.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from deepnest.orientations import parse_signed
 from deepnest.schemes import (
     OvalGroup,
     RealScheme,
+    SchemeSyntaxError,
     classify_deep_nest,
     is_m_curve,
     parse_scheme,
@@ -409,3 +412,68 @@ def test_empty_and_blank_scheme_texts_read_the_same():
                  "<J + 1<", "<1<2>", ">", "<J>>", "<J> <J>"):
         for degree in (1, 2, 9):
             assert_same_scheme_outcome(text, degree)
+
+
+NO_SIGN = "a plain scheme count takes no sign"
+NEEDS_SIGN = "a signed count needs the suffix '_+' or '_-'"
+ITEM, CLOSE = "expected an item", "expected '>'"
+ZERO = "counts may not have leading zeros"
+
+# token edge cases at degree 9, written in the plain and in the signed
+# notation: (text, plain outcome, signed outcome), an outcome being None
+# for a record or (message, position) for the SchemeSyntaxError
+TOKEN_EDGES = [
+    # a blank between a count and its suffix, or inside the suffix
+    ("<J + 1 _+>", (CLOSE, 7), (NEEDS_SIGN, 5)),
+    ("<J + 1_ +>", (CLOSE, 6), (NEEDS_SIGN, 5)),
+    ("<J + 1<2 _>>", (CLOSE, 9), (NEEDS_SIGN, 7)),
+    ("<J + 1_+<2 _->>", (CLOSE, 11), (NEEDS_SIGN, 9)),
+    ("<J + 1_ -<1_+>>", (CLOSE, 6), (NEEDS_SIGN, 5)),
+    # a lone suffix, a leading zero before one, and a doubled underscore
+    ("<J + _+>", (ITEM, 5), (ITEM, 5)),
+    ("<J + 2 + _->", (ITEM, 9), (NEEDS_SIGN, 5)),
+    ("<J + 1<_+>>", (ITEM, 7), (ITEM, 7)),
+    ("<J + 01>", (ZERO, 5), (ZERO, 5)),
+    ("<J + 01_+>", (ZERO, 5), (ZERO, 5)),
+    ("<J + 1<01_->>", (ZERO, 7), (ZERO, 7)),
+    ("<J + 1<1__>>", (CLOSE, 8), (NEEDS_SIGN, 7)),
+    ("<J + 1__+>", (CLOSE, 6), (NEEDS_SIGN, 5)),
+    ("<J + 1_+<1__->>", (CLOSE, 10), (NEEDS_SIGN, 9)),
+    # digits of another script: one character each, never a count
+    ("<J + ٣>", (ITEM, 5), (ITEM, 5)),
+    ("<J + ٣_+>", (ITEM, 5), (ITEM, 5)),
+    ("<J + ٠٧ + 21>", (ITEM, 5), (ITEM, 5)),
+    ("<J + ٠٧_- + 21_+>", (ITEM, 5), (ITEM, 5)),
+    ("<J + 1٣_+>", (CLOSE, 6), (NEEDS_SIGN, 5)),
+    ("<J + 3_٣>", (CLOSE, 6), (NEEDS_SIGN, 5)),
+    # a tab, a newline or a no-break space between tokens, trailing blanks
+    ("<J\t+\t1>", None, (NEEDS_SIGN, 5)),
+    ("<J\t+\t1_+>", (NO_SIGN, 5), None),
+    ("<J\n+ 1<2>>", None, (NEEDS_SIGN, 7)),
+    ("<J\n+ 1_-<2_+>>", (NO_SIGN, 9), None),
+    ("<J\t+\n1<\u00a02>>", None, (NEEDS_SIGN, 8)),
+    ("<J\t+\n1_+<\u00a02_->>", (NO_SIGN, 10), None),
+    ("<J\u00a0+\u00a01>", None, (NEEDS_SIGN, 5)),
+    ("<J\u00a0+\u00a01_->", (NO_SIGN, 5), None),
+    ("\t<J + 3>  ", None, (NEEDS_SIGN, 6)),
+    ("<J + 2_- + 1_+<3_+>>\t\n", (NO_SIGN, 5), None),
+    # a sign on a plain count, and a signed count without one
+    ("<J + 3_+>", (NO_SIGN, 5), None),
+    ("<J + 3>", None, (NEEDS_SIGN, 5)),
+    ("<J + 1_-<2>>", (NO_SIGN, 5), (NEEDS_SIGN, 9)),
+    ("<J + 1<2_+>>", (NO_SIGN, 7), (NEEDS_SIGN, 5)),
+]
+
+
+def test_token_edge_cases_read_as_the_oracle_does():
+    """Each edge case gives the oracle's record in both notations, or its
+    exception class, message and position, and the one pinned here."""
+    for text, *wanted in TOKEN_EDGES:
+        got = assert_same_scheme_outcome(text, 9)
+        for (cls, message, position), want in zip(got, wanted):
+            if want is None:
+                assert cls is None, (text, message)
+            else:
+                assert (cls, message, position) == (
+                    SchemeSyntaxError,
+                    f"{want[0]} (at position {want[1]})", want[1]), text
