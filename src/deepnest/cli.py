@@ -49,6 +49,10 @@ SCENARIO_KINDS = ("with-o1-jumps", "no-jumps-even-gamma",
 
 _MODES = {"paper": "literal", "uniform": "uniform"}
 
+# the most samples `lemma3 --case` reports: its report lists one entry per
+# sample
+MAX_SAMPLES = 10_000
+
 
 def integer(text: str) -> int:
     """A decimal integer: ASCII digits with an optional sign.  int() alone
@@ -298,6 +302,9 @@ def _cmd_lemma3(args) -> tuple[dict, dict, list[str]]:
         raise ValueError("lemma3 needs --case (or --config FILE)")
     elif args.samples is not None and args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
+    elif args.samples is not None and args.samples > MAX_SAMPLES:
+        raise ValueError(f"--samples must be at most {MAX_SAMPLES}, "
+                         f"got {args.samples}")
     from . import configurations
     if args.config is not None:
         inputs = {"config": args.config}

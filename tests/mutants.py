@@ -159,6 +159,14 @@ MUTANTS = (
      '_parity_class(NO_JUMPS_ODD_GAMMA, "uniform")',
      ["tests/test_reachability.py::"
       "test_each_command_keeps_its_call_budgets"]),
+    # in-process callers read main's return value, so only a fresh
+    # interpreter sees the exit status lost
+    ("the entry point drops main's exit status",
+     "src/deepnest/cli.py",
+     "sys.exit(main())",
+     "main()",
+     ["tests/test_package.py::"
+      "test_the_entry_point_exits_with_the_status_main_returns"]),
     # "1_+" then reads as a count with no sign in both notations
     ("a count token without its sign suffix",
      "src/deepnest/schemes.py",

@@ -1,8 +1,10 @@
-"""Byte-identical command-line output over a fixed corpus of argv.
+"""Byte-identical command-line output over one fixed corpus of argv.
 
-``tests/golden/cli-digests.json`` holds one SHA-256 digest of
-(exit status, stdout, stderr) per argv, in the format of
-``tests/test_lemma3_corpus.py``.  The corpus covers every command:
+``tests/golden/cli-digests.json`` holds one SHA-256 digest of the JSON
+list [exit status, stdout, stderr] per argv, keyed by the argv text.  It is
+the one digest corpus: every command's exit status and report is pinned
+here, and CI runs the installed console script only to check that it is
+installed.  It covers:
 
 * the README examples, with and without ``--json``;
 * ``theorem2 --beta B`` for B = -1..27, and ``theorem1`` with a few
@@ -10,7 +12,11 @@
 * ``prohibit`` at every beta 0..26 in both modes;
 * ``solve`` for every kind and mode: with no size, with ``--beta 0..26``
   and with a few ``--gamma`` values;
-* ``lemma3 --case K`` with its default sample count and seed;
+* ``lemma3 --case K`` with its default sample count and seed, and with
+  ``--seed S --samples 40`` for S = 0..4;
+* ``lemma3 --config`` for each of the 28 stored templates (the three base
+  configurations, ``caseK.json``, and the 25 excluded patterns, each in a
+  file named after it);
 * degenerate ``lemma3 --config`` files (a point on J, a collinear triple,
   a repeated point, the zero triple, labels 2..6 out of pencil order) and
   malformed ones;
@@ -24,10 +30,15 @@
   ``lemma3 --config`` with ``--case``, with a valid configuration whose
   verdict is MISMATCH and with three configurations relabelled so that the
   classifier reads them at relabel shift 4, each rule of the trace reader
-  and the two crossing floors of ``audit``.
+  and the two crossing floors of ``audit``;
+* the edges of the command line (also in ``more_paths``): ``--known`` and
+  ``--beta`` texts that are no decimal list, ``lemma3 --case K --samples
+  200``, ``--samples`` out of range, and the 1501-deep nest, plain and
+  signed, at degrees whose depth bound it meets and exceeds.
 
 Every input file is written into a fresh directory and its path is masked
-as the file's name, and the human form's ``elapsed`` line is masked.  An
+as the file's name, an argv too long to print is given by its key in
+``PLACEHOLDERS``, and the human form's ``elapsed`` line is masked.  An
 argparse usage error (SystemExit) keeps its exit status, but its stderr is
 masked: that text is argparse's, and its wording differs between Python
 versions.  Regenerate the file only when a report is meant to change:
@@ -124,6 +135,12 @@ CONFIGS = {
     "empty.json": "",
     "deep.json": "[" * 100_000 + "]" * 100_000,
 }
+# the 28 stored templates, each in a file named after its kind
+TEMPLATES = {**{f"case{k}": cfg for k, cfg in BASE_CONFIGURATIONS.items()},
+             **EXCLUSION_TEMPLATES}
+CONFIGS.update({f"{kind}.json": json.dumps([{"label": k, "point": p}
+                                            for k, p in cfg.items()])
+                for kind, cfg in TEMPLATES.items()})
 # the README points, case 3's base points and an excluded pattern,
 # relabelled: the classifier reads each from its table at relabel shift 4
 RELABELLED = {
@@ -188,8 +205,15 @@ INADMISSIBLE = ["<J + 1<1<1<5>>>>", "<J + 2<1<5>>>", "<J + 1<5> + 1<1<5>>>",
                 "<J + 1<1<5> + 1<6>>>", "<J + 1<2<5>>>",
                 "<J + 1<1<1> + 1<2<1>>>>"]
 
-# a 1500-deep nest, beyond degree 9's depth bound; named DEEP in the corpus
-DEEP = "<J + " + "1<" * 1500 + "1" + ">" * 1500 + ">"
+# argv texts too long to print, by the key that stands for each in the
+# corpus, the digest keys and the reachability probe: the 1501-deep nest
+# (1500 containers around one oval), beyond degree 9's depth bound, within
+# degree 3003's and beyond degree 2999's, and the same nest signed, whose
+# innermost 2_- keeps the empty-oval imbalance even
+PLACEHOLDERS = {
+    "DEEP": "<J + " + "1<" * 1500 + "1" + ">" * 1500 + ">",
+    "SIGNED_DEEP": "<J + " + "1_+<" * 1500 + "2_-" + ">" * 1500 + ">",
+}
 
 
 def _nest(beta: int) -> str:
@@ -200,7 +224,7 @@ def _nest(beta: int) -> str:
 
 def corpus() -> list[list[str]]:
     """Every corpus argv, with each file argument given by its bare name
-    and the 1500-deep nest by DEEP."""
+    and each long text by its key in PLACEHOLDERS."""
     readme = [
         ["parse", "--scheme", "<J + 1<4 + 1<22>>>"],
         ["check-rm", "--scheme", SIGNED],
@@ -232,6 +256,8 @@ def corpus() -> list[list[str]]:
             runs += [[*solve, "--gamma", str(g)]
                      for g in (-1, 0, 1, 13, 24, 25, 26, 27)]
     runs += [["--json", "lemma3", "--case", str(k)] for k in (1, 2, 3)]
+    runs += [["--json", "lemma3", "--case", str(k), "--seed", str(s),
+              "--samples", "40"] for k in (1, 2, 3) for s in range(5)]
     runs += [["--json", "lemma3", "--config", name] for name in CONFIGS
              if name not in ("points.json", "mismatch.json", *RELABELLED)]
     runs += [["--json", "lemma3", "--config", "missing.json"],
@@ -266,7 +292,9 @@ def more_paths() -> list[list[str]]:
     theorem2 with sizes that do not add up, lemma3 --config with --case,
     with a valid configuration whose sequence is a MISMATCH and with the
     relabelled configurations, and every rule of the trace reader, with the
-    floors of `audit`."""
+    floors of `audit`; then the edges of the command line: integer texts
+    that are no decimal list, `--samples` at 200 and out of range, and the
+    1501-deep nest at degrees whose depth bound it meets and exceeds."""
     runs = [["--json", "parse", "--scheme", text] for text in (
         SIGNED,
         "<J + 0 + 1_+<0>>",             # a bare 0, an oval holding nothing
@@ -297,6 +325,20 @@ def more_paths() -> list[list[str]]:
     runs += [["--json", "audit", "--trace", "missing.json"]]
     runs += [["--json", "audit", "--trace", name] for name in TRACES
              if name not in ("trace.json", "unpaired-node.json")]
+    runs += [["--json", *argv] for argv in (
+        ["theorem1", "--known", "100"],
+        ["theorem1", "--known", "1,,3"],
+        ["theorem2", "--beta", "1_0"],
+        ["lemma3", "--config", "points.json", "--samples", "-3"],
+        *(["lemma3", "--case", str(k), "--samples", "200"]
+          for k in (1, 2, 3)),
+        ["lemma3", "--case", "1", "--samples", "10001"],
+        ["lemma3", "--case", "1", "--samples", "10000000000000000000"],
+        ["parse", "--degree", "3003", "--scheme", "DEEP"],
+        ["parse", "--degree", "2999", "--scheme", "DEEP"],
+        ["check-rm", "--degree", "3003", "--scheme", "SIGNED_DEEP"],
+        ["check-orevkov", "--degree", "3003", "--scheme", "SIGNED_DEEP"],
+    )]
     return runs
 
 
@@ -317,10 +359,10 @@ def corpus_digests(workdir: pathlib.Path) -> dict[str, str]:
     for name, text in files.items():
         (workdir / name).write_text(text, encoding="utf-8")
     paths = {name: str(workdir / name) for name in [*files, "missing.json"]}
+    values = {**PLACEHOLDERS, **paths}
     out = {}
     for argv in corpus():
-        code, *texts = _run([paths.get(a, DEEP if a == "DEEP" else a)
-                             for a in argv])
+        code, *texts = _run([values.get(a, a) for a in argv])
         for name in set(argv) & set(paths):
             texts = [t.replace(paths[name], name) for t in texts]
         texts = [ELAPSED.sub("  elapsed: ELAPSED", t) for t in texts]
@@ -349,7 +391,7 @@ def test_the_relabelled_configurations_are_read_at_shift_4(tmp_path, capsys):
 
 def test_cli_reports_match_their_digests(tmp_path):
     expected = json.loads(DIGESTS.read_text())
-    assert len(expected) == len(corpus()) == 499
+    assert len(expected) == len(corpus()) == 555
     assert corpus_digests(tmp_path) == expected
 
 

@@ -9,8 +9,10 @@ No command loads `dataclasses` or `inspect`, because the records are
 NamedTuples, nor `fractions` or `decimal`, because the kernel and the
 stored configurations are integer triples.
 Each check starts a fresh interpreter, because this test process has long
-imported everything.  Every function that the benchmark's span tracer
-patches by name (`TRACED` in perfbench/tracer.py) is defined where it says.
+imported everything.  The module entry point exits with the status that
+`main` returns, and the console script `deepnest` is that `main`.  Every
+function that the benchmark's span tracer patches by name (`TRACED` in
+perfbench/tracer.py) is defined where it says.
 """
 
 from __future__ import annotations
@@ -127,6 +129,21 @@ def test_lemma3_rejects_missing_case_before_loading_geometry():
 def test_usage_error_loads_no_stack():
     assert loaded_by("--json", "solve", "--scenario",
                      "no-such-scenario") == (2, CLI)
+
+
+def test_the_entry_point_exits_with_the_status_main_returns():
+    assert fresh("-m", "deepnest.cli", "--json", "theorem1").returncode == 0
+    done = fresh("-m", "deepnest.cli", "--json", "theorem2", "--beta", "3")
+    assert done.returncode == 2
+    assert done.stderr.startswith("deepnest: error: ")
+    assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+
+
+def test_the_console_script_is_the_entry_points_main():
+    # read as text: Python 3.10 has no tomllib
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    assert ('\n[project.scripts]\ndeepnest = "deepnest.cli:main"\n\n'
+            in pyproject)
 
 
 def test_cli_scenario_choices_match_the_library():

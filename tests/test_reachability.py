@@ -2,8 +2,8 @@
 once: the ledger of what no command runs, and the call budgets.
 
 A fresh interpreter sets `sys.setprofile` before it imports `deepnest`, so
-calls made at import time count, and runs every argv of both digest corpora
-(`tests/test_cli_corpus.py` and `tests/test_lemma3_corpus.py`).  It records
+calls made at import time count, and runs every argv of the digest corpus
+(`tests/test_cli_corpus.py`).  It records
 each library code object entered and, per argv, the exit status and the
 number of calls to each library function, keyed by file and first line
 (Python 3.10 has no `co_qualname`).  One such run, cached, serves every
@@ -123,11 +123,13 @@ SCOPES = {
     "exit 0": lambda text, status: status == 0,
 }
 
-# runs both digest corpora with a profiler set before deepnest is imported,
+# runs the digest corpus with a profiler set before deepnest is imported,
 # and prints JSON: [file stem, first line] of every src/deepnest code object
 # entered, and per argv, [argv text, exit status, [[file stem, first line,
-# calls] of each src/deepnest code object it entered]]; argv: the repository
-# root.  Calls made before the first argv (imports) count only as entered.
+# calls] of each src/deepnest code object it entered]], the argv text with
+# file paths as bare names and long texts as their corpus placeholders;
+# argv: the repository root.  Calls made before the first argv (imports)
+# count only as entered.
 PROBE = """
 import json, pathlib, sys, tempfile
 from collections import Counter
@@ -150,19 +152,19 @@ def traced(main, tmp):
             status = exc.code
             raise
         finally:
-            text = " ".join("DEEP" if a == test_cli_corpus.DEEP
-                            else a.replace(tmp + "/", "") for a in argv)
+            text = " ".join(short.get(a) or a.replace(tmp + "/", "")
+                            for a in argv)
             runs.append((text, status, counts))
         return status
     return run
 
 sys.setprofile(profile)
 sys.path.insert(0, str(root / "tests"))
-import test_cli_corpus, test_lemma3_corpus
-for corpus in (test_cli_corpus, test_lemma3_corpus):
-    with tempfile.TemporaryDirectory() as tmp:
-        corpus.main = traced(corpus.main, tmp)
-        corpus.corpus_digests(pathlib.Path(tmp))
+import test_cli_corpus as corpus
+short = {text: key for key, text in corpus.PLACEHOLDERS.items()}
+with tempfile.TemporaryDirectory() as tmp:
+    corpus.main = traced(corpus.main, tmp)
+    corpus.corpus_digests(pathlib.Path(tmp))
 sys.setprofile(None)
 
 def ours(counter):
@@ -226,7 +228,7 @@ def trace() -> tuple[set, list]:
 
 
 def never_run() -> set[str]:
-    """The library functions that no argv of either corpus enters."""
+    """The library functions that no corpus argv enters."""
     entered, _ = trace()
     return {name for name, node in library().items()
             if (name.partition(".")[0], _first_line(node)) not in entered}
@@ -313,7 +315,7 @@ def budget_problems(rows) -> list[str]:
         if most is None:
             problems.append(f"{name}: not a library function")
         elif text is None:
-            problems.append(f"{scope}: no argv of the corpora")
+            problems.append(f"{scope}: no argv of the corpus")
         elif most > limit:
             problems.append(f"{name}: {scope} allows {limit} calls, "
                             f"{text} makes {most}")
