@@ -124,11 +124,6 @@ class SignCase(NamedTuple):
     n: int
     eps4: Optional[int] = None  # leftover inner sign when gamma is odd
 
-    def as_tuple(self) -> tuple[int, ...]:
-        if self.eps4 is None:
-            return (self.eps1, self.eps2, self.eps3 or 0, self.n)
-        return (self.eps1, self.eps2, self.eps3 or 0, self.eps4, self.n)
-
     def sort_key(self):
         return (self.eps1, self.eps2, self.eps3 or 0, self.eps4 or 0, self.n)
 

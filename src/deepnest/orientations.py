@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Literal, NamedTuple, Optional
 
-from .schemes import _ItemError, print_items, read_scheme, tree_hash
+from .schemes import _ItemError, print_items, read_scheme
 
 Mode = Literal["uniform", "literal"]
 
@@ -38,13 +38,14 @@ class SignedEmpties(NamedTuple):
 
 class SignedOval(NamedTuple):
     """A non-empty oval of sign +1 or -1, with the empty ovals and the
-    non-empty ovals directly inside it.  hash() does not recurse; `==` and
-    repr() do, and raise RecursionError a few hundred levels deep."""
+    non-empty ovals directly inside it.  A tree is unhashable, so hash()
+    raises TypeError at once at any depth; `==` and repr() recurse, and raise
+    RecursionError a few hundred levels deep."""
 
     sign: int
     empties: SignedEmpties
     ovals: tuple["SignedOval", ...] = ()
-    __hash__ = tree_hash
+    __hash__ = None
 
 
 class SignedScheme(NamedTuple):
@@ -52,6 +53,7 @@ class SignedScheme(NamedTuple):
     pseudoline: bool
     empties: SignedEmpties            # outermost empty ovals
     ovals: tuple[SignedOval, ...]     # outermost non-empty ovals
+    __hash__ = None     # as its trees are, even when it has none
 
     def oval_count(self) -> int:
         total = self.empties.plus + self.empties.minus

@@ -39,35 +39,15 @@ class InadmissibleSchemeError(ValueError):
         self.oval = oval
 
 
-class _Hashed(int):
-    """A hash value, standing in a tuple for the record it hashes."""
-
-    def __hash__(self) -> int:
-        return int(self)
-
-
-def tree_hash(tree: tuple) -> int:
-    """hash(tuple(tree)), for a record whose last field holds its children
-    or None, without the C recursion that crashes on a deep enough tree."""
-    nodes = [tree]
-    for node in nodes:      # breadth first: the list grows as it is read
-        nodes.extend(node[-1] or ())
-    hashes: dict[int, int] = {}
-    for node in reversed(nodes):    # every child before its parent
-        kids = node[-1] if node[-1] is None else _Hashed(
-            hash(tuple(_Hashed(hashes[id(c)]) for c in node[-1])))
-        hashes[id(node)] = hash((*node[:-1], kids))
-    return hashes[id(tree)]
-
-
 class OvalGroup(NamedTuple):
     """`count` identical ovals; body None means they are empty, otherwise each
-    contains the given child groups.  hash() does not recurse; `==` and
-    repr() do, and raise RecursionError a few hundred levels deep."""
+    contains the given child groups.  A tree is unhashable, so hash()
+    raises TypeError at once at any depth; `==` and repr() recurse, and raise
+    RecursionError a few hundred levels deep."""
 
     count: int
     body: Optional[tuple["OvalGroup", ...]] = None
-    __hash__ = tree_hash
+    __hash__ = None
 
     def _walk(self) -> list:
         """(group, its depth, how many copies of it there are), every group
@@ -92,6 +72,7 @@ class RealScheme(NamedTuple):
     degree: int
     pseudoline: bool
     groups: tuple[OvalGroup, ...]
+    __hash__ = None     # as its trees are, even when it has none
 
     def oval_count(self) -> int:
         total = 0

@@ -37,6 +37,8 @@ excluded-pattern template of `deepnest.configurations` must produce.
 `prohibit_per_call` is `deepnest.cases._prohibit` as it was before the
 parity-generic part of a report was computed once per class and mode: it
 builds the scenarios, solves them and filters the survivors on every call.
+`sign_tuple` writes a sign case as the tests compare it: (eps1, eps2, eps3,
+n), with eps4 before n when gamma is odd.
 
 `parse_trace_eager`, `oval_walk`, `classify_deep_nest_twice` and
 `is_m_curve_walked` are the trace and scheme readers as they were before an
@@ -577,6 +579,14 @@ def prohibit_per_call(beta: int, gamma: int, known: Iterable[int],
         real_scheme_forbidden=(verdict == "OPEN" and not feasible),
         feasible=tuple(feasible),
     )
+
+
+def sign_tuple(case: SignCase) -> tuple[int, ...]:
+    """(eps1, eps2, eps3, n), or (eps1, eps2, eps3, eps4, n) when eps4 is
+    set; an unset eps3 reads 0."""
+    if case.eps4 is None:
+        return (case.eps1, case.eps2, case.eps3 or 0, case.n)
+    return (case.eps1, case.eps2, case.eps3 or 0, case.eps4, case.n)
 
 
 # ---------------------------------------------------------------------------

@@ -88,11 +88,6 @@ MUTANTS = (
      ["tests/test_cases.py::"
       "test_case_residuals_refuse_an_odd_empty_imbalance",
       "tests/test_orientations.py::test_orevkov_rejects_odd_empty_imbalance"]),
-    ("a tree hash without a node's own fields",
-     "src/deepnest/schemes.py",
-     "hashes[id(node)] = hash((*node[:-1], kids))",
-     "hashes[id(node)] = hash((kids,))",
-     ["tests/test_schemes.py::test_a_tree_hashes_as_its_plain_tuple"]),
     # an lru_cache of size 0 keeps cache_clear, so the count fails, not
     # the attribute
     ("the parity-class memo without its cache",

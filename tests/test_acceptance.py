@@ -47,7 +47,7 @@ from deepnest.orientations import (
 )
 from deepnest.schemes import parse_scheme, print_scheme
 from chart import (EXPECTED_WITNESSES, conic_det2, conic_eval,
-                   line_pencil_sweep, pencil_event_records, point)
+                   line_pencil_sweep, pencil_event_records, point, sign_tuple)
 from region_walk import recount_by_region_walk
 
 
@@ -78,10 +78,10 @@ def test_criterion_01():
 def test_criterion_02():
     with budget(1.0):
         solutions = solve_scenario(Scenario(WITH_O1_JUMPS), "uniform")
-        assert {c.as_tuple() for c in solutions} == {
+        assert {sign_tuple(c) for c in solutions} == {
             (-1, -1, 1, 6), (-1, 1, -1, 3), (1, -1, 1, 3), (1, 1, -1, 4)}
         survivors = orevkov_filter(solutions)
-        assert {c.as_tuple() for c in survivors} == {
+        assert {sign_tuple(c) for c in survivors} == {
             (-1, -1, 1, 6), (1, 1, -1, 4)}
 
 
@@ -95,7 +95,7 @@ def test_criterion_03():
                               "uniform")
         assert len(even) == 2
         survivors = orevkov_filter(even)
-        assert [c.as_tuple() for c in survivors] == [(-1, -1, 1, 4)]
+        assert [sign_tuple(c) for c in survivors] == [(-1, -1, 1, 4)]
 
 
 # 4. The surviving sign cases do not depend on the pairing convention.
@@ -106,7 +106,7 @@ def test_criterion_04():
                          Scenario(NO_JUMPS_EVEN_GAMMA, parity=0),
                          Scenario(NO_JUMPS_ODD_GAMMA, parity=1)):
             per_mode = [
-                {c.as_tuple() for c in
+                {sign_tuple(c) for c in
                  orevkov_filter(solve_scenario(scenario, mode))}
                 for mode in ("uniform", "literal")
             ]

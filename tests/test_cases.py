@@ -7,7 +7,7 @@ from itertools import product
 
 import pytest
 
-from chart import prohibit_per_call
+from chart import prohibit_per_call, sign_tuple
 from test_census_oracle import census, n_domain
 from deepnest import cases
 from deepnest.cases import (
@@ -61,7 +61,7 @@ EVEN_GAMMA_SURVIVOR = (-1, -1, 1, 4)
 
 
 def tuples(cases):
-    return {c.as_tuple() for c in cases}
+    return {sign_tuple(c) for c in cases}
 
 
 @pytest.mark.parametrize("mode", ["uniform", "literal"])
@@ -133,8 +133,8 @@ def test_only_beta_zero_has_an_identity_flat_in_n():
 def test_each_odd_gamma_pattern_has_its_census_residual_and_slope(mode):
     """The 16 sign patterns that the solver reads for no-jumps-odd-gamma
     from `_SHAPES` are (e1, e2, e3, e4) in {1, -1}^4, and each has the
-    residual at n = 0 and the slope in n of the census formula of
-    `tests/test_census_oracle.py` with median imbalance n e3 and inner
+    residual at n = 0 and the slope in n of the closed-form census of
+    `perfbench/oracle.py` with median imbalance n e3 and inner
     imbalance e4.  That is why the kind has no solution: each pattern's
     root n is negative, fractional, or 5, 7 or 11, where a chain with at
     most 3 jumps has imbalance 1 or 3."""
@@ -426,7 +426,7 @@ def test_even_median_counts_stay_open():
     assert report.verdict == "OPEN"
     assert report.new is None
     assert not report.real_scheme_forbidden
-    assert {f.case.as_tuple()[:4] for f in report.feasible} >= JUMP_SURVIVORS
+    assert {sign_tuple(f.case)[:4] for f in report.feasible} >= JUMP_SURVIVORS
     for f in report.feasible:
         assert f.rm_residual == 0 and f.orevkov_residuals == (0, 0)
 

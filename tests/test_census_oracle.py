@@ -15,14 +15,19 @@ PROHIBITED exactly when no census scheme of any size in the class fits; with
 the domain at this beta (and n <= min(beta, gamma) for O1-jumps), the fits
 are exactly the schemes that `prohibit` lists as `feasible`.
 
-The closed-form census and the scenario domains are written out here, as in
-the benchmark's independent oracle, so that the package's own solver is not
-its own reference.
+The closed-form census and the chain magnitudes of a no-jump median chain
+are the benchmark's independent oracle, `perfbench/oracle.py`, which imports
+no part of the package; it is loaded here by path, so that the package's
+own solver is not its own reference.  The scenario domains are written out
+here: at a given beta, the O1-jump domain is sized by n <= min(beta, gamma),
+where the benchmark's is not.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
+import pathlib
 from functools import lru_cache
 
 import pytest
@@ -39,9 +44,16 @@ from deepnest.orientations import (
 )
 from deepnest.schemes import parse_scheme
 
+# the benchmark's oracle, read by path: it imports the standard library alone
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_oracle",
+    pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "oracle.py")
+oracle = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(oracle)
+census, chain_magnitudes = oracle.census, oracle.chain_magnitudes
+
 DEGREE = 9
 TOTAL_EMPTIES = 26
-CHAIN_JUMP_BUDGET = 3
 WITH_JUMPS = "with-o1-jumps"
 EVEN_GAMMA = "no-jumps-even-gamma"
 ODD_GAMMA = "no-jumps-odd-gamma"
@@ -49,64 +61,7 @@ BETA_ZERO = "beta-zero"
 
 
 # ---------------------------------------------------------------------------
-# the closed-form census of a two-oval nest
-
-def census(e1: int, e2: int, m: int, i: int, ovals: int,
-           mode: str = "uniform"):
-    """(signed-pair residual, pair-table residuals) of a two-oval nest with
-    median imbalance m and inner imbalance i.  The pair sign of (outer,
-    inner oval) is minus the product of their signs; a pair with an empty
-    oval takes, in the uniform convention, the sign of the nest oval that
-    holds it, and in the literal one that of the other nest oval.  The
-    pair-table residuals are None when the empty-oval imbalance is odd."""
-    if mode == "uniform":
-        pair_diff = -e1 * e2 - e1 * (m + i) - e2 * i
-    else:
-        pair_diff = -e1 * e2 - e2 * (m + i) - e1 * i
-    lhs = 2 * pair_diff + e1 + e2 + m + i
-    k = (DEGREE - 1) // 2
-    rhs = (ovals + 1) - 1 - k * (k + 1)
-    lam = m + i
-    if lam % 2:
-        return lhs - rhs, None
-    l_plus = (e1 > 0) + (e2 > 0)
-    l_minus = (e1 < 0) + (e2 < 0)
-    r1 = -((m + i) * (e1 > 0) + i * (e2 > 0)) - l_plus * l_plus
-    r2 = ((m + i) * (e1 < 0) + i * (e2 < 0) + lam // 2
-          - l_minus * l_minus - l_minus)
-    return lhs - rhs, (r1, r2)
-
-
-# ---------------------------------------------------------------------------
 # scenario shapes
-
-def _compositions(total: int, parts: int):
-    for cuts in itertools.combinations(range(1, total), parts - 1):
-        bounds = (0,) + cuts + (total,)
-        yield [bounds[k + 1] - bounds[k] for k in range(parts)]
-
-
-@lru_cache(maxsize=None)
-def chain_magnitudes(length: int) -> frozenset:
-    """|plus - minus| over open sign chains of `length` whose alternation
-    breaks an odd number (at most 3) of times.  A chain with j breaks is
-    j + 1 alternating runs; a run contributes its first sign when its
-    length is odd, and the next run starts with the previous run's last
-    sign."""
-    out = set()
-    for jumps in range(1, CHAIN_JUMP_BUDGET + 1, 2):
-        if jumps + 1 > length:
-            continue
-        for runs in _compositions(length, jumps + 1):
-            for first in (1, -1):
-                sign, total = first, 0
-                for r in runs:
-                    if r % 2:
-                        total += sign
-                    sign = sign * (-1) ** (r - 1)
-                out.add(abs(total))
-    return frozenset(out)
-
 
 def n_domain(kind: str, beta: int, sized: bool) -> tuple[int, ...]:
     """The n a scenario admits: at this beta when `sized`, else at any size

@@ -171,20 +171,6 @@ def test_compute_stats_matches_pairwise_count(mode):
         assert s.oval_count() == st.all_plus + st.all_minus
 
 
-def plain(o: SignedOval) -> tuple:
-    """The oval's tree as nested plain tuples."""
-    return (o.sign, tuple(o.empties), tuple(plain(c) for c in o.ovals))
-
-
-def test_a_signed_tree_hashes_as_its_plain_tuple():
-    rng = random.Random(15)
-    for i in range(200):
-        s = random_signed_scheme(rng, two_oval_nest=i % 2 == 0)
-        for o in s.ovals:
-            assert o == plain(o)
-            assert hash(o) == hash(plain(o))
-
-
 def test_compute_stats_on_a_1501_deep_nest():
     """A 1501-deep nest of + ovals: every nested pair is negative."""
     depth = 1500

@@ -13,6 +13,12 @@ imported everything.  The module entry point exits with the status that
 `main` returns, and the console script `deepnest` is that `main`.  Every
 function that the benchmark's span tracer patches by name (`TRACED` in
 perfbench/tracer.py) is defined where it says.
+
+The package exports its seven modules and the functions that the
+benchmark's workloads read; records, errors, constants and the other
+functions are public in their modules alone.  The README's Library section
+documents each exported function on a line of its own, and each name of a
+module on that module's line.
 """
 
 from __future__ import annotations
@@ -61,23 +67,38 @@ print(json.dumps([code, sorted(m for m in sys.modules
                                         "fractions", "decimal"))]))
 """
 
+# deepnest.__all__: the seven modules and the functions that the
+# benchmark's workloads read as `dn.<name>`
 PUBLIC_NAMES = [
-    "AuxCurveTrace", "BASE_CONFIGURATIONS", "BETA_ZERO", "BudgetReport",
-    "Classification", "DeepNestProfile", "InadmissibleSchemeError",
-    "InfeasibleOrientationError", "InvalidTraceError", "NO_JUMPS_EVEN_GAMMA",
-    "NO_JUMPS_ODD_GAMMA", "OrientationParityError", "OrientationStats",
-    "ProhibitReport", "REFERENCE_SEQUENCES", "RealScheme", "SCENARIO_KINDS",
-    "Scenario", "SchemeSyntaxError", "SignCase", "SignedScheme",
-    "WITH_O1_JUMPS", "audit", "beta_zero_contradiction", "bezout", "cases",
-    "chain_imbalance_magnitudes", "chain_imbalance_set", "check_orevkov",
-    "check_rokhlin_mishachev", "classify_configuration", "classify_deep_nest",
-    "compute_stats", "configurations", "conics", "deep_nest_scheme",
-    "emit_complex_scheme", "geometry", "is_m_curve", "load_trace",
-    "make_scenario", "orevkov_filter", "orientations", "parse_scheme",
-    "parse_signed", "parse_trace", "print_scheme", "print_signed", "prohibit",
-    "reducible_cubic_sequence", "rm_rhs", "sample_configuration", "schemes",
-    "solve_scenario", "theorem1_report", "theorem2_report",
+    "audit", "bezout", "cases", "check_orevkov", "check_rokhlin_mishachev",
+    "classify_configuration", "classify_deep_nest", "configurations",
+    "conics", "deep_nest_scheme", "geometry", "make_scenario",
+    "orevkov_filter", "orientations", "parse_scheme", "parse_signed",
+    "parse_trace", "print_scheme", "prohibit", "reducible_cubic_sequence",
+    "sample_configuration", "schemes", "solve_scenario", "theorem1_report",
+    "theorem2_report",
 ]
+
+# records, errors, constants and other functions that the package once
+# exported too: each is public in its module alone
+MODULE_NAMES = {
+    **dict.fromkeys(("DeepNestProfile", "InadmissibleSchemeError",
+                     "RealScheme", "SchemeSyntaxError", "is_m_curve"),
+                    "schemes"),
+    **dict.fromkeys(("OrientationParityError", "OrientationStats",
+                     "SignedScheme", "chain_imbalance_magnitudes",
+                     "chain_imbalance_set", "compute_stats", "print_signed",
+                     "rm_rhs"), "orientations"),
+    **dict.fromkeys(("BETA_ZERO", "NO_JUMPS_EVEN_GAMMA", "NO_JUMPS_ODD_GAMMA",
+                     "SCENARIO_KINDS", "WITH_O1_JUMPS",
+                     "InfeasibleOrientationError", "ProhibitReport",
+                     "Scenario", "SignCase", "beta_zero_contradiction",
+                     "emit_complex_scheme"), "cases"),
+    **dict.fromkeys(("BASE_CONFIGURATIONS", "REFERENCE_SEQUENCES",
+                     "Classification"), "configurations"),
+    **dict.fromkeys(("AuxCurveTrace", "BudgetReport", "InvalidTraceError",
+                     "load_trace"), "bezout"),
+}
 
 
 def fresh(*args: str) -> subprocess.CompletedProcess:
@@ -175,11 +196,16 @@ def test_public_names_are_unchanged():
     assert set(PUBLIC_NAMES) <= set(dir(deepnest))
 
 
-@pytest.mark.parametrize("name", PUBLIC_NAMES)
+@pytest.mark.parametrize("name", sorted([*PUBLIC_NAMES, *MODULE_NAMES]))
 def test_each_public_name_resolves_and_stays_bound(name):
-    value = getattr(deepnest, name)
-    # bound in the package namespace, so the next lookup is a dict hit
-    assert vars(deepnest)[name] is value
+    module = MODULE_NAMES.get(name)
+    if module is None:
+        value = getattr(deepnest, name)
+        # bound in the package namespace, so the next lookup is a dict hit
+        assert vars(deepnest)[name] is value
+    else:
+        assert hasattr(importlib.import_module(f"deepnest.{module}"), name)
+        assert not hasattr(deepnest, name)
 
 
 def test_star_import_binds_every_public_name():
@@ -196,8 +222,34 @@ def test_unknown_name_raises_attribute_error():
 
 
 def test_readme_library_snippet_runs_in_a_fresh_interpreter():
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    library = readme[readme.index("## Library"):]
-    snippet = re.search(r"```python\n(.*?)```", library, re.S).group(1)
+    snippet = re.search(r"```python\n(.*?)```", library_section(),
+                        re.S).group(1)
     done = fresh("-c", snippet)
     assert done.returncode == 0, done.stderr
+
+
+def library_section() -> str:
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    start = readme.index("\n## Library\n")
+    return readme[start:readme.index("\n## ", start + 1)]
+
+
+def test_the_readme_documents_every_public_name():
+    library = library_section()
+    # one line per exported function, one table row per module (and cli)
+    functions = re.findall(r"^- `(\w+)\(", library, re.M)
+    modules = re.findall(r"^\| `(\w+)`", library, re.M)
+    assert sorted({*functions, *modules} - {"cli"}) == sorted(deepnest.__all__)
+    # each name public in its module alone is named on its module's line
+    lines = {m: line for m, line in re.findall(
+        r"^- `deepnest\.(\w+)`:(.*)$", library, re.M)}
+    assert [name for name, module in MODULE_NAMES.items()
+            if f"`{name}`" not in lines.get(module, "")] == []
+
+
+def test_every_name_the_benchmark_reads_is_exported():
+    # read as text, as the ledger reads it: nothing is imported from it
+    workloads = (ROOT / "perfbench" / "workloads.py").read_text(
+        encoding="utf-8")
+    read = set(re.findall(r"\bdn\.(\w+)", workloads))
+    assert read and read <= set(deepnest.__all__)

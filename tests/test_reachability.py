@@ -61,7 +61,6 @@ PERFBENCH = ROOT / "perfbench"
 NEVER_RUN = {
     # the package's __dir__ serves dir(deepnest)
     "__init__.__dir__": "test:tests/test_package.py::test_public_names_are_unchanged",
-    "cases.SignCase.as_tuple": "test:tests/test_acceptance.py::test_criterion_02",
     "cases.Scenario._make": "test:tests/test_cases.py::test_make_and_replace_validate_as_the_constructor_does",
     "cases.deep_nest_scheme": "bench:cases.deep_nest_scheme",
     "cases.beta_zero_contradiction": "test:tests/test_acceptance.py::test_criterion_07",
@@ -86,8 +85,6 @@ NEVER_RUN = {
     "geometry.circle_sort": "bench:geometry.circle_sort",
     "geometry.circle_sort.<locals>.cmp": "helper:geometry.circle_sort",
     "geometry._raw_cross": "helper:conics.conic_through_5",
-    "schemes._Hashed.__hash__": "test:tests/test_schemes.py::test_a_tree_hashes_as_its_plain_tuple",
-    "schemes.tree_hash": "test:tests/test_schemes.py::test_a_tree_hashes_as_its_plain_tuple",
 }
 
 # (which argv, library function, most calls per argv); the memoized
