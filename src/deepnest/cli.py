@@ -264,6 +264,8 @@ def _load_config(path: str) -> dict[int, tuple[int, int, int]]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"configuration is not valid JSON: {exc}") from exc
         except RecursionError as exc:
             raise ValueError("configuration nests too deeply to read") from exc
     if not isinstance(data, list) or len(data) != 6:

@@ -51,10 +51,17 @@ a generator, and each group is walked twice.
 token positions were found only for a rule that fails: it keeps a match
 object and a position per token, read with its own copy of the token
 pattern, not the library's.
+
+`perfbench_module(name)` loads the benchmark's `perfbench/<name>.py` by
+path, for the tests that take the benchmark's oracle or tracer as their
+reference: those files import the standard library alone, and `perfbench`
+is not a package.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import pathlib
 import re
 from fractions import Fraction
 from itertools import combinations
@@ -841,3 +848,16 @@ def parse_scheme_stepwise(text: str, degree: int) -> RealScheme:
 def parse_signed_stepwise(text: str, degree: int) -> SignedScheme:
     saw_j, items = read_scheme_stepwise(text, degree, _placed(_signed_item))
     return SignedScheme(degree, saw_j, *_signed_body(items))
+
+
+# ---------------------------------------------------------------------------
+# the benchmark's modules, read by path
+
+def perfbench_module(name: str):
+    """`perfbench/<name>.py`, loaded as a module named perfbench_<name>."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", path / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

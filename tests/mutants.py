@@ -169,6 +169,14 @@ MUTANTS = (
      'digits, sign = tok.partition("_")[0], ""',
      ["tests/test_reader_oracles.py::"
       "test_token_edge_cases_read_as_the_oracle_does"]),
+    # an odd-degree trace that visits a median oval and crosses no inner
+    # oval then pays two inner crossings it does not need
+    ("the odd-degree floor without its all-inner condition",
+     "src/deepnest/bezout.py",
+     'if o2 == 0 and all(v.role == "inner" for v in trace.visits):',
+     "if o2 == 0:",
+     ["tests/test_bezout.py::test_audit_agrees_with_the_benchmark_walk",
+      "tests/test_acceptance.py::test_criterion_12"]),
 )
 
 

@@ -47,8 +47,10 @@ from deepnest.orientations import (
 )
 from deepnest.schemes import parse_scheme, print_scheme
 from chart import (EXPECTED_WITNESSES, conic_det2, conic_eval,
-                   line_pencil_sweep, pencil_event_records, point, sign_tuple)
-from region_walk import recount_by_region_walk
+                   line_pencil_sweep, pencil_event_records, perfbench_module,
+                   point, sign_tuple)
+
+oracle = perfbench_module("oracle")
 
 
 @contextmanager
@@ -310,8 +312,9 @@ def test_criterion_11():
 
 
 # 12. Intersection budgets: the three-jump nodal cubic saturates 27, a line
-#     through two inner ovals stays within 9, and the arc tally matches the
-#     region-walk recount on every trace with up to 7 visits.
+#     through two inner ovals stays within 9, and on 500 random traces of up
+#     to 7 visits the crossing tallies, total and verdict are those of the
+#     benchmark's cheapest closed walk (`perfbench/oracle.audit_answer`).
 def test_criterion_12():
     with budget(10.0):
         cubic = parse_trace({
@@ -346,24 +349,17 @@ def test_criterion_12():
         rng = random.Random(5150)
         for _ in range(500):
             n = rng.randrange(1, 8)
-            trace = parse_trace({
+            data = {
                 "degree": rng.choice([1, 2, 3]),
                 "visits": [{"oval": f"v{i}",
                             "role": rng.choice(["median", "inner"])}
                            for i in range(n)],
                 "arcs": [{"jCrossings": rng.choice([0, 0, 0, 1, 2])}
                          for _ in range(n)],
-            })
-            o1, o2 = recount_by_region_walk(trace)
-            if trace.degree % 2 == 1:
-                if o1 == 0:
-                    o1 = 2
-                if o2 == 0 and all(v.role == "inner" for v in trace.visits):
-                    o2 = 2
-            o1 += o1 % 2
-            o2 += o2 % 2
-            report = audit(trace)
-            assert (report.o1_crossings, report.o2_crossings) == (o1, o2)
+            }
+            report = audit(parse_trace(data))
+            assert (report.o1_crossings, report.o2_crossings, report.total,
+                    report.verdict) == oracle.audit_answer(data)
 
 
 # 13. The scheme grammar round-trips ten thousand random trees.

@@ -1,36 +1,30 @@
-"""Intersection-budget audits: examples, validation, and a walk-based recount."""
+"""Intersection-budget audits: examples, validation, and all four tallies
+of every random trace against the benchmark's region walk
+(`perfbench/oracle.audit_answer`), which derives them without `audit`'s
+per-arc rules or its floors."""
 
 from __future__ import annotations
 
 import json
+import pathlib
 import random
 
 import pytest
 
+from chart import perfbench_module
 from deepnest.bezout import (
-    AuxCurveTrace,
     InvalidTraceError,
     audit,
     load_trace,
     parse_trace,
 )
-from region_walk import recount_by_region_walk
+from test_reader_oracles import random_trace
 
-CUBIC = {
-    "degree": 3,
-    "visits": [
-        {"oval": "1", "role": "inner", "node": True},
-        {"oval": "2", "role": "median"},
-        {"oval": "3", "role": "median"},
-        {"oval": "4", "role": "median"},
-        {"oval": "1", "role": "inner", "node": True},
-        {"oval": "5", "role": "median"},
-        {"oval": "6", "role": "median"},
-    ],
-    "arcs": [{"jCrossings": 0}, {"jCrossings": 1}, {"jCrossings": 1},
-             {"jCrossings": 0}, {"jCrossings": 0}, {"jCrossings": 1},
-             {"jCrossings": 0}],
-}
+oracle = perfbench_module("oracle")
+
+# the README's nodal cubic
+CUBIC = json.loads((pathlib.Path(__file__).parent / "golden" / "trace.json")
+                   .read_text(encoding="utf-8"))
 
 
 def trace_of(degree, roles, j=None, extras=()):
@@ -100,7 +94,7 @@ def test_closed_curve_crossings_are_always_even():
     # endpoints, so totals around a closed traversal telescope to even
     rng = random.Random(41)
     for _ in range(100):
-        report = audit(random_trace(rng))
+        report = audit(parse_trace(random_trace(rng)))
         assert report.o1_crossings % 2 == 0
         assert report.o2_crossings % 2 == 0
 
@@ -165,50 +159,27 @@ def test_load_trace_rejects_bad_json(tmp_path):
     assert audit(load_trace(str(p))).verdict == "SATURATED"
 
 
-def random_trace(rng: random.Random) -> AuxCurveTrace:
-    n = rng.randrange(1, 8)
-    roles = [rng.choice(["median", "inner"]) for _ in range(n)]
-    j = [rng.choice([0, 0, 0, 1, 2]) for _ in range(n)]
-    return trace_of(rng.choice([1, 2, 3]), roles, j)
-
-
-def expected_from_walk(trace: AuxCurveTrace):
-    """Recount crossings on the region graph, then apply the same escape and
-    parity book-keeping the audit documents."""
-    o1, o2 = recount_by_region_walk(trace)
-    if trace.degree % 2 == 1:
-        if o1 == 0:
-            o1 = 2
-        if o2 == 0 and all(v.role == "inner" for v in trace.visits):
-            o2 = 2
-    return o1 + o1 % 2, o2 + o2 % 2
-
-
-def test_audit_agrees_with_region_walk_recount():
+def test_audit_agrees_with_the_benchmark_walk():
     rng = random.Random(2024)
     for _ in range(400):
-        trace = random_trace(rng)
-        report = audit(trace)
-        assert (report.o1_crossings, report.o2_crossings) == \
-            expected_from_walk(trace)
-        assert report.total == (2 * len(trace.visits)
-                                + report.o1_crossings + report.o2_crossings
-                                + report.j_crossings)
+        data = random_trace(rng)
+        report = audit(parse_trace(data))
+        assert (report.o1_crossings, report.o2_crossings, report.total,
+                report.verdict) == oracle.audit_answer(data), data
 
 
 def test_tally_is_invariant_under_rotation_and_reversal():
     rng = random.Random(99)
     for _ in range(200):
-        trace = random_trace(rng)
+        trace = parse_trace(random_trace(rng))
         base = audit(trace)
         k = rng.randrange(len(trace.visits))
-        rotated = AuxCurveTrace(trace.degree,
-                                trace.visits[k:] + trace.visits[:k],
-                                trace.arcs[k:] + trace.arcs[:k])
+        rotated = trace._replace(visits=trace.visits[k:] + trace.visits[:k],
+                                 arcs=trace.arcs[k:] + trace.arcs[:k])
         # reversing the traversal pairs arc i with visit i+1
-        rev_visits = tuple(reversed(trace.visits))
-        rev_arcs = tuple(reversed(trace.arcs[-1:] + trace.arcs[:-1]))
-        reversed_ = AuxCurveTrace(trace.degree, rev_visits, rev_arcs)
+        reversed_ = trace._replace(
+            visits=tuple(reversed(trace.visits)),
+            arcs=tuple(reversed(trace.arcs[-1:] + trace.arcs[:-1])))
         for variant in (rotated, reversed_):
             got = audit(variant)
             assert got.total == base.total

@@ -25,13 +25,12 @@ where the benchmark's is not.
 
 from __future__ import annotations
 
-import importlib.util
 import itertools
-import pathlib
 from functools import lru_cache
 
 import pytest
 
+from chart import perfbench_module
 from deepnest.cases import prohibit
 from deepnest.orientations import (
     OrientationParityError,
@@ -44,12 +43,7 @@ from deepnest.orientations import (
 )
 from deepnest.schemes import parse_scheme
 
-# the benchmark's oracle, read by path: it imports the standard library alone
-_spec = importlib.util.spec_from_file_location(
-    "perfbench_oracle",
-    pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "oracle.py")
-oracle = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(oracle)
+oracle = perfbench_module("oracle")
 census, chain_magnitudes = oracle.census, oracle.chain_magnitudes
 
 DEGREE = 9

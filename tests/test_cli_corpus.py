@@ -6,7 +6,8 @@ the one digest corpus: every command's exit status and report is pinned
 here, and CI runs the installed console script only to check that it is
 installed.  It covers:
 
-* the README examples, with and without ``--json``;
+* the README examples, with and without ``--json``: each ``deepnest``
+  line of the README's ``sh`` blocks, read from README.md itself;
 * ``theorem2 --beta B`` for B = -1..27, and ``theorem1`` with a few
   ``--known`` lists;
 * ``prohibit`` at every beta 0..26 in both modes;
@@ -53,6 +54,7 @@ import io
 import json
 import pathlib
 import re
+import shlex
 import tempfile
 
 from deepnest.cli import SCENARIO_KINDS, main
@@ -64,6 +66,8 @@ from deepnest.configurations import (
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 DIGESTS = GOLDEN / "cli-digests.json"
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+FENCED = re.compile(r"^```(\w+)\n(.*?)^```$", re.M | re.S)
 
 SIGNED = "<J + 1_-<3_+ + 9_- + 1_-<10_+ + 4_->>>"
 ELAPSED = re.compile(r"^  elapsed: .*$", re.M)
@@ -222,23 +226,28 @@ def _nest(beta: int) -> str:
         beta, f"<J + 1<{beta} + 1<{26 - beta}>>>")
 
 
+def readme_blocks(language: str) -> list[str]:
+    """The text of each README code block fenced as `language`, in order."""
+    return [body for lang, body in FENCED.findall(README.read_text(
+        encoding="utf-8")) if lang == language]
+
+
+def readme_examples() -> list[list[str]]:
+    """The argv of each `deepnest` line of the README's sh blocks: a shown
+    prompt `$ ` is dropped and a trailing comment cut."""
+    examples = []
+    for block in readme_blocks("sh"):
+        for line in block.splitlines():
+            line = line.removeprefix("$ ")
+            if line.startswith("deepnest "):
+                examples.append(shlex.split(line, comments=True)[1:])
+    return examples
+
+
 def corpus() -> list[list[str]]:
     """Every corpus argv, with each file argument given by its bare name
     and each long text by its key in PLACEHOLDERS."""
-    readme = [
-        ["parse", "--scheme", "<J + 1<4 + 1<22>>>"],
-        ["check-rm", "--scheme", SIGNED],
-        ["check-orevkov", "--scheme", SIGNED],
-        ["solve", "--scenario", "with-o1-jumps"],
-        ["solve", "--scenario", "no-jumps-odd-gamma"],
-        ["prohibit", "--scheme", "<J + 1<3 + 1<23>>>"],
-        ["prohibit", "--scheme", "<J + 1<12 + 1<14>>>"],
-        ["theorem1"],
-        ["theorem2", "--beta", "12"],
-        ["lemma3", "--case", "2", "--samples", "20", "--seed", "0"],
-        ["lemma3", "--config", "points.json"],
-        ["audit", "--trace", "trace.json"],
-    ]
+    readme = readme_examples()
     runs = [["--json", *argv] for argv in readme] + readme
     # theorem2 --beta 12 is a README example, and the sweep holds the
     # malformed odd betas
@@ -395,7 +404,30 @@ def test_cli_reports_match_their_digests(tmp_path):
     assert corpus_digests(tmp_path) == expected
 
 
+def test_the_readme_shows_what_the_commands_print(capsys, monkeypatch):
+    """The README's one shown report (its `$ deepnest` block) is what that
+    command prints, elapsed line aside, and its two JSON examples are the
+    input files its commands read."""
+    [shown] = [b for b in readme_blocks("sh") if b.startswith("$ ")]
+    command, report = shown.split("\n", 1)
+    assert main(shlex.split(command)[2:]) == 0
+    assert (ELAPSED.sub("", capsys.readouterr().out)
+            == ELAPSED.sub("", report))
+    monkeypatch.chdir(GOLDEN)
+    assert [json.loads(b) for b in readme_blocks("json")] == [
+        json.loads(pathlib.Path(name).read_text(encoding="utf-8"))
+        for name in ("points.json", "trace.json")]
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         digests = corpus_digests(pathlib.Path(tmp))
+    old = json.loads(DIGESTS.read_text())
+    changed = sorted(k for k in digests.keys() & old.keys()
+                     if digests[k] != old[k])
+    print(f"{len(digests.keys() - old.keys())} added, "
+          f"{len(old.keys() - digests.keys())} removed, "
+          f"{len(changed)} changed")
+    for key in changed:
+        print(f"changed: {key}")
     DIGESTS.write_text(json.dumps(digests, indent=1) + "\n")

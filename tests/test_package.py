@@ -23,7 +23,7 @@ module on that module's line.
 
 from __future__ import annotations
 
-import importlib.util
+import importlib
 import json
 import os
 import pathlib
@@ -34,6 +34,7 @@ import sys
 import pytest
 
 import deepnest
+from chart import perfbench_module
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -173,12 +174,8 @@ def test_cli_scenario_choices_match_the_library():
 
 
 def test_every_traced_name_resolves():
-    # the benchmark's span tracer patches these functions by name; its file
-    # is only read here (it imports the standard library alone)
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    # the benchmark's span tracer patches these functions by name
+    tracer = perfbench_module("tracer")
     missing = []
     for module, names in tracer.TRACED.items():
         home = importlib.import_module(f"deepnest.{module}")
