@@ -202,8 +202,6 @@ def audit(trace: AuxCurveTrace) -> BudgetReport:
             o1 = 2
         if o2 == 0 and all(v.role == "inner" for v in trace.visits):
             o2 = 2
-    o1 += o1 % 2
-    o2 += o2 % 2
 
     extras_total = sum(e.count for e in trace.extras)
     total = sum(per_oval.values()) + o1 + o2 + j_total + extras_total

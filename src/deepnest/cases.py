@@ -41,9 +41,16 @@ constraints enter only when a concrete scheme is emitted, so a verdict of
 PROHIBITED always certifies the full parity class.  The parity-generic part
 of a report (scenarios, solutions, survivors, verdict) is computed once per
 class (beta = 0, odd beta, even beta >= 2) and mode, and shared between
-reports; `known` sets only `new`, and `feasible` is built per beta.  The
-13 odd-beta rows of Theorem 1 share one class, so `theorem1_report` reads
-that class once and builds no per-row report.
+reports; `known` sets only `new`.  The 13 odd-beta rows of Theorem 1
+share one class, so `theorem1_report` reads that class once and builds no
+per-row report.
+The per-beta half (`_feasible`, read by `prohibit` and `theorem2_report`)
+tests each survivor's fit at the concrete beta with the n-domain rule of
+`Scenario.admits_n` and the two imbalance checks, building no Scenario and
+raising nothing; only a survivor that fits is built, re-verified through
+the full census machinery and printed.  `emit_complex_scheme` is the same
+rule and builder for one case, behind a Scenario check, and raises
+InfeasibleOrientationError with the reason for a misfit.
 """
 
 from __future__ import annotations
@@ -110,6 +117,22 @@ def _is_size(v) -> bool:
 def _no_jump_magnitudes(beta: int) -> frozenset[int]:
     """Imbalance magnitudes of a no-jump median chain of beta ovals."""
     return chain_imbalance_magnitudes(beta, _CHAIN_JUMP_BUDGET, "odd")
+
+
+def _admits(kind: str, beta: Optional[int], parity: Optional[int],
+            n: int) -> bool:
+    """Whether n is in the kind's n-domain with beta's size, or only its
+    parity, pinned: the one rule behind `Scenario.admits_n` and a
+    survivor's fit."""
+    if kind == BETA_ZERO:
+        return n == 0
+    if kind == WITH_O1_JUMPS:
+        return n >= 1 and parity in (None, n % 2)
+    # no-jump kinds: n is a median-chain imbalance magnitude; the longest
+    # chain of beta's parity realizes every magnitude a shorter one does,
+    # so it serves when beta's size is left open
+    return n in _no_jump_magnitudes(
+        TOTAL_EMPTIES - parity if beta is None else beta)
 
 
 class InfeasibleOrientationError(ValueError):
@@ -184,15 +207,7 @@ class Scenario(_ScenarioFields):
         return None if self.beta is None else TOTAL_EMPTIES - self.beta
 
     def admits_n(self, n: int) -> bool:
-        if self.kind == BETA_ZERO:
-            return n == 0
-        if self.kind == WITH_O1_JUMPS:
-            return n >= 1 and self.parity in (None, n % 2)
-        # no-jump kinds: n is a median-chain imbalance magnitude; the
-        # longest chain of beta's parity realizes every magnitude a shorter
-        # one does, so it serves when beta's size is left open
-        return n in _no_jump_magnitudes(
-            TOTAL_EMPTIES - self.parity if self.beta is None else self.beta)
+        return _admits(self.kind, self.beta, self.parity, n)
 
 
 def make_scenario(kind: str, beta: Optional[int] = None,
@@ -295,31 +310,45 @@ def orevkov_filter(cases: Iterable[SignCase]) -> list[SignCase]:
 # ---------------------------------------------------------------------------
 # concrete signed schemes
 
-def emit_complex_scheme(case: SignCase, beta: int) -> SignedScheme:
-    """Concrete signed scheme carrying the case's census at the given beta.
-
-    Raises InfeasibleOrientationError when the census does not fit: a group
-    count would be negative, fractional, or the imbalance exceeds what the
-    scenario's n-domain allows at this size.
-    """
-    scenario = Scenario(case.scenario, beta)
-    gamma = scenario.gamma
-    if not scenario.admits_n(case.n):
-        raise InfeasibleOrientationError(
-            f"n={case.n} is not admissible at beta={beta}")
+def _misfit(case: SignCase, beta: int, gamma: int) -> Optional[tuple]:
+    """None when the case's census fits beta medians and gamma inners, else
+    why not, as a format and its arguments: n outside its domain at this
+    size, then per group a wrong parity or an imbalance too large.  Only
+    `emit_complex_scheme` formats the text, when it raises."""
+    if not _admits(case.scenario, beta, beta % 2, case.n):
+        return "n=%s is not admissible at beta=%s", case.n, beta
     m_imb, i_imb = case.imbalances()
     for total, imb in ((beta, m_imb), (gamma, i_imb)):
         if (total + imb) % 2:
-            raise InfeasibleOrientationError(
-                f"imbalance {imb} has the wrong parity for {total} ovals")
+            return "imbalance %s has the wrong parity for %s ovals", imb, total
         if abs(imb) > total:    # one sign would count fewer than 0 ovals
-            raise InfeasibleOrientationError(
-                f"imbalance {imb} does not fit in {total} ovals")
+            return "imbalance %s does not fit in %s ovals", imb, total
+    return None
+
+
+def _signed_nest(case: SignCase, beta: int, gamma: int) -> SignedScheme:
+    """The signed nest carrying a fitting case's census."""
+    m_imb, i_imb = case.imbalances()
     inner = SignedOval(case.eps2, SignedEmpties((gamma + i_imb) // 2,
                                                 (gamma - i_imb) // 2))
     return SignedScheme(DEGREE, True, _NO_EMPTIES, (SignedOval(
         case.eps1, SignedEmpties((beta + m_imb) // 2, (beta - m_imb) // 2),
         (inner,)),))
+
+
+def emit_complex_scheme(case: SignCase, beta: int) -> SignedScheme:
+    """Concrete signed scheme carrying the case's census at the given beta.
+
+    Raises ValueError when beta or the case's kind makes no Scenario, and
+    InfeasibleOrientationError when the census does not fit: n is outside
+    the scenario's n-domain at this size, or a group count would be
+    fractional or negative.
+    """
+    gamma = Scenario(case.scenario, beta).gamma
+    reason = _misfit(case, beta, gamma)
+    if reason:
+        raise InfeasibleOrientationError(reason[0] % reason[1:])
+    return _signed_nest(case, beta, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -403,25 +432,37 @@ def _verdict(survivors: tuple[SignCase, ...]) -> str:
     return "OPEN" if survivors else "PROHIBITED"
 
 
-def _prohibit(beta: int, gamma: int, known: Iterable[int],
-              mode: str) -> ProhibitReport:
-    """`prohibit` on the sizes of a validated nest: beta >= 0, gamma >= 1
-    and beta + gamma = 26."""
-    results, survivors_all = _parity_class(
-        BETA_ZERO if beta == 0
-        else NO_JUMPS_ODD_GAMMA if gamma % 2 else NO_JUMPS_EVEN_GAMMA, mode)
+def _class_kind(beta: int, gamma: int) -> str:
+    """The beta-zero or no-jump kind naming the parity class of a nest's
+    sizes, the key of `_parity_class`."""
+    return (BETA_ZERO if beta == 0
+            else NO_JUMPS_ODD_GAMMA if gamma % 2 else NO_JUMPS_EVEN_GAMMA)
 
-    feasible: list[FeasibleScheme] = []
-    for case in survivors_all:
-        try:
-            signed = emit_complex_scheme(case, beta)
-        except InfeasibleOrientationError:
+
+def _feasible(survivors: tuple[SignCase, ...], beta: int, gamma: int
+              ) -> tuple[tuple[FeasibleScheme, ...], tuple[SignCase, ...]]:
+    """The per-beta half of a report: each survivor that fits this beta,
+    built and re-verified through the full census machinery, then those
+    that do not fit, both in survivor order.  A misfit builds nothing."""
+    feasible, skipped = [], []
+    for case in survivors:
+        if _misfit(case, beta, gamma):
+            skipped.append(case)
             continue
+        signed = _signed_nest(case, beta, gamma)
         st = compute_stats(signed, "uniform")
         rm = check_rokhlin_mishachev(signed, "uniform", stats=st)
         orv = check_orevkov(signed, stats=st)
         feasible.append(FeasibleScheme(case, print_signed(signed), rm, orv))
+    return tuple(feasible), tuple(skipped)
 
+
+def _prohibit(beta: int, gamma: int, known: Iterable[int],
+              mode: str) -> ProhibitReport:
+    """`prohibit` on the sizes of a validated nest: beta >= 0, gamma >= 1
+    and beta + gamma = 26."""
+    results, survivors_all = _parity_class(_class_kind(beta, gamma), mode)
+    feasible, _ = _feasible(survivors_all, beta, gamma)
     verdict = _verdict(survivors_all)
     # the scheme in print_scheme's spelling (at beta = 0 the median oval
     # holds only the inner nest oval); `known` is read only for PROHIBITED,
@@ -430,7 +471,7 @@ def _prohibit(beta: int, gamma: int, known: Iterable[int],
         f"<J + 1<{beta} + 1<{gamma}>>>" if beta else f"<J + 1<1<{gamma}>>>",
         beta, gamma, mode, results, verdict,
         (beta not in frozenset(known)) if verdict == "PROHIBITED" else None,
-        verdict == "OPEN" and not feasible, tuple(feasible))
+        verdict == "OPEN" and not feasible, feasible)
 
 
 # ---------------------------------------------------------------------------
@@ -476,12 +517,8 @@ def theorem2_report(beta: int, gamma: Optional[int] = None) -> TheoremTwoRow:
         raise ValueError(_NOT_M_CURVE)
     if gamma == 0:
         raise ValueError(_NO_NEST)
-    rep = _prohibit(beta, gamma, (), "uniform")
-    fitted = {f.case for f in rep.feasible}
-    skipped = tuple(case for result in rep.results
-                    for case in result.survivors if case not in fitted)
-    return TheoremTwoRow(beta=beta, gamma=gamma,
-                         schemes=rep.feasible, skipped=skipped)
+    _, survivors = _parity_class(_class_kind(beta, gamma), "uniform")
+    return TheoremTwoRow(beta, gamma, *_feasible(survivors, beta, gamma))
 
 
 # ---------------------------------------------------------------------------

@@ -177,6 +177,22 @@ MUTANTS = (
      "if o2 == 0:",
      ["tests/test_bezout.py::test_audit_agrees_with_the_benchmark_walk",
       "tests/test_acceptance.py::test_criterion_12"]),
+    # an odd number of direct arcs then leaves an odd tally, which the
+    # audit does not round up
+    ("a direct arc pays one more crossing of each nest oval",
+     "src/deepnest/bezout.py",
+     "return 0, int((a == 2) != (b == 2))",
+     "return 1, 1 + int((a == 2) != (b == 2))",
+     ["tests/test_bezout.py::test_closed_curve_crossings_are_always_even",
+      "tests/test_bezout.py::test_audit_agrees_with_the_benchmark_walk"]),
+    # every report is the same; the call budgets see the Scenario that
+    # each fitting survivor's emission builds and checks
+    ("emission rebuilds a Scenario per survivor",
+     "src/deepnest/cases.py",
+     "signed = _signed_nest(case, beta, gamma)",
+     "signed = emit_complex_scheme(case, beta)",
+     ["tests/test_reachability.py::"
+      "test_each_command_keeps_its_call_budgets"]),
 )
 
 

@@ -8,12 +8,15 @@ from __future__ import annotations
 import json
 import pathlib
 import random
+from itertools import product
 
 import pytest
 
 from chart import perfbench_module
 from deepnest.bezout import (
+    REGION,
     InvalidTraceError,
+    _arc_crossings,
     audit,
     load_trace,
     parse_trace,
@@ -87,6 +90,20 @@ def test_even_degree_has_no_forced_escape():
 def test_odd_degree_escape_skips_inner_when_a_median_is_visited():
     report = audit(trace_of(3, ["median", "median"]))
     assert (report.o1_crossings, report.o2_crossings) == (2, 0)
+
+
+def test_every_arc_case_keeps_a_closed_tally_even():
+    # the proof that the tallies need no rounding: over every arc case
+    # (each end in the median or inner region, no or some one-sided
+    # crossings) the outer count is even and the inner count has the
+    # parity of [a == 2] + [b == 2].  Each visit ends two arcs of a closed
+    # trace, so the inner parities sum to twice [v == 2] over the visits,
+    # and the odd-degree floors only raise a zero tally to 2
+    for a, b in product(REGION.values(), repeat=2):
+        for j in (0, 1, 2, 7):  # the rules read j only as j == 0
+            outer, inner = _arc_crossings(a, b, j)
+            assert outer % 2 == 0
+            assert inner % 2 == ((a == 2) + (b == 2)) % 2
 
 
 def test_closed_curve_crossings_are_always_even():

@@ -498,6 +498,18 @@ def test_theorem2_table_matches_the_text_path(beta):
         beta, 26 - beta, rep.feasible, skipped)
 
 
+def test_theorem2_rows_match_the_per_call_path():
+    # the row rebuilt from the independent per-call report: its fitted
+    # schemes, and its other survivors in survivor order
+    for beta in range(0, 25, 2):
+        rep = prohibit_per_call(beta, 26 - beta, (), "uniform")
+        fitted = {f.case for f in rep.feasible}
+        skipped = tuple(case for result in rep.results
+                        for case in result.survivors if case not in fitted)
+        assert theorem2_report(beta) == TheoremTwoRow(
+            beta, 26 - beta, rep.feasible, skipped)
+
+
 @pytest.mark.parametrize("mode", ["uniform", "literal"])
 def test_size_core_matches_the_text_path(mode):
     for beta in range(26):

@@ -31,8 +31,9 @@ holding, fails too; retire it by deleting its line.
 
 The per-argv counts are held to `BUDGETS`: each pipeline stage that no
 memo guards runs at most once per argv, `geometry.chart_rep` at most six
-times (one sign vector of six points), a `theorem1` argv never enters
-`cases._prohibit`, and an argv that exits 0 never enters
+times (one sign vector of six points), `cases.Scenario.__new__` at most
+twice (a parity class's scenarios, none per survivor), a `theorem1` argv
+never enters `cases._prohibit`, and an argv that exits 0 never enters
 `schemes._syntax_error`.  Memoized functions are not budgeted: one process
 runs every argv, so a memo hit of one argv enters no frame.  Call counts
 are exact and deterministic, where the time a profiler books is not.
@@ -64,6 +65,7 @@ NEVER_RUN = {
     "cases.Scenario._make": "test:tests/test_cases.py::test_make_and_replace_validate_as_the_constructor_does",
     "cases.deep_nest_scheme": "bench:cases.deep_nest_scheme",
     "cases.beta_zero_contradiction": "test:tests/test_acceptance.py::test_criterion_07",
+    "cases.emit_complex_scheme": "test:tests/test_cases.py::test_with_o1_jumps_emission_fits_exactly_the_available_ovals",
     "configurations.sigma_shift": "bench:configurations.sigma_shift",
     "configurations.verify_witness": "bench:configurations.verify_witness",
     "configurations.classify_configuration": "bench:configurations.classify_configuration",
@@ -104,7 +106,10 @@ BUDGETS = (
         "schemes.classify_deep_nest",
         "bezout.parse_trace",
         "cases._prohibit",
+        "cases._feasible",
     )),
+    # the parity class's two scenarios, none per survivor
+    ("every argv", "cases.Scenario.__new__", 2),
     # one chart representative per point of the one sign vector
     ("every argv", "geometry.chart_rep", 6),
     # theorem1 reads its one parity class, with no prohibition per row
