@@ -7,8 +7,8 @@ relabeling sigma: 2->3->4->5->6->2) or is excluded, in which case two of the
 five principal triangles 234, 345, 456, 562, 623 have disjoint interiors and
 the pair is reported as an exact witness.  The pencil order, the hull, the
 sub-region and the witness are each decided by signs of 3x3 determinants of
-chart points, so the classifier reads them all, the hull of 2..6 through
-one plan built at import, from one table of the configuration's 20
+chart points, so the classifier reads them all, the hull of 2..6 one
+pair at a time, from one table of the configuration's 20
 orientation signs and those negated (40 entries), which a relabeling
 permutes with one getter; the event sequence reads the table that the
 classifier has already relabeled, instead of building another.
@@ -22,8 +22,8 @@ each of the other 470 has a witness.  No perturbation that the sampler
 makes changes a sign of a base configuration, so `lemma3 --case` reads one
 table per class and samples nothing; nor does one make a sign of any
 template 0 or change its kind, so a sample is its template perturbed once,
-and is never classified.  The pencil order is ranked by
-`geometry.turn_order`, and the interior labels alone fix the shift sigma^k,
+and is never classified.  The pencil is tested by its six turns, ranked
+only for an error, and the interior labels alone fix the shift sigma^k,
 so all three classes are relabeled, shape-tested and region-tested on one
 path.
 
@@ -35,8 +35,9 @@ pencil of conics which a quadratic transformation based at points 1, 5, 4
 makes of the cubics; each of its turns is a fixed sign times a product of
 table signs (`conics.conic_pencil_events`), so no Cremona map, conic or
 pencil parameter is built, and the direction in which it is read is fixed
-per class.  Hence the sequence, like the classification, is a function of
-the orientation table.  The position orders need no conic:
+per class, as is the direction of each position cycle (`_EVENT_READINGS`).
+Hence the sequence, like the classification, is a function of the
+orientation table.  The position orders need no conic:
 central projection from point 1 maps the conic missing x onto the line
 pencil at 1, and 1 itself onto its tangent.  So the other four points keep
 their pencil order a0..a3, and 1 falls between a(i-1) and a(i) iff that pair
@@ -194,7 +195,9 @@ _PENCIL_TURNS = tuple((y, x, +1, (slot(1, 2, y), slot(1, y, x), slot(1, x, 2)))
 def _pencil_order(signs: tuple) -> list[int]:
     """Labels 2..6 in counterclockwise order of their lines through point 1,
     starting at 2.  The lines to a, b, c turn counterclockwise in that cyclic
-    order iff [1ab][1bc][1ca] < 0."""
+    order iff [1ab][1bc][1ca] < 0, so the order is 2, 3, 4, 5, 6 iff every
+    turn is negative (`tests/test_table_proof.py`); the classifier tests
+    that, and ranks the order only for its error."""
     order = turn_order(signs, 2, _PENCIL_TURNS)
     if order is None:
         raise InvalidConfigurationError(
@@ -324,10 +327,11 @@ def _classify_signs(signs: tuple) -> tuple[Classification, tuple]:
     """The classification of a configuration with distinct points 1..6,
     from its orientation table alone, and that table relabeled by
     sigma^relabel_shift."""
-    order = _pencil_order(signs)
-    if order != [2, 3, 4, 5, 6]:
-        raise InvalidConfigurationError(
-            f"labels 2..6 are not consecutive under the pencil at 1: {order}")
+    for _, _, _, (i, j, k) in _PENCIL_TURNS:
+        if signs[i] * signs[j] * signs[k] >= 0:
+            raise InvalidConfigurationError(
+                "labels 2..6 are not consecutive under the pencil at 1: "
+                f"{_pencil_order(signs)}")
     hull, interior = _hull_cycle(signs)
     k = _INTERIOR_SHIFTS.get(interior)
     if k is None:
@@ -356,31 +360,41 @@ def _contradiction(signs, pattern, interior, relabel=0, region=None):
 # event sequences
 
 
-def _position_readings(x: int) -> tuple:
+def _position_readings(x: int, d: int) -> tuple:
     # per gap i of a0..a3, the table slots of its cross-ratio sign (see the
-    # module docstring) and both readings of the cycle that starts there
+    # module docstring) and the cycle that starts there, read along (d = +1)
+    # or against (d = -1) the pencil at point 1
     a = [v for v in (2, 3, 4, 5, 6) if v != x]
     out = []
     for i in range(4):
         p, q, r, e = a[i - 1], a[i], a[(i + 1) % 4], a[(i + 2) % 4]
         cyc = "".join(map(str, a[i:] + a[:i]))
-        out.append(((slot(e, p, 1), slot(e, q, r), slot(e, p, r),
-                     slot(e, q, 1)), "1" + cyc, "1" + cyc[::-1]))
+        out.append((slot(e, p, 1), slot(e, q, r), slot(e, p, r),
+                    slot(e, q, 1), "1" + cyc[::d]))
     return tuple(out)
 
 
-_POSITION_READINGS = {x: _position_readings(x) for x in (2, 3, 4, 5, 6)}
+_POSITION_READINGS = {(x, d): _position_readings(x, d)
+                      for x in (2, 3, 4, 5, 6) for d in (1, -1)}
+
+# per class: whether it reads the events backwards, and per event label
+# "1x" the position readings of x in the direction DIGIT_DIRECTION names
+_EVENT_READINGS = {
+    case: (_BACKWARDS[case],
+           {f"1{x}": _POSITION_READINGS[x, DIGIT_DIRECTION[case, x]]
+            for x in (2, 3, 4, 5, 6)})
+    for case in REFERENCE_SEQUENCES}
 
 
-def _position_cycle(signs: tuple, x: int) -> tuple[str, str]:
-    """Both readings, from point 1 along its pencil and against it, of the
-    cyclic order of the five points other than `x` on the conic through
-    them, from the orientation table of a pencil-ordered configuration."""
-    for (i, j, k, l), fwd, rev in _POSITION_READINGS[x]:
+def _position_cycle(signs: tuple, readings: tuple) -> str:
+    """The cyclic order of the five points other than x on the conic
+    through them, in the direction of `readings` (`_POSITION_READINGS[x,
+    d]`), from the orientation table of a pencil-ordered configuration."""
+    for i, j, k, l, cycle in readings:
         if signs[i] * signs[j] * signs[k] * signs[l] < 0:
             break
     # when the first three gaps fail, 1 lies in the fourth
-    return fwd, rev
+    return cycle
 
 
 class SequenceReport(NamedTuple):
@@ -400,14 +414,11 @@ def reducible_cubic_sequence(cfg: dict[int, Triple]) -> SequenceReport:
     cl, signs = _classify_signs(orientation_table(cfg))
     if not cl.is_valid:
         return SequenceReport(classification=cl)
+    backwards, readings = _EVENT_READINGS[cl.case]
     order = conic_pencil_events(signs)
-    if _BACKWARDS[cl.case]:
+    if backwards:
         order.reverse()
-    out = []
-    for lab in order:
-        x = int(lab[1])
-        fwd, rev = _position_cycle(signs, x)
-        out.append((lab, fwd if DIGIT_DIRECTION[(cl.case, x)] > 0 else rev))
+    out = [(lab, _position_cycle(signs, readings[lab])) for lab in order]
     matches = cyclic_equal(out, REFERENCE_SEQUENCES[cl.case])
     return SequenceReport(classification=cl, events=tuple(out),
                           matches_reference=matches)
@@ -417,7 +428,9 @@ def cyclic_equal(a, b) -> bool:
     a, b = list(a), list(b)
     if len(a) != len(b):
         return False
-    return not a or any(a[i:] + a[:i] == b for i in range(len(a)))
+    # only a rotation that starts at an item equal to b[0] can equal b
+    return not a or any(a[i:] + a[:i] == b for i, v in enumerate(a)
+                        if v == b[0])
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,9 @@ their 20 triples and those negated, 40 entries with [abc] at
 integer code, so a classification pays for its arithmetic and its table
 reads, not for a loop or a call per triple: each [abc] is a . (b x c), and
 b x c is one of the ten pair minors of the last five points.  The hull
-reads its edge tests through one plan built at import.  `turn_order`
-ranks labels by turns, products of table signs.
+reads each pair {a, b} of 2..6 once: [ab] is an edge iff its three other
+signs agree (Knuth, *Axioms and Hulls*, LNCS 606).  `turn_order` ranks
+labels by turns, products of table signs.
 
 `circle_sort` orders full-circle vectors exactly; with the double-angle
 embedding (dx, dy) -> (dx^2 - dy^2, 2 dx dy) of `tests/chart.py`, which is
@@ -166,31 +167,31 @@ def orientation_table(pts: dict) -> tuple:
     return (*signs, *[-s for s in signs])
 
 
-# per label a of 2..6, per other label b, the getter of [abc] over the
-# three other labels c
-_HULL_ROWS = tuple(
-    (a, tuple((b, itemgetter(*[slot(a, b, c) for c in range(2, 7)
-                               if c != a and c != b]))
-              for b in range(2, 7) if b != a))
-    for a in range(2, 7))
+# per pair a < b of 2..6: a, b and the slots of [abc] for the three other
+# labels c
+_HULL_PAIRS = tuple(
+    (a, b, *[slot(a, b, c) for c in range(2, 7) if c != a and c != b])
+    for a, b in combinations(range(2, 7), 2))
 
 
 def _hull_cycle(signs: tuple):
     """Counterclockwise hull cycle of the points 2..6, starting at its
     smallest label, and their sorted interior labels, read from an
-    orientation table: [ab] is a hull edge iff no other point lies to the
-    right of a -> b.  Entries 10..19 are the triples of 2..6 in
-    `combinations` order, so the first zero among them names its triple."""
+    orientation table with one read per pair {a, b}: [ab] is a hull edge
+    iff its three other signs sum to +-3, and runs a -> b on +3, b -> a on
+    -3.  Entries 10..19 are the triples of 2..6 in `combinations` order, so
+    the first zero among them names its triple."""
     triple_signs = signs[10:20]
     if 0 in triple_signs:
         raise DegeneratePositionError("collinear triple {},{},{}".format(
             *TABLE_KEYS[10 + triple_signs.index(0)]))
     succ = {}
-    for a, row in _HULL_ROWS:
-        for b, right in row:
-            if -1 not in right(signs):
-                succ[a] = b
-                break
+    for a, b, i, j, k in _HULL_PAIRS:
+        s = signs[i] + signs[j] + signs[k]
+        if s == 3:
+            succ[a] = b
+        elif s == -3:
+            succ[b] = a
     cycle = [min(succ)]
     while succ[cycle[-1]] != cycle[0]:
         cycle.append(succ[cycle[-1]])

@@ -26,8 +26,9 @@ was before it became straight-line code for six points: one loop over the
 triples of any number of points, which `orientation_table_looped` lays out
 as `deepnest.geometry.orientation_table` does for any subset of the labels
 1..6.  `hull_cycle_looped` is `deepnest.geometry._hull_cycle` as it was
-before its plan was fixed to the points 2..6: the hull of any labels, read
-from such a table.  `find_witness_by_closure` is
+before it was fixed to the points 2..6 and read each pair once: a scan of
+the edges a -> b of any labels, read from such a table.
+`find_witness_by_closure` is
 `deepnest.configurations.find_witness` as it was before its edge plans: the
 separating-axis search calls an orientation closure per table read.
 

@@ -185,6 +185,28 @@ MUTANTS = (
      "return 1, 1 + int((a == 2) != (b == 2))",
      ["tests/test_bezout.py::test_closed_curve_crossings_are_always_even",
       "tests/test_bezout.py::test_audit_agrees_with_the_benchmark_walk"]),
+    # the hull, which does not read [1ab], then passes a zero pencil turn
+    ("the pencil test lets a zero turn pass",
+     "src/deepnest/configurations.py",
+     "if signs[i] * signs[j] * signs[k] >= 0:",
+     "if signs[i] * signs[j] * signs[k] > 0:",
+     ["tests/test_table_proof.py::test_a_zero_sign_stops_in_the_classifier"]),
+    # every edge then runs backwards, so the hull cycle is clockwise; the
+    # walk still ends, and the classifier's fixture still builds
+    ("the hull reads each pair's sum negated",
+     "src/deepnest/geometry.py",
+     "s = signs[i] + signs[j] + signs[k]",
+     "s = -signs[i] - signs[j] - signs[k]",
+     ["tests/test_table_proof.py::"
+      "test_edge_plans_find_the_reference_witness"]),
+    # the sums are even and small, so the quotient is exact and every
+    # report is the same; only the exactness scan sees the float
+    ("a signed nest's inner count divided as a float",
+     "src/deepnest/cases.py",
+     "(gamma + i_imb) // 2,",
+     "int((gamma + i_imb) / 2),",
+     ["tests/test_imports.py::"
+      "test_the_package_is_exact_and_stdlib_only[src/deepnest/cases.py]"]),
     # every report is the same; the call budgets see the Scenario that
     # each fitting survivor's emission builds and checks
     ("emission rebuilds a Scenario per survivor",

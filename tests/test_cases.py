@@ -491,23 +491,16 @@ def test_theorem1_table_matches_the_text_path(known):
 
 @pytest.mark.parametrize("beta", range(0, 25, 2))
 def test_theorem2_table_matches_the_text_path(beta):
-    rep = prohibit(deep_nest_scheme(beta))
-    skipped = tuple(c for r in rep.results for c in r.survivors
-                    if not any(f.case == c for f in rep.feasible))
+    # the row and the text path's report, each against the independent
+    # per-call report: the row holds its fitted schemes, and its other
+    # survivors in survivor order
+    rep = prohibit_per_call(beta, 26 - beta, (), "uniform")
+    assert prohibit(deep_nest_scheme(beta)) == rep
+    fitted = {f.case for f in rep.feasible}
+    skipped = tuple(case for result in rep.results
+                    for case in result.survivors if case not in fitted)
     assert theorem2_report(beta) == TheoremTwoRow(
         beta, 26 - beta, rep.feasible, skipped)
-
-
-def test_theorem2_rows_match_the_per_call_path():
-    # the row rebuilt from the independent per-call report: its fitted
-    # schemes, and its other survivors in survivor order
-    for beta in range(0, 25, 2):
-        rep = prohibit_per_call(beta, 26 - beta, (), "uniform")
-        fitted = {f.case for f in rep.feasible}
-        skipped = tuple(case for result in rep.results
-                        for case in result.survivors if case not in fitted)
-        assert theorem2_report(beta) == TheoremTwoRow(
-            beta, 26 - beta, rep.feasible, skipped)
 
 
 @pytest.mark.parametrize("mode", ["uniform", "literal"])

@@ -247,6 +247,10 @@ def test_cyclic_equal():
     assert not cyclic_equal([1, 2, 3], [2, 1, 3])
     assert not cyclic_equal([1, 2], [1, 2, 3])
     assert cyclic_equal([], [])
+    # repeated items: only rotations starting at an item equal to b[0]
+    assert cyclic_equal([1, 1, 2], [1, 2, 1])
+    assert cyclic_equal([1, 1, 2], [2, 1, 1])
+    assert not cyclic_equal([1, 1, 2], [1, 2, 2])
 
 
 def test_sampler_rejects_unknown_kind():

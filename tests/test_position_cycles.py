@@ -8,6 +8,11 @@ import random
 
 from deepnest.configurations import (
     BASE_CONFIGURATIONS,
+    DIGIT_DIRECTION,
+    REFERENCE_SEQUENCES,
+    _BACKWARDS,
+    _EVENT_READINGS,
+    _POSITION_READINGS,
     _position_cycle,
     classify_configuration,
     sigma_shift,
@@ -44,7 +49,21 @@ def conic_position_cycle(cfg, x):
 def assert_cycles_agree(cfg):
     signs = orientation_table(cfg)
     for x in (2, 3, 4, 5, 6):
-        assert _position_cycle(signs, x) == conic_position_cycle(cfg, x), (cfg, x)
+        both = tuple(_position_cycle(signs, _POSITION_READINGS[x, d])
+                     for d in (1, -1))
+        assert both == conic_position_cycle(cfg, x), (cfg, x)
+
+
+def test_each_class_reads_the_direction_that_digit_direction_names():
+    # the event readings fixed at import are the frozen calibration's
+    assert set(_EVENT_READINGS) == set(REFERENCE_SEQUENCES) == {1, 2, 3}
+    for case, (backwards, readings) in _EVENT_READINGS.items():
+        assert backwards is _BACKWARDS[case]
+        assert set(readings) == {"12", "13", "14", "15", "16"}
+        for x in (2, 3, 4, 5, 6):
+            d = DIGIT_DIRECTION[case, x]
+            assert readings[f"1{x}"] is _POSITION_READINGS[x, d]
+            assert readings[f"1{x}"] != _POSITION_READINGS[x, -d]
 
 
 def test_templates_under_every_shift():

@@ -9,7 +9,8 @@ Grassmann-Pluecker relations and is acyclic, so the backtracking below
 reaches every table that points can produce, and the facts proved for it
 hold for every configuration:
 
-* 11,904 sign vectors; 496 are in pencil order at point 1, of 44 kinds; 26
+* 11,904 sign vectors; 496 are in pencil order at point 1, exactly those
+  whose six pencil turns are all negative, of 44 kinds; 26
   are valid (1, 10 and 15 per case), and each of the other 470 has a
   triangle-pair witness, and the edge plans of `find_witness` find the
   first one that the search over an orientation closure finds;
@@ -24,8 +25,9 @@ hold for every configuration:
 * a table with a zero sign stops in the classifier, before the event order
   or the witness search reads it.
 
-So `conics.conic_pencil_events` needs no conic test and meets no zero turn,
-`configurations.find_witness` needs no zero test and
+So the classifier tests the pencil's turns and ranks them only for an
+error, `conics.conic_pencil_events` needs no conic test and meets no zero
+turn, `configurations.find_witness` needs no zero test and
 `configurations._contradiction` always finds a witness, `lemma3 --case`
 classifies its template once, and `configurations.sample_configuration`
 returns one perturbation of its template without classifying it.  Every
@@ -64,6 +66,7 @@ from deepnest.geometry import (
     normalize,
     orientation_signs,
     slot,
+    turn_order,
 )
 from chart import find_witness_by_closure, hull_cycle_looped
 
@@ -172,6 +175,22 @@ def test_the_order_types_of_six_points(enumeration):
         == {1: 1, 2: 10, 3: 15}
 
 
+def test_the_pencil_is_in_order_iff_its_six_turns_are_negative(enumeration):
+    # the classifier tests the turns and ranks the pencil only for its
+    # error.  Each turn's fixed sign is +1, so a turn is negative iff the
+    # product of its three table signs is
+    vectors, ordered = enumeration
+    assert [s for _, _, s, _ in _PENCIL_TURNS] == [1] * 6
+    in_order = 0
+    for signs in map(table, vectors):
+        negative = all(s * math.prod(signs[i] for i in slots) < 0
+                       for _, _, s, slots in _PENCIL_TURNS)
+        assert negative == (turn_order(signs, 2, _PENCIL_TURNS)
+                            == [2, 3, 4, 5, 6])
+        in_order += negative
+    assert in_order == len(ordered) == 496
+
+
 def test_every_excluded_table_has_a_witness(enumeration):
     _, ordered = enumeration
     excluded = [cl for _, cl in ordered if not cl.is_valid]
@@ -211,10 +230,11 @@ def test_edge_plans_find_the_reference_witness(enumeration):
     # ten of `TRIPLES`, so these are all the tables without a zero that
     # they can be given, realizable or not.  On each pencil-ordered table
     # the edges of a pair's first triangle alone find the same pair; on 16
-    # of these 1,024 they do not.  The hull's plan for 2..6 reads what the
-    # hull of any labels reads: the same cycle, or on 730 tables that no
-    # points give, the same error; and a zero among the ten raises for the
-    # same triple in both
+    # of these 1,024 they do not.  The hull's one read per pair of 2..6
+    # gives what the scan of edges a -> b of any labels gives: the same
+    # cycle, or on 730 tables that no points give, the same error (no
+    # label has two edges out, a -> b and a -> c, since [abc] = -[acb]);
+    # and a zero among the ten raises for the same triple in both
     assert TABLE_KEYS[10:20] == tuple(combinations(range(2, 7), 3))
     found, hulls = Counter(), Counter()
     for v in product((1, -1), repeat=10):
